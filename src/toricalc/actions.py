@@ -100,7 +100,11 @@ def delta(action: LinearizedAction) -> Polyhedron:
     Inequality i is exactly (a_i, alpha_i), so supports index straight
     into the coordinates of C^n.
     """
-    q = quotient_projection(action)
+    return _delta_from(action, quotient_projection(action))
+
+
+def _delta_from(action: LinearizedAction, q: QuotientData) -> Polyhedron:
+    """``delta(action)`` built from its already computed projection ``q``."""
     ineqs = [(q.images.row(i), action.alpha[i]) for i in range(action.n)]
     return polyhedron(q.dim, ineqs)
 
@@ -217,7 +221,7 @@ def evaluate_invariants(
     if len(coords) != action.n:
         raise ValueError(f"point has length {len(coords)}, expected {action.n}")
     q = quotient_projection(action)
-    p = delta(action)
+    p = _delta_from(action, q)
     out = []
     for g in graded_generators(p):
         if g.degree > bound:

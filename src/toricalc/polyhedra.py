@@ -355,7 +355,9 @@ def f_vector(p: Polyhedron) -> tuple[tuple[int, ...], bool]:
         cur = queue.pop()
         for i in range(m):
             sub = frozenset(g for g in cur if masks[g] >> i & 1)
-            if sub and sub != cur and sub not in seen:
+            # A nonempty face of a pointed polyhedron holds a vertex; a
+            # set of rays alone is no face.
+            if any(gens[g][1] for g in sub) and sub != cur and sub not in seen:
                 seen.add(sub)
                 queue.append(sub)
     dims = {}

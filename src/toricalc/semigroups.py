@@ -6,11 +6,14 @@ whose minimal generators (the Hilbert basis, for pointed cones) give
 the multiplicative generators of the associated graded ring, and whose
 height-r slices have dimension ``hilbert_function(P, r)``.
 
-The Hilbert basis computation triangulates the cone by placing its
-extreme rays in sorted order, scans the half-open fundamental
-parallelepiped of each simplicial piece over an exact bounding box, and
-then discards every candidate that splits as a sum of two nonzero
-semigroup elements.
+The Hilbert basis computation follows Bruns and Ichim, "Normaliz:
+algorithms for affine monoids and rational cones", J. Algebra 324
+(2010). It triangulates the cone by placing its extreme rays in sorted
+order and lists the lattice points of the half-open fundamental
+parallelepiped of each simplicial piece as the finite group read off
+the Smith form of its ray matrix. The candidates are then taken in
+order of a positive grading, and each is kept unless it lies above an
+element already kept.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from fractions import Fraction
 from itertools import combinations, product as iproduct
 
 from .errors import NotPointed, Unbounded
-from .lattice import rational_kernel, rational_rank, solve_rational
+from .lattice import IntMatrix, invariant_factors_from, rational_kernel, rational_rank, snf
 from .polyhedra import Polyhedron, dilate, lattice_points, vrep
 
 Vector = tuple[int, ...]
@@ -139,25 +142,38 @@ def _facet_normal(facet_rays, span_basis, inside_ray) -> tuple[Fraction, ...]:
 
 
 def _parallelepiped_points(rays: list[Vector]) -> list[Vector]:
-    """Lattice points of {sum t_i r_i : 0 <= t_i < 1} for independent rays."""
-    ambient = len(rays[0])
-    ranges = []
-    for j in range(ambient):
-        lo = sum(min(r[j], 0) for r in rays)
-        hi = sum(max(r[j], 0) for r in rays)
-        ranges.append(range(lo, hi + 1))
-    columns = [[r[j] for r in rays] for j in range(ambient)]
+    """Lattice points of {sum t_i r_i : 0 <= t_i < 1} for independent rays.
+
+    With R the matrix whose rows are the rays and U R V = D its Smith
+    form, x = t R is integral exactly when t = s U with s_i in
+    (1/d_i) Z. One point per c in prod [0, d_i), taking s_i = c_i / d_i
+    and t modulo 1, so there are prod d_i points. With n = d_k, every
+    t_j is a multiple of 1/n and the points come out in integers. The
+    rays may span a proper subspace of the ambient space.
+    """
+    k, ambient = len(rays), len(rays[0])
+    nf = snf(IntMatrix.from_rows(rays))
+    factors = invariant_factors_from(nf)
+    n = factors[-1]
+    steps = [[n // d * x % n for x in row] for d, row in zip(factors, nf.U.entries)]
     out = []
-    for x in iproduct(*ranges):
-        t = solve_rational(columns, x)
-        if t is not None and all(0 <= ti < 1 for ti in t):
-            out.append(x)
+    for c in iproduct(*(range(d) for d in factors)):
+        tn = [sum(ci * step[j] for ci, step in zip(c, steps)) % n for j in range(k)]
+        out.append(tuple(sum(t * r[i] for t, r in zip(tn, rays)) // n for i in range(ambient)))
     return out
 
 
 def hilbert_basis(c: Cone) -> list[Vector]:
     """Minimal generating set of the semigroup of lattice points of a
-    pointed cone, sorted lexicographically."""
+    pointed cone, sorted lexicographically.
+
+    The candidates are the extreme rays and the parallelepiped points of
+    a triangulation. They are taken in increasing order of the grading
+    x -> sum of the inequality rows applied to x, which is positive on
+    the cone minus 0 because a pointed cone's inequality matrix has
+    trivial kernel. A candidate g is kept unless g - h lies in the cone
+    for an h kept before it (Bruns and Ichim, J. Algebra 324 (2010)).
+    """
     rays, lineality = extreme_rays(c)
     if lineality:
         raise NotPointed("the cone contains a line")
@@ -169,14 +185,13 @@ def hilbert_basis(c: Cone) -> list[Vector]:
         candidates.update(_parallelepiped_points([ray_list[i] for i in simplex]))
     zero = tuple(0 for _ in range(c.ambient))
     candidates.discard(zero)
-    ordered = sorted(candidates)
-    basis = []
+    grading = [sum(col) for col in zip(*c.inequalities)]
+    ordered = sorted(candidates, key=lambda x: (sum(w * v for w, v in zip(grading, x)), x))
+    basis: list[Vector] = []
     for g in ordered:
-        reducible = any(
-            h != g and c.contains(tuple(a - b for a, b in zip(g, h))) for h in ordered
-        )
-        if not reducible:
+        if not any(c.contains(tuple(a - b for a, b in zip(g, h))) for h in basis):
             basis.append(g)
+    basis.sort()
     return basis
 
 

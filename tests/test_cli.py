@@ -22,6 +22,11 @@ INTERVAL_POLY = {
     "inequalities": [{"a": [1], "b": 0}, {"a": [-1], "b": -1}],
 }
 ORTHANT_POLY = {"dim": 1, "inequalities": [{"a": [1], "b": 0}]}
+# An unbounded polyhedron with a redundant inequality that is tight on a ray only.
+REDUNDANT_RAY_POLY = {
+    "dim": 2,
+    "inequalities": [{"a": [1, 0], "b": -2}, {"a": [1, 0], "b": -1}, {"a": [0, 1], "b": 1}],
+}
 EMPTY_POLY = {"dim": 1, "inequalities": [{"a": [1], "b": 1}, {"a": [-1], "b": 0}]}
 PYRAMID_POLY = {
     "dim": 3,
@@ -105,6 +110,18 @@ class TestGoldenOutputs:
     def test_census(self, tmp_path):
         f = jfile(tmp_path, "square.json", SQUARE_POLY)
         assert execute(["census", "--polytope", f])[1] == '{"orbits":{"0":4,"1":4,"2":1}}\n'
+
+    @pytest.mark.parametrize(
+        "verb,expected",
+        [
+            ("fvector", '{"f_vector":[1,2,1],"simple":true}\n'),
+            ("betti", '{"betti":[0,0,1],"bounded":false}\n'),
+            ("census", '{"orbits":{"0":1,"1":2,"2":1}}\n'),
+        ],
+    )
+    def test_face_counts_redundant_unbounded(self, tmp_path, verb, expected):
+        f = jfile(tmp_path, "redundant.json", REDUNDANT_RAY_POLY)
+        assert execute([verb, "--polytope", f]) == (0, expected, "")
 
     def test_evaluate(self, tmp_path):
         f = jfile(tmp_path, "sq_action.json", SQUARE_ACTION)

@@ -233,6 +233,12 @@ class TestFVector:
         f2 = f_vector(SQUARE.with_inequality((1, 0), -7))
         assert f1 == f2
 
+    def test_redundant_inequality_tight_on_rays_only(self):
+        # x >= -2 is tight on the ray (0, 1) but on no vertex, so the walk
+        # meets a set of rays alone, which is no face.
+        p = polyhedron(2, [((1, 0), -2), ((1, 0), -1), ((0, 1), 1)])
+        assert f_vector(p) == ((1, 2, 1), True)
+
     def test_empty_raises(self):
         with pytest.raises(EmptyPolyhedron):
             f_vector(polyhedron(1, [((1,), 1), ((-1,), 0)]))

@@ -4,9 +4,14 @@ The decomposition oracle used here is an exhaustive bounded search that
 never consults the triangulation machinery it is checking.
 """
 
+import random
+from itertools import product as iproduct
+from math import prod
+
 import pytest
 
 from toricalc.errors import NotPointed, Unbounded
+from toricalc.lattice import IntMatrix, invariant_factors, rational_rank, solve_rational
 from toricalc.polyhedra import (
     Polyhedron,
     dilate,
@@ -20,6 +25,7 @@ from toricalc.polyhedra import (
 from toricalc.semigroups import (
     Cone,
     GradedPoint,
+    _parallelepiped_points,
     graded_generators,
     hilbert_basis,
     hilbert_function,
@@ -40,6 +46,76 @@ def decomposes(x, basis, cone):
         if cone.contains(rest) and decomposes(rest, basis, cone):
             return True
     return False
+
+
+def box_scan(rays):
+    """Reference: lattice points of the half-open parallelepiped, by
+    testing every point of its bounding box with a rational solve."""
+    ambient = len(rays[0])
+    ranges = [
+        range(sum(min(r[j], 0) for r in rays), sum(max(r[j], 0) for r in rays) + 1)
+        for j in range(ambient)
+    ]
+    columns = [[r[j] for r in rays] for j in range(ambient)]
+    out = []
+    for x in iproduct(*ranges):
+        t = solve_rational(columns, x)
+        if t is not None and all(0 <= ti < 1 for ti in t):
+            out.append(x)
+    return out
+
+
+def seeded_rays(seed, k, ambient, lo, hi, accept):
+    """The first k independent integer vectors in [lo, hi]^ambient, drawn
+    from a seeded stream, that ``accept`` takes."""
+    rng = random.Random(seed)
+    while True:
+        rays = [tuple(rng.randint(lo, hi) for _ in range(ambient)) for _ in range(k)]
+        if rational_rank(rays) == k and accept(rays):
+            return rays
+
+
+def unimodular_rays(seed, dim):
+    """Rows of a seeded product of elementary integer row operations."""
+    rng = random.Random(seed)
+    rows = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    for _ in range(2 * dim):
+        i, j = rng.sample(range(dim), 2)
+        q = rng.choice([-1, 1])
+        rows[i] = [a + q * b for a, b in zip(rows[i], rows[j])]
+    return [tuple(r) for r in rows]
+
+
+def index(rays):
+    return prod(invariant_factors(IntMatrix.from_rows(rays)))
+
+
+def det2(rays):
+    (a, b), (c, d) = rays
+    return abs(a * d - b * c)
+
+
+PARALLELEPIPED_CASES = (
+    [unimodular_rays(seed, dim) for seed, dim in [(1, 2), (2, 3), (3, 3), (4, 4)]]
+    + [seeded_rays(seed, 3, 3, -3, 3, lambda r: True) for seed in (5, 6)]
+    # det in the thousands, with a bounding box not much larger than det.
+    + [
+        seeded_rays(seed, 2, 2, -4, 45, lambda r: r[0][0] > 30 and r[1][1] > 30 and det2(r) >= 1000)
+        for seed in (7, 8)
+    ]
+    # rays spanning a proper subspace of the ambient space.
+    + [seeded_rays(9, 1, 3, -3, 3, lambda r: True)]
+    + [seeded_rays(seed, 2, n, -3, 3, lambda r: index(r) > 1) for seed, n in [(10, 3), (11, 4)]]
+)
+
+
+class TestParallelepipedPoints:
+    @pytest.mark.parametrize("rays", PARALLELEPIPED_CASES)
+    def test_matches_box_scan(self, rays):
+        points = _parallelepiped_points(rays)
+        assert len(points) == len(set(points))
+        assert sorted(points) == box_scan(rays)
+        assert len(points) == index(rays)
 
 
 class TestHomogenize:
@@ -102,8 +178,6 @@ class TestHilbertBasis:
         basis = hilbert_basis(c)
         # Completeness: every cone lattice point in a small box decomposes.
         span = range(-4, 5)
-        from itertools import product as iproduct
-
         for x in iproduct(*[span] * dim):
             if c.contains(x):
                 assert decomposes(x, basis, c), x
@@ -120,6 +194,19 @@ class TestHilbertBasis:
 
 
 class TestGradedGenerators:
+    def test_unit_cube_4(self):
+        gens = graded_generators(unit_cube(4))
+        assert gens == [GradedPoint(v, 1) for v in iproduct((0, 1), repeat=4)]
+
+    def test_det_1521_triangle(self):
+        p = polyhedron(2, [((3, 1), -1), ((-2, -3), -1), ((-2, 2), -3)])
+        expected = [
+            ((0, -1), 1), ((0, 0), 1), ((-1, 1), 2), ((1, -2), 2), ((1, -1), 2), ((1, 0), 2),
+            ((2, -1), 2), ((0, 1), 3), ((3, -1), 3), ((-1, 2), 4), ((1, -5), 4), ((-2, 3), 5),
+            ((-3, 4), 6), ((1, -8), 6), ((-4, 5), 7), ((1, -11), 8), ((11, -4), 10),
+        ]
+        assert graded_generators(p) == [GradedPoint(v, d) for v, d in expected]
+
     def test_half_line(self):
         gens = graded_generators(positive_orthant(1))
         assert gens == [GradedPoint((1,), 0), GradedPoint((0,), 1)]
