@@ -2,9 +2,9 @@
 
 A polyhedron is given by integer inequality data ``a . p >= b``. This
 module converts between that H-form and the vertex/ray/lineality V-form
-with an incremental double description pass, answers face queries with
-Fourier-Motzkin feasibility, enumerates faces through the generator
-incidence structure, and lists lattice points of bounded polyhedra.
+with an incremental double description pass, answers face queries and
+counts faces from the tight-constraint masks of that one pass, and lists
+lattice points of bounded polyhedra.
 
 Everything is deterministic: inequalities are inserted in the order
 given, generated rays are reduced to primitive integer vectors, and all
@@ -16,10 +16,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product as iproduct
+from itertools import product as iproduct
 
 from .errors import EmptyPolyhedron, LinealityPresent, Unbounded
-from .lattice import primitive, rational_rank
+from .lattice import primitive
 
 Vector = tuple[int, ...]
 Inequality = tuple[Vector, int]
@@ -61,10 +61,6 @@ def interval(lo: int, hi: int) -> Polyhedron:
 
 def positive_orthant(dim: int) -> Polyhedron:
     return polyhedron(dim, [(tuple(1 if j == i else 0 for j in range(dim)), 0) for i in range(dim)])
-
-
-def half_line() -> Polyhedron:
-    return positive_orthant(1)
 
 
 def standard_simplex(dim: int) -> Polyhedron:
@@ -199,6 +195,16 @@ def _homogenized_constraints(p: Polyhedron):
     return cons
 
 
+def _generators(p: Polyhedron):
+    """One double description pass over the homogenization cone of ``p``.
+
+    Returns (rays, lineality): rays are _Ray records (height last) whose
+    mask has bit 0 for the height row and bit i for inequality i; the
+    lineality vectors have height 0 and are tight everywhere.
+    """
+    return _dd_pair(_homogenized_constraints(p), p.dim + 1)
+
+
 def _split_generators(rays, lin):
     """Split homogenization-cone generators at height 1 / height 0."""
     vertices = []
@@ -218,8 +224,7 @@ def vrep(p: Polyhedron) -> VRepresentation:
 
     Returns the empty representation when the polyhedron is empty.
     """
-    rays, lin = _dd_pair(_homogenized_constraints(p), p.dim + 1)
-    vertices, rec_rays, lineality = _split_generators(rays, lin)
+    vertices, rec_rays, lineality = _split_generators(*_generators(p))
     if not vertices:
         return VRepresentation((), (), ())
     return VRepresentation(
@@ -237,43 +242,6 @@ def is_bounded(p: Polyhedron) -> bool:
     return vrep(p).is_bounded
 
 
-def _fm_feasible(rows, dim: int) -> bool:
-    """Fourier-Motzkin feasibility for integer rows (a_0..a_{dim-1}, b)
-    read as a . x >= b. Exact, with duplicate and tautology pruning."""
-    cur = set()
-    for row in rows:
-        row = primitive(row)
-        if not any(row[:dim]):
-            if row[dim] > 0:
-                return False
-            continue
-        cur.add(row)
-    for var in range(dim):
-        plus = [r for r in cur if r[var] > 0]
-        minus = [r for r in cur if r[var] < 0]
-        keep = {r for r in cur if r[var] == 0}
-        for rp in plus:
-            for rm in minus:
-                cp, cm = rp[var], rm[var]
-                new = primitive(tuple(cp * x - cm * y for x, y in zip(rm, rp)))
-                if not any(new[:dim]):
-                    if new[dim] > 0:
-                        return False
-                    continue
-                keep.add(new)
-        cur = keep
-    return True
-
-
-def _face_feasible(p: Polyhedron, tight: frozenset[int]) -> bool:
-    rows = []
-    for i, (a, b) in enumerate(p.inequalities, start=1):
-        rows.append(a + (b,))
-        if i in tight:
-            rows.append(tuple(-x for x in a) + (-b,))
-    return _fm_feasible(rows, p.dim)
-
-
 def _check_indices(p: Polyhedron, s) -> frozenset[int]:
     s = frozenset(int(i) for i in s)
     if any(i < 1 or i > p.n_inequalities for i in s):
@@ -287,43 +255,55 @@ def face(p: Polyhedron, s) -> Face | None:
     ``s`` contains 1-based inequality indices. Returns None when the face
     is empty. The returned active set is closed: it lists every inequality
     tight on the whole face, not only those in ``s``.
+
+    The face is read off the one double description pass of ``p``: its
+    generators are those whose tight mask contains ``s``, and it is empty
+    when none of them has positive height. The witness is the mean of the
+    face's vertices plus the sum of its rays.
     """
     s = _check_indices(p, s)
-    if not _face_feasible(p, s):
+    want = sum(1 << i for i in s)
+    rays, lin = _generators(p)
+    kept = [r for r in rays if r.tight & want == want]
+    heights = [r.vec[-1] for r in kept if r.vec[-1] > 0]
+    if not heights:
         return None
-    cons = _homogenized_constraints(p)
-    cons.extend(tuple(-x for x in p.inequalities[i - 1][0]) + (p.inequalities[i - 1][1],) for i in sorted(s))
-    rays, lin = _dd_pair(cons, p.dim + 1)
-    vertices, rec_rays, lineality = _split_generators(rays, lin)
-    if not vertices:
-        raise AssertionError("feasible face produced no points")
-    n = len(vertices)
-    witness = [Fraction(0)] * p.dim
-    for v in vertices:
-        for j, x in enumerate(v):
-            witness[j] += Fraction(x, n)
-    for r in rec_rays:
-        for j, x in enumerate(r):
-            witness[j] += x
-    active = frozenset(
-        i
-        for i, (a, b) in enumerate(p.inequalities, start=1)
-        if all(_dot(a, v) == b for v in vertices)
-        and all(_dot(a, r) == 0 for r in rec_rays)
-        and all(_dot(a, l) == 0 for l in lineality)
-    )
-    base = vertices[0]
-    spanning = [tuple(x - y for x, y in zip(v, base)) for v in vertices[1:]]
-    spanning.extend(rec_rays)
-    spanning.extend(lineality)
-    return Face(active, rational_rank(spanning), tuple(witness))
+    common = -1
+    for r in kept:
+        common &= r.tight
+    active = frozenset(i for i in range(1, p.n_inequalities + 1) if common >> i & 1)
+    # Over the common denominator n * scale, the mean of the vertices x/h
+    # takes x * scale/h from each, and the sum of the rays x * n * scale.
+    n = len(heights)
+    scale = math.lcm(*heights)
+    sums = [0] * p.dim
+    for r in kept:
+        h = r.vec[-1]
+        weight = scale // h if h else n * scale
+        for j in range(p.dim):
+            sums[j] += weight * r.vec[j]
+    witness = tuple(Fraction(x, n * scale) for x in sums)
+    return Face(active, _face_dim([r.vec for r in kept] + lin), witness)
 
 
-def _face_dim(vertices, rays) -> int:
-    base = vertices[0]
-    spanning = [tuple(x - y for x, y in zip(v, base)) for v in vertices[1:]]
-    spanning.extend(rays)
-    return rational_rank(spanning)
+def _face_dim(generators) -> int:
+    """Dimension of a face from its homogenized generators (vertices at
+    positive height, rays and lineality at height 0): their rank less
+    one, by fraction-free (Bareiss) elimination."""
+    rows = [list(g) for g in generators if any(g)]
+    rank = 0
+    prev = 1
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((r for r in rows if r[c]), None)
+        if piv is None:
+            continue
+        rows.remove(piv)
+        pc = piv[c]
+        rows = [[(pc * x - r[c] * y) // prev for x, y in zip(r, piv)] for r in rows]
+        rows = [r for r in rows if any(r)]
+        prev = pc
+        rank += 1
+    return rank - 1
 
 
 def f_vector(p: Polyhedron) -> tuple[tuple[int, ...], bool]:
@@ -333,46 +313,33 @@ def f_vector(p: Polyhedron) -> tuple[tuple[int, ...], bool]:
     faces count like any other. The flag reports whether each vertex lies
     on exactly dim(p) facets.
     """
-    v = vrep(p)
-    if v.is_empty:
+    rays, lin = _generators(p)
+    is_vertex = [r.vec[-1] > 0 for r in rays]
+    if not any(is_vertex):
         raise EmptyPolyhedron("f-vector of the empty polyhedron")
-    if v.lineality:
+    if lin:
         raise LinealityPresent("f-vector requires a pointed polyhedron")
-    gens = [(vt, True) for vt in v.vertices] + [(r, False) for r in v.rays]
-    masks = []
-    for g, is_vertex in gens:
-        mask = 0
-        for i, (a, b) in enumerate(p.inequalities):
-            val = _dot(a, g) - (b if is_vertex else 0)
-            if val == 0:
-                mask |= 1 << i
-        masks.append(mask)
-    m = p.n_inequalities
-    top = frozenset(range(len(gens)))
+    top = frozenset(range(len(rays)))
     seen = {top}
     queue = [top]
     while queue:
         cur = queue.pop()
-        for i in range(m):
-            sub = frozenset(g for g in cur if masks[g] >> i & 1)
+        for i in range(1, p.n_inequalities + 1):
+            sub = frozenset(g for g in cur if rays[g].tight >> i & 1)
             # A nonempty face of a pointed polyhedron holds a vertex; a
             # set of rays alone is no face.
-            if any(gens[g][1] for g in sub) and sub != cur and sub not in seen:
+            if any(is_vertex[g] for g in sub) and sub != cur and sub not in seen:
                 seen.add(sub)
                 queue.append(sub)
-    dims = {}
-    for fs in seen:
-        verts = [gens[g][0] for g in sorted(fs) if gens[g][1]]
-        rays_ = [gens[g][0] for g in sorted(fs) if not gens[g][1]]
-        dims[fs] = _face_dim(verts, rays_)
+    dims = {fs: _face_dim([rays[g].vec for g in fs]) for fs in seen}
     d = dims[top]
     counts = [0] * (d + 1)
     for fs, fd in dims.items():
         counts[fd] += 1
     facets = [fs for fs, fd in dims.items() if fd == d - 1]
     simple = True
-    for gi, (g, is_vertex) in enumerate(gens):
-        if not is_vertex:
+    for gi in range(len(rays)):
+        if not is_vertex[gi]:
             continue
         if sum(1 for fs in facets if gi in fs) != d:
             simple = False

@@ -34,7 +34,6 @@ from toricalc.errors import (
 )
 from toricalc.lattice import IntMatrix, hnf
 from toricalc.polyhedra import (
-    half_line,
     interval,
     is_empty,
     lattice_points,
@@ -356,7 +355,7 @@ class TestOrbitCensus:
         assert orbit_census(interval(0, 1)) == {0: 2, 1: 1}
 
     def test_half_line(self):
-        assert orbit_census(half_line()) == {0: 1, 1: 1}
+        assert orbit_census(positive_orthant(1)) == {0: 1, 1: 1}
 
 
 class TestEvaluateInvariants:

@@ -1,11 +1,14 @@
 """Command-line behavior: golden outputs, exit codes, error discipline."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import toricalc
 from toricalc.cli import execute
 
 SQUARE_POLY = {
@@ -274,10 +277,14 @@ class TestErrorDiscipline:
 class TestModuleEntry:
     def test_python_dash_m(self, tmp_path):
         f = jfile(tmp_path, "square.json", SQUARE_POLY)
+        # The child interpreter imports the same package this test imported.
+        src = str(Path(toricalc.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
             [sys.executable, "-m", "toricalc", "betti", "--polytope", f],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0
         assert proc.stdout == '{"betti":[1,2,1],"bounded":true}\n'

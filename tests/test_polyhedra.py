@@ -1,21 +1,24 @@
 """H-to-V conversion, faces, f-vectors, lattice points.
 
 Derived expectations are computed by small independent oracles inside
-this file (pairwise vertex solving, box scans) and frozen literals.
+this file (pairwise vertex solving, box scans, Fourier-Motzkin face
+feasibility) and frozen literals.
 """
 
+import random
 from fractions import Fraction
 from itertools import combinations, product as iproduct
 
 import pytest
 
 from toricalc.errors import EmptyPolyhedron, LinealityPresent, Unbounded
+from toricalc.lattice import primitive, rational_rank
 from toricalc.polyhedra import (
+    Face,
     Polyhedron,
     dilate,
     f_vector,
     face,
-    half_line,
     interval,
     is_bounded,
     is_empty,
@@ -50,6 +53,87 @@ def oracle_vertices_2d(p):
         if all(a[0] * x + a[1] * y >= b for a, b in ineqs):
             verts.add((x, y))
     return verts
+
+
+def fm_feasible(rows, dim):
+    """Fourier-Motzkin feasibility for integer rows (a_0..a_{dim-1}, b)
+    read as a . x >= b. Exact, with duplicate and tautology pruning."""
+    cur = set()
+    for row in rows:
+        row = primitive(row)
+        if not any(row[:dim]):
+            if row[dim] > 0:
+                return False
+            continue
+        cur.add(row)
+    for var in range(dim):
+        plus = [r for r in cur if r[var] > 0]
+        minus = [r for r in cur if r[var] < 0]
+        keep = {r for r in cur if r[var] == 0}
+        for rp in plus:
+            for rm in minus:
+                cp, cm = rp[var], rm[var]
+                new = primitive(tuple(cp * x - cm * y for x, y in zip(rm, rp)))
+                if not any(new[:dim]):
+                    if new[dim] > 0:
+                        return False
+                    continue
+                keep.add(new)
+        cur = keep
+    return True
+
+
+def reference_face(p, s):
+    """The face by the earlier route: Fourier-Motzkin decides emptiness,
+    then a second double description pass, on ``p`` with the inequalities
+    in ``s`` reversed, gives its points; active set, dimension and witness
+    come from Fraction dot products and a Fraction rank."""
+    rows = []
+    for i, (a, b) in enumerate(p.inequalities, start=1):
+        rows.append(a + (b,))
+        if i in s:
+            rows.append(tuple(-x for x in a) + (-b,))
+    if not fm_feasible(rows, p.dim):
+        return None
+    q = p
+    for i in sorted(s):
+        a, b = p.inequalities[i - 1]
+        q = q.with_inequality(tuple(-x for x in a), -b)
+    v = vrep(q)
+    assert v.vertices, "feasible face produced no points"
+    n = len(v.vertices)
+    witness = [Fraction(0)] * p.dim
+    for vt in v.vertices:
+        for j, x in enumerate(vt):
+            witness[j] += Fraction(x, n)
+    for r in v.rays:
+        for j, x in enumerate(r):
+            witness[j] += x
+    dot = lambda a, x: sum(ai * xi for ai, xi in zip(a, x))
+    active = frozenset(
+        i
+        for i, (a, b) in enumerate(p.inequalities, start=1)
+        if all(dot(a, vt) == b for vt in v.vertices)
+        and all(dot(a, r) == 0 for r in v.rays + v.lineality)
+    )
+    base = v.vertices[0]
+    spanning = [tuple(x - y for x, y in zip(vt, base)) for vt in v.vertices[1:]]
+    return Face(active, rational_rank(spanning + list(v.rays) + list(v.lineality)), tuple(witness))
+
+
+def seeded_polyhedron(seed):
+    """Random small polyhedron in dims 1-4. Seeds 5-7 modulo 8 leave the
+    last coordinate free, so those have lineality whenever nonempty."""
+    rng = random.Random(seed)
+    d = 1 + seed % 4
+    m = rng.randint(2, 6)
+    ineqs = [(tuple(rng.randint(-3, 3) for _ in range(d)), rng.randint(-4, 2)) for _ in range(m)]
+    if seed % 8 >= 5:
+        ineqs = [(a[:-1] + (0,), b) for a, b in ineqs]
+    return polyhedron(d, ineqs)
+
+
+FACE_SEEDS = range(48)
 
 
 class TestVrep:
@@ -175,6 +259,23 @@ class TestFace:
         with pytest.raises(ValueError):
             face(SQUARE, {5})
 
+    @pytest.mark.parametrize("seed", FACE_SEEDS)
+    def test_matches_reference(self, seed):
+        p = seeded_polyhedron(seed)
+        m = p.n_inequalities
+        for k in range(min(m, 3) + 1):
+            for s in combinations(range(1, m + 1), k):
+                assert face(p, s) == reference_face(p, set(s)), s
+
+    def test_reference_corpus_covers_empty_and_lineality(self):
+        kinds = set()
+        for seed in FACE_SEEDS:
+            v = vrep(seeded_polyhedron(seed))
+            kinds.add("empty" if v.is_empty else "lineality" if v.lineality else "pointed")
+        dims = {seeded_polyhedron(seed).dim for seed in FACE_SEEDS}
+        assert kinds == {"empty", "lineality", "pointed"}
+        assert dims == {1, 2, 3, 4}
+
 
 class TestFVector:
     def test_square(self):
@@ -193,7 +294,7 @@ class TestFVector:
         assert simple
 
     def test_half_line(self):
-        f, simple = f_vector(half_line())
+        f, simple = f_vector(positive_orthant(1))
         assert f == (1, 1)
         assert simple
 
@@ -239,6 +340,31 @@ class TestFVector:
         p = polyhedron(2, [((1, 0), -2), ((1, 0), -1), ((0, 1), 1)])
         assert f_vector(p) == ((1, 2, 1), True)
 
+    @pytest.mark.parametrize("seed", FACE_SEEDS)
+    def test_matches_faces_over_all_supports(self, seed):
+        # Faces are the distinct closed active sets of the nonempty faces
+        # over all supports; a vertex lies on a facet when its active set
+        # contains the facet's.
+        p = seeded_polyhedron(seed)
+        v = vrep(p)
+        if v.is_empty or v.lineality:
+            with pytest.raises(EmptyPolyhedron if v.is_empty else LinealityPresent):
+                f_vector(p)
+            return
+        faces = {}
+        for k in range(p.n_inequalities + 1):
+            for s in combinations(range(1, p.n_inequalities + 1), k):
+                f = face(p, s)
+                if f is not None:
+                    faces[f.active] = f.dim
+        d = max(faces.values())
+        counts = tuple(sum(1 for fd in faces.values() if fd == i) for i in range(d + 1))
+        facets = [a for a, fd in faces.items() if fd == d - 1]
+        simple = all(
+            sum(1 for fa in facets if fa <= a) == d for a, fd in faces.items() if fd == 0
+        )
+        assert f_vector(p) == (counts, simple)
+
     def test_empty_raises(self):
         with pytest.raises(EmptyPolyhedron):
             f_vector(polyhedron(1, [((1,), 1), ((-1,), 0)]))
@@ -275,7 +401,7 @@ class TestLatticePoints:
 
     def test_unbounded_raises(self):
         with pytest.raises(Unbounded):
-            lattice_points(half_line())
+            lattice_points(positive_orthant(1))
 
     def test_sorted_lex(self):
         pts = lattice_points(dilate(SQUARE, 2))
@@ -311,5 +437,5 @@ class TestTransforms:
 
     def test_boundedness(self):
         assert is_bounded(SQUARE)
-        assert not is_bounded(half_line())
+        assert not is_bounded(positive_orthant(1))
         assert is_bounded(polyhedron(1, [((1,), 1), ((-1,), 0)]))

@@ -4,15 +4,20 @@ Sizes stay small on purpose: the point is algebraic identities holding
 on awkward inputs, not stress testing.
 """
 
+import random
 from fractions import Fraction
+from itertools import combinations
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from toricalc.actions import (
     delta,
     evaluate_invariants,
+    is_semistable,
     linearized_action,
+    minimal_unstable_supports,
     proj_equal,
     quotient_projection,
 )
@@ -232,7 +237,33 @@ def saturated_actions(draw, max_n=3):
     return linearized_action(weights, alpha)
 
 
+def seeded_action(seed):
+    """W = [I_k | B] with its columns permuted (torsion-free by
+    construction), n = 3-6, B in [-1, 2] and alpha in [-3, 1], so the
+    polyhedron is sometimes empty, sometimes unbounded."""
+    rng = random.Random(seed)
+    n = rng.randint(3, 6)
+    k = rng.randint(1, n - 1)
+    rows = [[1 if j == i else 0 for j in range(k)] + [rng.randint(-1, 2) for _ in range(n - k)] for i in range(k)]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    weights = [[row[c] for c in perm] for row in rows]
+    return linearized_action(weights, [rng.randint(-3, 1) for _ in range(n)])
+
+
 class TestActionProperties:
+    @pytest.mark.parametrize("seed", range(30))
+    def test_unstable_supports_agree_with_is_semistable(self, seed):
+        # Faces shrink as the support grows, so a support is semistable
+        # exactly when it contains no minimal unstable support.
+        act = seeded_action(seed)
+        minimal = [set(m) for m in minimal_unstable_supports(act)]
+        assert not any(a < b for a in minimal for b in minimal)
+        for size in range(act.n + 1):
+            for s in combinations(range(1, act.n + 1), size):
+                stable = not any(m <= set(s) for m in minimal)
+                assert is_semistable(act, s) == stable, s
+
     @given(saturated_actions())
     @geometry
     def test_projection_exactness(self, act):
