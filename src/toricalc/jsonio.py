@@ -1,22 +1,18 @@
-"""JSON interchange for polyhedra, actions, matrices, and presentations.
+"""JSON interchange for polyhedra, actions, and presentations.
 
 Encodings are canonical: sorted object keys, compact separators, exact
-integers, fractions rendered as "num/den" strings, and matrices (in
-their standalone schema) as arrays of arrays of decimal integer
-strings so that arbitrarily large entries survive interchange.
-Decoding is strict — unknown keys or mistyped fields raise InputError
-rather than guessing.
+integers, and fractions rendered as "num/den" strings. Decoding is
+strict — unknown keys or mistyped fields raise InputError rather than
+guessing.
 """
 
 import json
-import re
 from fractions import Fraction
 from typing import Iterable
 
 from .actions import LinearizedAction, linearized_action
 from .errors import InputError
-from .lattice import IntMatrix
-from .polyhedra import Polyhedron, VRepresentation, polyhedron
+from .polyhedra import Polyhedron, polyhedron
 from .semigroups import GradedPoint, RingPresentation
 
 
@@ -82,30 +78,6 @@ def action_from_json(data) -> LinearizedAction:
     return linearized_action(rows, alpha)
 
 
-def matrix_to_json(m: IntMatrix) -> list[list[str]]:
-    return [[str(x) for x in row] for row in m.entries]
-
-
-def matrix_from_json(data, ncols: int | None = None) -> IntMatrix:
-    rows = []
-    for row in _list(data, "matrix"):
-        rows.append(tuple(_decimal_int(x) for x in _list(row, "matrix row")))
-    if not rows and ncols is None:
-        raise InputError("matrix with no rows needs an explicit column count")
-    try:
-        return IntMatrix.from_rows(rows, ncols)
-    except ValueError as e:
-        raise InputError(str(e)) from None
-
-
-def vrep_to_json(rep: VRepresentation) -> dict:
-    return {
-        "vertices": [[str(c) for c in v] for v in rep.vertices],
-        "rays": [list(r) for r in rep.rays],
-        "lineality": [list(l) for l in rep.lineality],
-    }
-
-
 def generators_to_json(gens: Iterable[GradedPoint]) -> list[dict]:
     return [{"degree": g.degree, "point": list(g.point)} for g in gens]
 
@@ -146,9 +118,3 @@ def _int(x, what: str) -> int:
 
 def _int_list(data, what: str) -> list[int]:
     return [_int(x, what) for x in _list(data, what)]
-
-
-def _decimal_int(x) -> int:
-    if not isinstance(x, str) or not re.fullmatch(r"-?[0-9]+", x):
-        raise InputError(f"matrix entries must be decimal integer strings, got {x!r}")
-    return int(x)

@@ -1,9 +1,9 @@
 """Exact integer and rational linear algebra.
 
 Row-style Hermite and Smith normal forms with unimodular transforms,
-saturated integer kernels, determinants, and small Gaussian-elimination
-helpers over ``fractions.Fraction``. All arithmetic is exact; matrices
-are immutable tuples of tuples of Python ints.
+saturated integer kernels, and small Gaussian-elimination helpers over
+``fractions.Fraction``. All arithmetic is exact; matrices are immutable
+tuples of tuples of Python ints.
 
 Conventions:
   * ``hnf(M)`` returns ``U`` with ``U @ M == D``, pivots positive and
@@ -248,36 +248,6 @@ def invariant_factors_from(nf: NormalForm) -> tuple[int, ...]:
             break
         out.append(x)
     return tuple(out)
-
-
-def det(m: IntMatrix) -> int:
-    """Exact determinant via fraction-free (Bareiss) elimination."""
-    if m.nrows != m.ncols:
-        raise ValueError("determinant of a nonsquare matrix")
-    n = m.nrows
-    if n == 0:
-        return 1
-    a = [list(r) for r in m.entries]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if piv is None:
-                return 0
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-def rank(m: IntMatrix) -> int:
-    """Rank over the rationals (equals rank over the integers)."""
-    return sum(1 for r in hnf(m).D.entries if any(r))
 
 
 def primitive(v) -> tuple[int, ...]:

@@ -1,10 +1,12 @@
 """Exact polyhedral geometry over the rationals.
 
 A polyhedron is given by integer inequality data ``a . p >= b``. This
-module converts between that H-form and the vertex/ray/lineality V-form
-with an incremental double description pass, answers face queries and
-counts faces from the tight-constraint masks of that one pass, and lists
-lattice points of bounded polyhedra.
+module builds its homogenization cone, converts between that H-form and
+the vertex/ray/lineality V-form with one incremental double description
+pass over the cone, answers face queries and counts faces from the
+tight-constraint masks of that one pass, and lists lattice points of
+bounded polyhedra. The extreme rays of any homogeneous ``Cone`` come
+from the same pass.
 
 Everything is deterministic: inequalities are inserted in the order
 given, generated rays are reduced to primitive integer vectors, and all
@@ -189,20 +191,53 @@ def _sign_normalize(v: Vector) -> Vector:
     return tuple(-x for x in v) if lead < 0 else v
 
 
-def _homogenized_constraints(p: Polyhedron):
-    cons = [tuple(0 for _ in range(p.dim)) + (1,)]
-    cons.extend(a + (-b,) for a, b in p.inequalities)
-    return cons
+@dataclass(frozen=True)
+class Cone:
+    """Homogeneous cone {x in R^ambient : c . x >= 0 for each c}."""
+
+    ambient: int
+    inequalities: tuple[Vector, ...]
+
+    def __post_init__(self):
+        rows = tuple(tuple(int(x) for x in c) for c in self.inequalities)
+        if any(len(c) != self.ambient for c in rows):
+            raise ValueError("cone inequality has wrong length")
+        object.__setattr__(self, "inequalities", rows)
+
+    def contains(self, x) -> bool:
+        return all(sum(c * v for c, v in zip(row, x)) >= 0 for row in self.inequalities)
+
+
+def _homogenized_rows(p: Polyhedron) -> list[Vector]:
+    """Rows of the cone over ``p``: (a, -b) for each inequality in order,
+    then the height row."""
+    rows = [a + (-b,) for a, b in p.inequalities]
+    rows.append(tuple(0 for _ in range(p.dim)) + (1,))
+    return rows
+
+
+def homogenize(p: Polyhedron) -> Cone:
+    """The cone over ``p``: each (a, b) becomes (a, -b), plus height >= 0."""
+    return Cone(p.dim + 1, tuple(_homogenized_rows(p)))
+
+
+def extreme_rays(c: Cone) -> tuple[tuple[Vector, ...], tuple[Vector, ...]]:
+    """(extreme rays, lineality basis) of the cone, primitive and sorted;
+    lineality vectors have their first nonzero coordinate positive."""
+    rays, lin = _dd_pair(c.inequalities, c.ambient)
+    return tuple(sorted({r.vec for r in rays})), tuple(sorted({_sign_normalize(l) for l in lin}))
 
 
 def _generators(p: Polyhedron):
     """One double description pass over the homogenization cone of ``p``.
 
     Returns (rays, lineality): rays are _Ray records (height last) whose
-    mask has bit 0 for the height row and bit i for inequality i; the
-    lineality vectors have height 0 and are tight everywhere.
+    mask has bit i - 1 for inequality i and bit n for the height row,
+    with n inequalities; the lineality vectors have height 0 and are
+    tight everywhere. The rows go straight to ``_dd_pair``, since
+    ``Polyhedron`` has already checked them.
     """
-    return _dd_pair(_homogenized_constraints(p), p.dim + 1)
+    return _dd_pair(_homogenized_rows(p), p.dim + 1)
 
 
 def _split_generators(rays, lin):
@@ -262,7 +297,7 @@ def face(p: Polyhedron, s) -> Face | None:
     face's vertices plus the sum of its rays.
     """
     s = _check_indices(p, s)
-    want = sum(1 << i for i in s)
+    want = sum(1 << (i - 1) for i in s)
     rays, lin = _generators(p)
     kept = [r for r in rays if r.tight & want == want]
     heights = [r.vec[-1] for r in kept if r.vec[-1] > 0]
@@ -271,7 +306,7 @@ def face(p: Polyhedron, s) -> Face | None:
     common = -1
     for r in kept:
         common &= r.tight
-    active = frozenset(i for i in range(1, p.n_inequalities + 1) if common >> i & 1)
+    active = frozenset(i + 1 for i in range(p.n_inequalities) if common >> i & 1)
     # Over the common denominator n * scale, the mean of the vertices x/h
     # takes x * scale/h from each, and the sum of the rays x * n * scale.
     n = len(heights)
@@ -324,7 +359,7 @@ def f_vector(p: Polyhedron) -> tuple[tuple[int, ...], bool]:
     queue = [top]
     while queue:
         cur = queue.pop()
-        for i in range(1, p.n_inequalities + 1):
+        for i in range(p.n_inequalities):
             sub = frozenset(g for g in cur if rays[g].tight >> i & 1)
             # A nonempty face of a pointed polyhedron holds a vertex; a
             # set of rays alone is no face.
@@ -379,10 +414,3 @@ def product(p: Polyhedron, q: Polyhedron) -> Polyhedron:
     ineqs = [(a + zq, b) for a, b in p.inequalities]
     ineqs.extend((zp + a, b) for a, b in q.inequalities)
     return Polyhedron(p.dim + q.dim, tuple(ineqs))
-
-
-def recession_cone(p: Polyhedron) -> Polyhedron:
-    """The recession cone {v : a . v >= 0} of a nonempty polyhedron."""
-    if is_empty(p):
-        raise EmptyPolyhedron("recession cone of the empty polyhedron")
-    return Polyhedron(p.dim, tuple((a, 0) for a, b in p.inequalities))

@@ -1,7 +1,9 @@
-"""Homogenization cones and graded semigroup rings.
+"""Graded semigroup rings of homogenization cones.
 
 The cone over a polyhedron P lives one dimension up, with the extra
-coordinate as the grading. Its lattice points form a graded semigroup
+coordinate as the grading; ``polyhedra.homogenize`` builds it and
+``polyhedra.extreme_rays`` runs its one double description pass, and
+both are re-exported here. Its lattice points form a graded semigroup
 whose minimal generators (the Hilbert basis, for pointed cones) give
 the multiplicative generators of the associated graded ring, and whose
 height-r slices have dimension ``hilbert_function(P, r)``.
@@ -25,26 +27,9 @@ from itertools import combinations, product as iproduct
 
 from .errors import NotPointed, Unbounded
 from .lattice import IntMatrix, invariant_factors_from, rational_kernel, rational_rank, snf
-from .polyhedra import Polyhedron, dilate, lattice_points, vrep
+from .polyhedra import Cone, Polyhedron, dilate, extreme_rays, homogenize, lattice_points, vrep
 
 Vector = tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class Cone:
-    """Homogeneous cone {x in R^ambient : c . x >= 0 for each c}."""
-
-    ambient: int
-    inequalities: tuple[Vector, ...]
-
-    def __post_init__(self):
-        rows = tuple(tuple(int(x) for x in c) for c in self.inequalities)
-        if any(len(c) != self.ambient for c in rows):
-            raise ValueError("cone inequality has wrong length")
-        object.__setattr__(self, "inequalities", rows)
-
-    def contains(self, x) -> bool:
-        return all(sum(c * v for c, v in zip(row, x)) >= 0 for row in self.inequalities)
 
 
 @dataclass(frozen=True)
@@ -68,23 +53,6 @@ class RingPresentation:
 
     generators: tuple[GradedPoint, ...]
     relations_by_degree: dict[int, DegreeRelations]
-
-
-def homogenize(p: Polyhedron) -> Cone:
-    """The cone over ``p``: each (a, b) becomes (a, -b), plus height >= 0."""
-    rows = [a + (-b,) for a, b in p.inequalities]
-    rows.append(tuple(0 for _ in range(p.dim)) + (1,))
-    return Cone(p.dim + 1, tuple(rows))
-
-
-def _cone_polyhedron(c: Cone) -> Polyhedron:
-    return Polyhedron(c.ambient, tuple((row, 0) for row in c.inequalities))
-
-
-def extreme_rays(c: Cone) -> tuple[tuple[Vector, ...], tuple[Vector, ...]]:
-    """(extreme rays, lineality basis) of the cone, primitive and sorted."""
-    v = vrep(_cone_polyhedron(c))
-    return v.rays, v.lineality
 
 
 def _placing_triangulation(rays: list[Vector]) -> list[tuple[int, ...]]:
@@ -207,8 +175,9 @@ def graded_generators(p: Polyhedron) -> list[GradedPoint]:
 def hilbert_function(p: Polyhedron, r: int) -> int:
     """Number of lattice points of r * p (the degree-r slice of the cone).
 
-    At r = 0 this counts lattice points of the recession cone of the
-    inequality system, which is 1 exactly when that cone is bounded.
+    At r = 0 this counts the lattice points of the cone {a . x >= 0} of
+    the inequality system: 1 when that cone is {0}. Otherwise the cone
+    is unbounded and ``Unbounded`` is raised.
     """
     if r < 0:
         raise ValueError("degree must be nonnegative")

@@ -9,38 +9,12 @@ from toricalc.jsonio import (
     action_from_json,
     action_to_json,
     dump_canonical,
-    matrix_from_json,
-    matrix_to_json,
     parse_fraction,
     polyhedron_from_json,
     polyhedron_to_json,
-    vrep_to_json,
 )
 from toricalc.actions import linearized_action
-from toricalc.lattice import IntMatrix
-from toricalc.polyhedra import polyhedron, unit_cube, vrep
-
-
-class TestMatrixSchema:
-    def test_round_trip_with_big_entries(self):
-        m = IntMatrix.from_rows([(10**30, -(2**70)), (0, 7)], 2)
-        encoded = matrix_to_json(m)
-        assert encoded == [["1" + "0" * 30, str(-(2**70))], ["0", "7"]]
-        assert matrix_from_json(encoded) == m
-
-    def test_entries_must_be_decimal_strings(self):
-        for bad in [[["1", 2]], [["0x1"]], [["1.5"]], [["+3"]], [[" 3"]], [["²"]]]:
-            with pytest.raises(InputError):
-                matrix_from_json(bad)
-
-    def test_zero_rows_need_column_count(self):
-        assert matrix_from_json([], ncols=3) == IntMatrix((), 3)
-        with pytest.raises(InputError):
-            matrix_from_json([])
-
-    def test_ragged_rejected(self):
-        with pytest.raises(InputError):
-            matrix_from_json([["1", "2"], ["3"]])
+from toricalc.polyhedra import unit_cube
 
 
 class TestPolyhedronSchema:
@@ -90,10 +64,3 @@ class TestHelpers:
         for bad in ["1/0", "x", "", "1.5.2"]:
             with pytest.raises(InputError):
                 parse_fraction(bad)
-
-    def test_vrep_serialization(self):
-        p = polyhedron(2, [((2, 0), 1), ((-1, 0), -1), ((0, 1), 0)])
-        doc = vrep_to_json(vrep(p))
-        assert doc["vertices"] == [["1/2", "0"], ["1", "0"]]
-        assert doc["rays"] == [[0, 1]]
-        assert doc["lineality"] == []

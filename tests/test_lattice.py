@@ -4,18 +4,18 @@ import pytest
 
 from toricalc.lattice import (
     IntMatrix,
-    det,
     hnf,
     integer_kernel_basis,
     invariant_factors,
     primitive,
-    rank,
     rational_kernel,
     rational_rank,
     snf,
     solve_rational,
 )
 from fractions import Fraction
+
+from oracles import det
 
 
 def M(*rows, ncols=None):
@@ -178,7 +178,7 @@ class TestKernel:
         assert k.ncols == m.ncols
         for v in k.entries:
             assert all(x == 0 for x in (m @ IntMatrix.from_rows([v]).transpose()).column(0))
-        assert k.nrows == m.ncols - rank(m)
+        assert k.nrows == m.ncols - rational_rank(m.entries)
         if k.nrows:
             assert invariant_factors(k) == (1,) * k.nrows
 

@@ -16,6 +16,9 @@ from toricalc.lattice import primitive, rational_rank
 from toricalc.polyhedra import (
     Face,
     Polyhedron,
+    VRepresentation,
+    _dd_pair,
+    _split_generators,
     dilate,
     f_vector,
     face,
@@ -26,7 +29,6 @@ from toricalc.polyhedra import (
     polyhedron,
     positive_orthant,
     product,
-    recession_cone,
     standard_simplex,
     unit_cube,
     vrep,
@@ -121,6 +123,18 @@ def reference_face(p, s):
     return Face(active, rational_rank(spanning + list(v.rays) + list(v.lineality)), tuple(witness))
 
 
+def reference_vrep(p):
+    """The V-representation by the earlier route: the double description
+    pass takes the height row first, then the rows (a, -b)."""
+    rows = [tuple(0 for _ in range(p.dim)) + (1,)] + [a + (-b,) for a, b in p.inequalities]
+    vertices, rays, lineality = _split_generators(*_dd_pair(rows, p.dim + 1))
+    if not vertices:
+        return VRepresentation((), (), ())
+    return VRepresentation(
+        tuple(sorted(set(vertices))), tuple(sorted(set(rays))), tuple(sorted(set(lineality)))
+    )
+
+
 def seeded_polyhedron(seed):
     """Random small polyhedron in dims 1-4. Seeds 5-7 modulo 8 leave the
     last coordinate free, so those have lineality whenever nonempty."""
@@ -201,6 +215,11 @@ class TestVrep:
     def test_deterministic(self):
         p = polyhedron(2, [((1, 2), -2), ((-3, 1), -6), ((0, -1), -4)])
         assert vrep(p) == vrep(p)
+
+    @pytest.mark.parametrize("seed", FACE_SEEDS)
+    def test_matches_height_first(self, seed):
+        p = seeded_polyhedron(seed)
+        assert vrep(p) == reference_vrep(p)
 
 
 class TestFace:
@@ -428,12 +447,6 @@ class TestTransforms:
         p = product(interval(0, 1), pt)
         assert p.dim == 1
         assert p.inequalities == interval(0, 1).inequalities
-
-    def test_recession_cone(self):
-        rc = recession_cone(polyhedron(1, [((1,), -5)]))
-        assert rc.inequalities == (((1,), 0),)
-        with pytest.raises(EmptyPolyhedron):
-            recession_cone(polyhedron(1, [((1,), 1), ((-1,), 0)]))
 
     def test_boundedness(self):
         assert is_bounded(SQUARE)

@@ -23,11 +23,10 @@ from toricalc.actions import (
 )
 from toricalc.lattice import (
     IntMatrix,
-    det,
     hnf,
     integer_kernel_basis,
     invariant_factors,
-    rank,
+    rational_rank,
     snf,
 )
 from toricalc.polyhedra import (
@@ -40,7 +39,9 @@ from toricalc.polyhedra import (
     product,
     vrep,
 )
-from toricalc.semigroups import hilbert_function
+from toricalc.semigroups import graded_generators, hilbert_function
+
+from oracles import det
 
 lax = settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 geometry = settings(
@@ -136,7 +137,7 @@ class TestNormalFormProperties:
     @lax
     def test_kernel_is_saturated_and_complete(self, m):
         k = integer_kernel_basis(m)
-        assert k.nrows == m.ncols - rank(m)
+        assert k.nrows == m.ncols - rational_rank(m.entries)
         for row in k.entries:
             image = m @ IntMatrix.from_rows([row], m.ncols).transpose()
             assert all(x == 0 for col in image.entries for x in col)
@@ -235,6 +236,61 @@ def saturated_actions(draw, max_n=3):
     weights = [u.entries[i] for i in range(k)]
     alpha = tuple(draw(st.integers(-2, 2)) for _ in range(n))
     return linearized_action(weights, alpha)
+
+
+def seeded_polytope(seed):
+    """The box [-b, b]^d, b = 1-2 and d = 1-3, cut by up to two random
+    inequalities, so bounded and sometimes empty or with fractional
+    vertices."""
+    rng = random.Random(seed)
+    d = 1 + seed % 3
+    bound = rng.randint(1, 2)
+    rows = []
+    for i in range(d):
+        e = tuple(1 if j == i else 0 for j in range(d))
+        rows.append((e, -bound))
+        rows.append((tuple(-x for x in e), -bound))
+    for _ in range(rng.randint(0, 2)):
+        rows.append((tuple(rng.randint(-2, 2) for _ in range(d)), rng.randint(-3, 1)))
+    return polyhedron(d, rows)
+
+
+POLYTOPE_SEEDS = range(30)
+
+
+class TestRingProperties:
+    @pytest.mark.parametrize("seed", POLYTOPE_SEEDS)
+    def test_generators_reach_every_point_up_to_degree_3(self, seed):
+        # The graded generators come from the cone's double description
+        # and triangulation; the degree-r sums they reach must be exactly
+        # the lattice points of r * p, which hilbert_function counts by
+        # scanning a box.
+        p = seeded_polytope(seed)
+        gens = graded_generators(p)
+        sums = [{(0,) * p.dim}]
+        for r in range(1, 4):
+            sums.append(
+                {
+                    tuple(x + y for x, y in zip(s, g.point))
+                    for g in gens
+                    if g.degree <= r
+                    for s in sums[r - g.degree]
+                }
+            )
+        for r in range(4):
+            assert len(sums[r]) == hilbert_function(p, r), r
+
+    def test_polytope_corpus_covers_empty_and_fractional(self):
+        kinds = set()
+        for seed in POLYTOPE_SEEDS:
+            v = vrep(seeded_polytope(seed))
+            if v.is_empty:
+                kinds.add("empty")
+            elif all(x.denominator == 1 for vt in v.vertices for x in vt):
+                kinds.add("lattice")
+            else:
+                kinds.add("fractional")
+        assert kinds == {"empty", "lattice", "fractional"}
 
 
 def seeded_action(seed):

@@ -22,6 +22,7 @@ from toricalc.polyhedra import (
     standard_simplex,
     unit_cube,
 )
+from toricalc.polyhedra import extreme_rays, vrep
 from toricalc.semigroups import (
     Cone,
     GradedPoint,
@@ -32,6 +33,8 @@ from toricalc.semigroups import (
     homogenize,
     relation_space,
 )
+
+from test_acceptance import HILBERT_CONES
 
 SQUARE = unit_cube(2)
 
@@ -116,6 +119,42 @@ class TestParallelepipedPoints:
         assert len(points) == len(set(points))
         assert sorted(points) == box_scan(rays)
         assert len(points) == index(rays)
+
+
+def reference_extreme_rays(c):
+    """Extreme rays and lineality by the earlier route: the cone as a
+    polyhedron with every b = 0, which ``vrep`` homogenizes again."""
+    v = vrep(Polyhedron(c.ambient, tuple((row, 0) for row in c.inequalities)))
+    return v.rays, v.lineality
+
+
+def seeded_cone(seed):
+    """Random cone in ambient dimension 1-4 with 0-6 rows. Many are not
+    pointed; seeds 3 modulo 8 add the rows +-e_i, giving the zero cone."""
+    rng = random.Random(seed)
+    d = 1 + seed % 4
+    rows = [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(rng.randint(0, 6))]
+    if seed % 8 == 3:
+        for i in range(d):
+            e = tuple(1 if j == i else 0 for j in range(d))
+            rows += [e, tuple(-x for x in e)]
+    return Cone(d, tuple(rows))
+
+
+EXTREME_RAY_CONES = HILBERT_CONES + [Cone(0, ())] + [seeded_cone(seed) for seed in range(60)]
+
+
+class TestExtremeRays:
+    @pytest.mark.parametrize("c", EXTREME_RAY_CONES)
+    def test_matches_polyhedron_route(self, c):
+        assert extreme_rays(c) == reference_extreme_rays(c)
+
+    def test_corpus_covers_zero_and_non_pointed(self):
+        kinds = set()
+        for c in EXTREME_RAY_CONES:
+            rays, lineality = extreme_rays(c)
+            kinds.add("non-pointed" if lineality else "pointed" if rays else "zero")
+        assert kinds == {"zero", "pointed", "non-pointed"}
 
 
 class TestHomogenize:
