@@ -1,8 +1,9 @@
 """Exact integer and rational linear algebra.
 
 Row-style Hermite and Smith normal forms with unimodular transforms,
-saturated integer kernels, and small Gaussian-elimination helpers over
-``fractions.Fraction``. All arithmetic is exact; matrices are immutable
+saturated integer kernels, and Gaussian elimination over
+``fractions.Fraction`` for a rank and one solution of a linear system.
+All arithmetic is exact; matrices are immutable
 tuples of tuples of Python ints.
 
 Conventions:
@@ -319,20 +320,3 @@ def solve_rational(a_rows, rhs):
         x[c] = rows[r][nc]
     return tuple(x)
 
-
-def rational_kernel(vectors) -> list[tuple[Fraction, ...]]:
-    """Basis of the right kernel {x : V x = 0} of rational row vectors."""
-    rows = [[Fraction(x) for x in v] for v in vectors]
-    if not rows:
-        return []
-    nc = len(rows[0])
-    rows, pivots = _row_reduce(rows)
-    free = [c for c in range(nc) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * nc
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -rows[r][fc]
-        basis.append(tuple(vec))
-    return basis

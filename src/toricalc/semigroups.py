@@ -11,22 +11,24 @@ height-r slices have dimension ``hilbert_function(P, r)``.
 The Hilbert basis computation follows Bruns and Ichim, "Normaliz:
 algorithms for affine monoids and rational cones", J. Algebra 324
 (2010). It triangulates the cone by placing its extreme rays in sorted
-order and lists the lattice points of the half-open fundamental
-parallelepiped of each simplicial piece as the finite group read off
-the Smith form of its ray matrix. The candidates are then taken in
-order of a positive grading, and each is kept unless it lies above an
-element already kept.
+order, reading each new ray in the coordinates of the rays of each
+simplex to find the facets it sees, and lists the lattice points of the
+half-open fundamental parallelepiped of each simplicial piece as the
+finite group read off the Smith form of its ray matrix. The candidates
+are then taken in order of a positive grading, and each is kept unless
+it lies above an element already kept. Relations among the generators
+are counted from the fibers of the monomials over their images, without
+a second lattice point count.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, product as iproduct
 
 from .errors import NotPointed, Unbounded
-from .lattice import IntMatrix, invariant_factors_from, rational_kernel, rational_rank, snf
+from .lattice import IntMatrix, invariant_factors_from, snf, solve_rational
 from .polyhedra import Cone, Polyhedron, dilate, extreme_rays, homogenize, lattice_points, vrep
 
 Vector = tuple[int, ...]
@@ -58,55 +60,37 @@ class RingPresentation:
 def _placing_triangulation(rays: list[Vector]) -> list[tuple[int, ...]]:
     """Simplicial subcones covering cone(rays), as index tuples.
 
-    Rays are placed in list order. A ray that extends the linear span
-    is joined to every current simplex; otherwise it is attached over
-    each boundary facet visible from it. Input rays must be extreme,
-    which for a pointed cone rules out a ray landing inside the old cone.
+    Rays are placed in list order, and each new ray r is read in the
+    coordinates of the rays of each current simplex. The first simplex
+    always holds a basis of the rays placed so far, so r extends their
+    linear span exactly when it has no coordinates there; it is then
+    joined to every simplex. Otherwise, with r = sum lambda_j rays[s_j],
+    r sees the facet of s opposite s_j when lambda_j < 0, and is attached
+    over each such facet that lies in no other simplex. There must be at
+    least one input ray, and each must be extreme, which for a pointed
+    cone rules out a ray landing inside the old cone.
     """
-    simplices: list[tuple[int, ...]] = []
-    placed: list[int] = []
-    span_basis: list[Vector] = []
-    for i, r in enumerate(rays):
-        if not placed:
-            simplices = [(i,)]
-            span_basis.append(r)
-        elif rational_rank(span_basis + [r]) > len(span_basis):
+    simplices: list[tuple[int, ...]] = [(0,)]
+    for i, r in enumerate(rays[1:], 1):
+        first = _coordinates(rays, simplices[0], r)
+        if first is None:
             simplices = [s + (i,) for s in simplices]
-            span_basis.append(r)
-        else:
-            k = len(simplices[0])
-            facet_count = Counter()
-            for s in simplices:
-                for f in combinations(s, k - 1):
-                    facet_count[f] += 1
-            attached = []
-            for s in simplices:
-                for f in combinations(s, k - 1):
-                    if facet_count[f] != 1:
-                        continue
-                    opp = next(j for j in s if j not in f)
-                    normal = _facet_normal([rays[j] for j in f], span_basis, rays[opp])
-                    if sum(n * x for n, x in zip(normal, r)) < 0:
-                        attached.append(tuple(sorted(f + (i,))))
-            simplices.extend(sorted(set(attached)))
-        placed.append(i)
+            continue
+        coords = [first] + [_coordinates(rays, s, r) for s in simplices[1:]]
+        facet_count = Counter(f for s in simplices for f in combinations(s, len(s) - 1))
+        attached = set()
+        for s, lams in zip(simplices, coords):
+            for j, lam in zip(s, lams):
+                facet = tuple(x for x in s if x != j)
+                if lam < 0 and facet_count[facet] == 1:
+                    attached.add(facet + (i,))
+        simplices.extend(sorted(attached))
     return simplices
 
 
-def _facet_normal(facet_rays, span_basis, inside_ray) -> tuple[Fraction, ...]:
-    """Normal of the facet hyperplane within span(span_basis), oriented so
-    the opposite ray of its simplex is on the positive side."""
-    k = len(span_basis)
-    rows = [[sum(Fraction(b * f) for b, f in zip(basis_vec, fr)) for basis_vec in span_basis] for fr in facet_rays]
-    kernel = rational_kernel(rows) if rows else [tuple([Fraction(1)] * 1)]
-    z = kernel[0]
-    normal = tuple(sum(z[t] * Fraction(span_basis[t][j]) for t in range(k)) for j in range(len(inside_ray)))
-    side = sum(n * x for n, x in zip(normal, inside_ray))
-    if side < 0:
-        normal = tuple(-n for n in normal)
-    elif side == 0:
-        raise AssertionError("degenerate simplex in triangulation")
-    return normal
+def _coordinates(rays: list[Vector], simplex: tuple[int, ...], r: Vector):
+    """Coefficients of r in the rays of ``simplex``, or None outside their span."""
+    return solve_rational(list(zip(*(rays[j] for j in simplex))), r)
 
 
 def _parallelepiped_points(rays: list[Vector]) -> list[Vector]:
@@ -187,31 +171,38 @@ def hilbert_function(p: Polyhedron, r: int) -> int:
     return len(lattice_points(dilate(p, r)))
 
 
-def _exponent_vectors(degrees: list[int], total: int) -> list[Vector]:
-    """All e >= 0 with sum e_i * degrees_i == total, lexicographically."""
-    out: list[Vector] = []
+def _monomials(gens: list[GradedPoint], total: int, dim: int) -> list[tuple[Vector, Vector]]:
+    """Each e >= 0 with sum e_i * degree_i == total, lexicographically,
+    paired with its image sum e_i * point_i. Degrees must be positive."""
+    out: list[tuple[Vector, Vector]] = []
+    e = [0] * len(gens)
 
-    def rec(idx: int, remaining: int, prefix: tuple[int, ...]):
-        if idx == len(degrees):
-            if remaining == 0:
-                out.append(prefix)
+    def rec(idx: int, remaining: int, image: Vector):
+        if remaining == 0:
+            out.append((tuple(e), image))
             return
-        d = degrees[idx]
-        top = remaining // d
-        for e in range(top + 1):
-            rec(idx + 1, remaining - e * d, prefix + (e,))
+        if idx == len(gens):
+            return
+        g = gens[idx]
+        for k in range(remaining // g.degree + 1):
+            e[idx] = k
+            rec(idx + 1, remaining - k * g.degree, tuple(x + k * y for x, y in zip(image, g.point)))
+        e[idx] = 0
 
-    rec(0, total, ())
+    rec(0, total, (0,) * dim)
     return out
 
 
 def relation_space(p: Polyhedron, bound: int) -> RingPresentation:
     """Relations among graded generators in each degree up to ``bound``.
 
-    The kernel dimension in degree r is the number of degree-r monomials
-    in the generators minus ``hilbert_function(p, r)``; the binomials pair
-    the exponent vectors with equal image, each fiber against its
-    lexicographically first member.
+    The degree-r monomials in the generators are grouped into fibers by
+    their image. The Hilbert basis generates the semigroup, so the fibers are
+    exactly the lattice points of r * p, and the kernel dimension in
+    degree r is the number of monomials minus the number of fibers. The
+    binomials pair each fiber's members against its lexicographically
+    first one. ``Unbounded`` is raised when p is unbounded, or when it is
+    empty but some generator has degree 0.
     """
     if bound < 1:
         raise ValueError("degree bound must be at least 1")
@@ -219,17 +210,15 @@ def relation_space(p: Polyhedron, bound: int) -> RingPresentation:
     if v.rays or v.lineality:
         raise Unbounded("relations need a bounded polyhedron")
     gens = graded_generators(p)
-    degrees = [g.degree for g in gens]
+    if any(g.degree == 0 for g in gens):
+        raise Unbounded("relations need a bounded polyhedron")
     relations: dict[int, DegreeRelations] = {}
     for r in range(1, bound + 1):
-        exps = _exponent_vectors(degrees, r)
+        monomials = _monomials(gens, r, p.dim)
         fibers: dict[Vector, list[Vector]] = {}
-        for e in exps:
-            image = tuple(
-                sum(ei * g.point[j] for ei, g in zip(e, gens)) for j in range(p.dim)
-            )
+        for e, image in monomials:
             fibers.setdefault(image, []).append(e)
-        kernel_dim = len(exps) - hilbert_function(p, r)
+        kernel_dim = len(monomials) - len(fibers)
         binomials = []
         for key in sorted(fibers):
             members = fibers[key]

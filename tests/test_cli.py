@@ -32,6 +32,11 @@ REDUNDANT_RAY_POLY = {
     "inequalities": [{"a": [1, 0], "b": -2}, {"a": [1, 0], "b": -1}, {"a": [0, 1], "b": 1}],
 }
 EMPTY_POLY = {"dim": 1, "inequalities": [{"a": [1], "b": 1}, {"a": [-1], "b": 0}]}
+# Empty, but its cone {a . x >= 0} has the ray (0, 1), a generator of degree 0.
+EMPTY_WITH_RAY_POLY = {
+    "dim": 2,
+    "inequalities": [{"a": [1, 0], "b": 1}, {"a": [-1, 0], "b": 0}, {"a": [0, 1], "b": 0}],
+}
 PYRAMID_POLY = {
     "dim": 3,
     "inequalities": [
@@ -209,6 +214,10 @@ class TestErrorDiscipline:
             (lambda t: ["betti", "--polytope", jfile(t, "e.json", EMPTY_POLY)], "EmptyPolyhedron"),
             (lambda t: ["hilbert", "--polytope", jfile(t, "o.json", ORTHANT_POLY), "--degree", "1"], "Unbounded"),
             (lambda t: ["relations", "--polytope", jfile(t, "o.json", ORTHANT_POLY), "--bound", "2"], "Unbounded"),
+            (
+                lambda t: ["relations", "--polytope", jfile(t, "er.json", EMPTY_WITH_RAY_POLY), "--bound", "2"],
+                "Unbounded:",
+            ),
             (
                 lambda t: ["delta", "--action", jfile(t, "a.json", {"n": 1, "weights": [[2]], "linearization": [0]})],
                 "TorsionQuotient",

@@ -39,7 +39,7 @@ from toricalc.polyhedra import (
     product,
     vrep,
 )
-from toricalc.semigroups import graded_generators, hilbert_function
+from toricalc.semigroups import graded_generators, hilbert_function, relation_space
 
 from oracles import det
 
@@ -279,6 +279,22 @@ class TestRingProperties:
             )
         for r in range(4):
             assert len(sums[r]) == hilbert_function(p, r), r
+
+    @pytest.mark.parametrize("seed", POLYTOPE_SEEDS)
+    def test_relations_count_monomials_against_the_box(self, seed):
+        # relation_space counts the kernel from the fibers of the
+        # monomials. Here the degree-r monomials are counted as the
+        # coefficients of prod 1 / (1 - t^degree), and the lattice points
+        # of r * p by hilbert_function's box scan.
+        p = seeded_polytope(seed)
+        pres = relation_space(p, 3)
+        monomials = [1] + [0] * 3
+        for g in pres.generators:
+            for r in range(g.degree, 4):
+                monomials[r] += monomials[r - g.degree]
+        for r in range(1, 4):
+            rel = pres.relations_by_degree[r]
+            assert monomials[r] - hilbert_function(p, r) == rel.kernel_dim == len(rel.binomials), r
 
     def test_polytope_corpus_covers_empty_and_fractional(self):
         kinds = set()

@@ -5,13 +5,20 @@ never consults the triangulation machinery it is checking.
 """
 
 import random
-from itertools import product as iproduct
+from collections import Counter
+from itertools import combinations, product as iproduct
 from math import prod
 
 import pytest
 
 from toricalc.errors import NotPointed, Unbounded
-from toricalc.lattice import IntMatrix, invariant_factors, rational_rank, solve_rational
+from toricalc.lattice import (
+    IntMatrix,
+    integer_kernel_basis,
+    invariant_factors,
+    rational_rank,
+    solve_rational,
+)
 from toricalc.polyhedra import (
     Polyhedron,
     dilate,
@@ -27,6 +34,7 @@ from toricalc.semigroups import (
     Cone,
     GradedPoint,
     _parallelepiped_points,
+    _placing_triangulation,
     graded_generators,
     hilbert_basis,
     hilbert_function,
@@ -155,6 +163,91 @@ class TestExtremeRays:
             rays, lineality = extreme_rays(c)
             kinds.add("non-pointed" if lineality else "pointed" if rays else "zero")
         assert kinds == {"zero", "pointed", "non-pointed"}
+
+
+def reference_triangulation(rays):
+    """The earlier placing triangulation: a ray extends the span when it
+    raises the rational rank, and otherwise is attached over each
+    boundary facet whose normal, taken within the span and pointing to
+    the opposite ray of its simplex, is negative on it."""
+    simplices, span_basis = [], []
+    for i, r in enumerate(rays):
+        if not span_basis:
+            simplices = [(i,)]
+            span_basis.append(r)
+        elif rational_rank(span_basis + [r]) > len(span_basis):
+            simplices = [s + (i,) for s in simplices]
+            span_basis.append(r)
+        else:
+            k = len(simplices[0])
+            facet_count = Counter(f for s in simplices for f in combinations(s, k - 1))
+            attached = []
+            for s in simplices:
+                for f in combinations(s, k - 1):
+                    if facet_count[f] != 1:
+                        continue
+                    opp = next(j for j in s if j not in f)
+                    normal = facet_normal([rays[j] for j in f], span_basis, rays[opp])
+                    if sum(n * x for n, x in zip(normal, r)) < 0:
+                        attached.append(f + (i,))
+            simplices.extend(sorted(set(attached)))
+    return simplices
+
+
+def facet_normal(facet_rays, span_basis, inside_ray):
+    """Normal of the hyperplane spanned by ``facet_rays`` within
+    span(span_basis): sum z_t b_t for z in the kernel of the matrix of
+    products <b_t, f>, oriented so ``inside_ray`` is on its positive side."""
+    k = len(span_basis)
+    rows = [[sum(b * f for b, f in zip(basis_vec, fr)) for basis_vec in span_basis] for fr in facet_rays]
+    z = integer_kernel_basis(IntMatrix.from_rows(rows, k)).row(0)
+    normal = tuple(sum(z[t] * span_basis[t][j] for t in range(k)) for j in range(len(inside_ray)))
+    side = sum(n * x for n, x in zip(normal, inside_ray))
+    assert side != 0, "degenerate simplex"
+    return normal if side > 0 else tuple(-n for n in normal)
+
+
+def seeded_pointed_rays(seed):
+    """Extreme rays of the cone over a seeded polyhedron in dims 1-4, in
+    the order ``hilbert_basis`` places them, or None when that cone is
+    zero or not pointed. Seeds divisible by 3 add an equality, so the
+    cone spans a proper subspace."""
+    rng = random.Random(seed)
+    d = 1 + seed % 4
+    rows = [
+        (tuple(rng.randint(-3, 3) for _ in range(d)), rng.randint(-3, 3))
+        for _ in range(rng.randint(d + 1, d + 4))
+    ]
+    if seed % 3 == 0:
+        a, b = tuple(rng.randint(-2, 2) for _ in range(d)), rng.randint(-2, 2)
+        rows += [(a, b), (tuple(-x for x in a), -b)]
+    rays, lineality = extreme_rays(homogenize(Polyhedron(d, tuple(rows))))
+    return list(rays) if rays and not lineality else None
+
+
+TRIANGULATION_RAYS = [list(extreme_rays(c)[0]) for c in HILBERT_CONES] + [
+    rays for rays in map(seeded_pointed_rays, range(170)) if rays is not None
+]
+
+
+class TestPlacingTriangulation:
+    @pytest.mark.parametrize("rays", TRIANGULATION_RAYS)
+    def test_matches_facet_normal_placing(self, rays):
+        assert _placing_triangulation(rays) == reference_triangulation(rays)
+
+    def test_corpus_covers_subspaces_and_rays_inside_the_span(self):
+        kinds = set()
+        for rays in TRIANGULATION_RAYS:
+            ranks = [rational_rank(rays[: i + 1]) for i in range(len(rays))]
+            steps = [ranks[i] > ranks[i - 1] for i in range(1, len(rays))]
+            if ranks[-1] < len(rays[0]):
+                kinds.add("proper subspace")
+            if not all(steps):
+                kinds.add("ray inside the span")
+            if any(not a and b for i, a in enumerate(steps) for b in steps[i + 1 :]):
+                kinds.add("span grows after a ray inside it")
+        assert kinds == {"proper subspace", "ray inside the span", "span grows after a ray inside it"}
+        assert len(TRIANGULATION_RAYS) >= 100
 
 
 class TestHomogenize:
@@ -368,3 +461,15 @@ class TestRelationSpace:
     def test_bad_bound(self):
         with pytest.raises(ValueError):
             relation_space(SQUARE, 0)
+
+    def test_empty_with_degree_zero_generators_raises(self):
+        # Delta is empty, but the cone {a . x >= 0} holds the ray (0, 1).
+        p = polyhedron(2, [((1, 0), 1), ((-1, 0), 0), ((0, 1), 0)])
+        assert graded_generators(p) == [GradedPoint((0, 1), 0)]
+        with pytest.raises(Unbounded):
+            relation_space(p, 2)
+
+    def test_empty_with_line_in_cone_not_pointed(self):
+        p = polyhedron(2, [((1, 0), 1), ((-1, 0), 0)])
+        with pytest.raises(NotPointed):
+            relation_space(p, 2)
