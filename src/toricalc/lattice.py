@@ -1,10 +1,8 @@
-"""Exact integer and rational linear algebra.
+"""Exact integer linear algebra.
 
-Row-style Hermite and Smith normal forms with unimodular transforms,
-saturated integer kernels, and Gaussian elimination over
-``fractions.Fraction`` for a rank and one solution of a linear system.
-All arithmetic is exact; matrices are immutable
-tuples of tuples of Python ints.
+Row-style Hermite and Smith normal forms with unimodular transforms and
+saturated integer kernels. All arithmetic is exact; matrices are
+immutable tuples of tuples of Python ints.
 
 Conventions:
   * ``hnf(M)`` returns ``U`` with ``U @ M == D``, pivots positive and
@@ -19,7 +17,6 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 
@@ -260,63 +257,3 @@ def primitive(v) -> tuple[int, ...]:
     if g <= 1:
         return v
     return tuple(x // g for x in v)
-
-
-def _row_reduce(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """In-place Gauss-Jordan over Fraction rows. Returns (rows, pivot columns)."""
-    nr = len(rows)
-    nc = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(nc):
-        piv = next((i for i in range(r, nr) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][c]
-        rows[r] = [x / inv for x in rows[r]]
-        for i in range(nr):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    return rows, pivots
-
-
-def rational_rank(vectors) -> int:
-    """Rank of a list of rational vectors."""
-    rows = [[Fraction(x) for x in v] for v in vectors]
-    if not rows:
-        return 0
-    _, pivots = _row_reduce(rows)
-    return len(pivots)
-
-
-def solve_rational(a_rows, rhs):
-    """One exact solution of ``A x = rhs`` over the rationals, or None.
-
-    ``a_rows`` is a sequence of matrix rows. When the system is consistent
-    a particular solution with zero free variables is returned.
-    """
-    a_rows = [list(r) for r in a_rows]
-    rhs = list(rhs)
-    if len(a_rows) != len(rhs):
-        raise ValueError("shape mismatch in linear system")
-    if not a_rows:
-        return ()
-    nc = len(a_rows[0])
-    rows = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(a_rows, rhs)]
-    rows, pivots = _row_reduce(rows)
-    if nc in pivots:
-        return None
-    for row in rows:
-        if row[nc] != 0 and all(x == 0 for x in row[:nc]):
-            return None
-    x = [Fraction(0)] * nc
-    for r, c in enumerate(pivots):
-        x[c] = rows[r][nc]
-    return tuple(x)
-

@@ -47,9 +47,6 @@ class Polyhedron:
     def n_inequalities(self) -> int:
         return len(self.inequalities)
 
-    def with_inequality(self, a, b: int) -> "Polyhedron":
-        return Polyhedron(self.dim, self.inequalities + ((tuple(a), int(b)),))
-
 
 def polyhedron(dim: int, inequalities) -> Polyhedron:
     """Build a Polyhedron from any nested iterable of (a, b) pairs."""

@@ -11,10 +11,13 @@ height-r slices have dimension ``hilbert_function(P, r)``.
 The Hilbert basis computation follows Bruns and Ichim, "Normaliz:
 algorithms for affine monoids and rational cones", J. Algebra 324
 (2010). It triangulates the cone by placing its extreme rays in sorted
-order, reading each new ray in the coordinates of the rays of each
-simplex to find the facets it sees, and lists the lattice points of the
-half-open fundamental parallelepiped of each simplicial piece as the
-finite group read off the Smith form of its ray matrix. The candidates
+order, in integers: each boundary facet of the triangulation keeps a
+normal, so a new ray finds the facets it sees with one dot product each,
+as Normaliz extends its triangulations (Bruns, Ichim and Soeger, "The
+power of pyramid decomposition in Normaliz", J. Symb. Comput. 74
+(2016)). It lists the lattice points of the half-open fundamental
+parallelepiped of each simplicial piece as the finite group read off the
+Smith form of its ray matrix. The candidates
 are then taken in order of a positive grading, and each is kept unless
 it lies above an element already kept. Relations among the generators
 are counted from the fibers of the monomials over their images, without
@@ -23,13 +26,12 @@ a second lattice point count.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, product as iproduct
+from itertools import product as iproduct
 
 from .errors import NotPointed, Unbounded
-from .lattice import IntMatrix, invariant_factors_from, snf, solve_rational
-from .polyhedra import Cone, Polyhedron, dilate, extreme_rays, homogenize, lattice_points, vrep
+from .lattice import IntMatrix, invariant_factors_from, primitive, snf
+from .polyhedra import Cone, Polyhedron, _dot, dilate, extreme_rays, homogenize, lattice_points, vrep
 
 Vector = tuple[int, ...]
 
@@ -60,37 +62,75 @@ class RingPresentation:
 def _placing_triangulation(rays: list[Vector]) -> list[tuple[int, ...]]:
     """Simplicial subcones covering cone(rays), as index tuples.
 
-    Rays are placed in list order, and each new ray r is read in the
-    coordinates of the rays of each current simplex. The first simplex
-    always holds a basis of the rays placed so far, so r extends their
-    linear span exactly when it has no coordinates there; it is then
-    joined to every simplex. Otherwise, with r = sum lambda_j rays[s_j],
-    r sees the facet of s opposite s_j when lambda_j < 0, and is attached
-    over each such facet that lies in no other simplex. There must be at
-    least one input ray, and each must be extreme, which for a pointed
-    cone rules out a ray landing inside the old cone.
+    Rays are placed in list order, in integers only. Between rays the
+    triangulation keeps its boundary facets (those in exactly one
+    simplex), each with a primitive normal that vanishes on the facet and
+    is positive on the opposite ray of its simplex, a map from each ridge
+    of the boundary to its two facets, and a basis ``comp`` of the vectors
+    orthogonal to the rays placed so far. A new ray r extends the span
+    exactly when some k in ``comp`` has k . r != 0. Then, with m = +-k and
+    m . r > 0, r is joined to every simplex, each old simplex becomes a
+    boundary facet with normal m, and the old normals and the rest of
+    ``comp`` are projected to vanish on r. Otherwise r sees the boundary
+    facets with n . r < 0 and is attached over each of them. A ridge
+    between a seen facet F and an unseen one F' gives the boundary facet
+    ridge + (r,) with normal (n_F' . r) n_F - (n_F . r) n_F': it vanishes
+    on r, and is positive on the opposite ray of F because
+    n_F . r < 0 <= n_F' . r. There must be at least one input ray, and
+    each must be extreme, which for a pointed cone rules out a ray
+    landing inside the old cone.
     """
-    simplices: list[tuple[int, ...]] = [(0,)]
-    for i, r in enumerate(rays[1:], 1):
-        first = _coordinates(rays, simplices[0], r)
-        if first is None:
+    comp = list(IntMatrix.identity(len(rays[0])).entries)
+    simplices: list[tuple[int, ...]] = [()]
+    boundary: dict[tuple[int, ...], Vector] = {}
+    ridges: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for i, r in enumerate(rays):
+        j = next((j for j, k in enumerate(comp) if _dot(k, r)), None)
+        if j is not None:
+            m = comp.pop(j)
+            if _dot(m, r) < 0:
+                m = tuple(-x for x in m)
+            comp = [_eliminate(c, m, r) for c in comp]
+            boundary = {f + (i,): _eliminate(n, m, r) for f, n in boundary.items()}
+            boundary.update(dict.fromkeys(simplices, m))
             simplices = [s + (i,) for s in simplices]
+            ridges = {}
+            for f in boundary:
+                for ridge in _ridges(f):
+                    ridges.setdefault(ridge, []).append(f)
             continue
-        coords = [first] + [_coordinates(rays, s, r) for s in simplices[1:]]
-        facet_count = Counter(f for s in simplices for f in combinations(s, len(s) - 1))
-        attached = set()
-        for s, lams in zip(simplices, coords):
-            for j, lam in zip(s, lams):
-                facet = tuple(x for x in s if x != j)
-                if lam < 0 and facet_count[facet] == 1:
-                    attached.add(facet + (i,))
-        simplices.extend(sorted(attached))
+        seen = {f for f, n in boundary.items() if _dot(n, r) < 0}
+        simplices.extend(sorted(f + (i,) for f in seen))
+        for f in seen:
+            for ridge in _ridges(f):
+                pair = ridges[ridge]
+                pair.remove(f)
+                if not pair:
+                    del ridges[ridge]
+                    continue
+                g = pair[0]
+                if g in seen:
+                    continue
+                new = ridge + (i,)
+                pair.append(new)
+                boundary[new] = _eliminate(boundary[f], boundary[g], r)
+                for sub in _ridges(ridge):
+                    ridges.setdefault(sub + (i,), []).append(new)
+        for f in seen:
+            del boundary[f]
     return simplices
 
 
-def _coordinates(rays: list[Vector], simplex: tuple[int, ...], r: Vector):
-    """Coefficients of r in the rays of ``simplex``, or None outside their span."""
-    return solve_rational(list(zip(*(rays[j] for j in simplex))), r)
+def _ridges(f: tuple[int, ...]):
+    """The faces of an index tuple with one index left out, in order."""
+    return (f[:j] + f[j + 1 :] for j in range(len(f)))
+
+
+def _eliminate(v: Vector, m: Vector, r: Vector) -> Vector:
+    """primitive((m . r) v - (v . r) m), the combination of v and m that
+    vanishes on r; v itself when it already does."""
+    mr, vr = _dot(m, r), _dot(v, r)
+    return primitive(tuple(mr * a - vr * b for a, b in zip(v, m))) if vr else v
 
 
 def _parallelepiped_points(rays: list[Vector]) -> list[Vector]:

@@ -263,7 +263,7 @@ def test_08_semistability_oracle():
 
 def test_09_presentation_invariance():
     square = unit_cube(2)
-    padded = square.with_inequality((1, 0), -1)
+    padded = polyhedron(square.dim, square.inequalities + (((1, 0), -1),))
     assert graded_generators(padded) == graded_generators(square)
     for r in range(5):
         assert hilbert_function(padded, r) == hilbert_function(square, r)

@@ -8,13 +8,11 @@ from toricalc.lattice import (
     integer_kernel_basis,
     invariant_factors,
     primitive,
-    rational_rank,
     snf,
-    solve_rational,
 )
 from fractions import Fraction
 
-from oracles import det
+from oracles import det, rational_rank, solve_rational
 
 
 def M(*rows, ncols=None):

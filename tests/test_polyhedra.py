@@ -12,7 +12,7 @@ from itertools import combinations, product as iproduct
 import pytest
 
 from toricalc.errors import EmptyPolyhedron, LinealityPresent, Unbounded
-from toricalc.lattice import primitive, rational_rank
+from toricalc.lattice import primitive
 from toricalc.polyhedra import (
     Face,
     Polyhedron,
@@ -33,6 +33,8 @@ from toricalc.polyhedra import (
     unit_cube,
     vrep,
 )
+
+from oracles import rational_rank
 
 SQUARE = unit_cube(2)
 
@@ -100,7 +102,7 @@ def reference_face(p, s):
     q = p
     for i in sorted(s):
         a, b = p.inequalities[i - 1]
-        q = q.with_inequality(tuple(-x for x in a), -b)
+        q = polyhedron(q.dim, q.inequalities + ((tuple(-x for x in a), -b),))
     v = vrep(q)
     assert v.vertices, "feasible face produced no points"
     n = len(v.vertices)
@@ -191,7 +193,7 @@ class TestVrep:
 
     def test_triangle_with_redundant_inequality(self):
         t = standard_simplex(2)
-        r = t.with_inequality((1, 1), -5)
+        r = polyhedron(t.dim, t.inequalities + (((1, 1), -5),))
         assert set(vrep(t).vertices) == set(vrep(r).vertices)
 
     def test_vertices_satisfy_inequalities(self):
@@ -350,7 +352,7 @@ class TestFVector:
 
     def test_redundant_inequality_invariant(self):
         f1 = f_vector(SQUARE)
-        f2 = f_vector(SQUARE.with_inequality((1, 0), -7))
+        f2 = f_vector(polyhedron(SQUARE.dim, SQUARE.inequalities + (((1, 0), -7),)))
         assert f1 == f2
 
     def test_redundant_inequality_tight_on_rays_only(self):

@@ -16,13 +16,12 @@ from toricalc.lattice import (
     IntMatrix,
     integer_kernel_basis,
     invariant_factors,
-    rational_rank,
-    solve_rational,
 )
 from toricalc.polyhedra import (
     Polyhedron,
     dilate,
     interval,
+    lattice_points,
     polyhedron,
     positive_orthant,
     product,
@@ -42,6 +41,7 @@ from toricalc.semigroups import (
     relation_space,
 )
 
+from oracles import rational_rank, solve_rational
 from test_acceptance import HILBERT_CONES
 
 SQUARE = unit_cube(2)
@@ -207,13 +207,13 @@ def facet_normal(facet_rays, span_basis, inside_ray):
     return normal if side > 0 else tuple(-n for n in normal)
 
 
-def seeded_pointed_rays(seed):
-    """Extreme rays of the cone over a seeded polyhedron in dims 1-4, in
-    the order ``hilbert_basis`` places them, or None when that cone is
-    zero or not pointed. Seeds divisible by 3 add an equality, so the
-    cone spans a proper subspace."""
+def seeded_pointed_rays(seed, d=None):
+    """Extreme rays of the cone over a seeded polyhedron in dimension d
+    (1-4 by the seed when not given), in the order ``hilbert_basis``
+    places them, or None when that cone is zero or not pointed. Seeds
+    divisible by 3 add an equality, so the cone spans a proper subspace."""
     rng = random.Random(seed)
-    d = 1 + seed % 4
+    d = 1 + seed % 4 if d is None else d
     rows = [
         (tuple(rng.randint(-3, 3) for _ in range(d)), rng.randint(-3, 3))
         for _ in range(rng.randint(d + 1, d + 4))
@@ -225,9 +225,49 @@ def seeded_pointed_rays(seed):
     return list(rays) if rays and not lineality else None
 
 
-TRIANGULATION_RAYS = [list(extreme_rays(c)[0]) for c in HILBERT_CONES] + [
-    rays for rays in map(seeded_pointed_rays, range(170)) if rays is not None
-]
+def span_steps(rays):
+    """For each ray after the first, whether it raises the rational rank."""
+    ranks = [rational_rank(rays[: i + 1]) for i in range(len(rays))]
+    return [ranks[i] > ranks[i - 1] for i in range(1, len(rays))]
+
+
+def span_grows_after_a_ray_inside(rays):
+    steps = span_steps(rays)
+    return any(not a and b for i, a in enumerate(steps) for b in steps[i + 1 :])
+
+
+def sees_a_ridge_from_both_sides(rays):
+    """Whether some ray inside the span is attached, by the reference
+    placing, over two boundary facets that share a ridge: two of the
+    simplices it adds then share a facet."""
+    before = reference_triangulation(rays[:1])
+    for i in range(1, len(rays)):
+        after = reference_triangulation(rays[: i + 1])
+        if len(after[0]) == len(before[0]):
+            added = after[len(before) :]
+            if any(len(set(a) & set(b)) == len(a) - 1 for a, b in combinations(added, 2)):
+                return True
+        before = after
+    return False
+
+
+# Cones of dimension 5 over seeded 4-polytopes whose span grows again
+# after a ray that lies inside it.
+DIM5_RAYS = [
+    rays
+    for rays in (seeded_pointed_rays(seed, 4) for seed in range(200, 240))
+    if rays is not None and rational_rank(rays) == 5 and span_grows_after_a_ray_inside(rays)
+][:4]
+
+TRIANGULATION_RAYS = (
+    [list(extreme_rays(c)[0]) for c in HILBERT_CONES]
+    + [
+        list(extreme_rays(homogenize(p))[0])
+        for p in (unit_cube(3), unit_cube(4), standard_simplex(3), standard_simplex(4))
+    ]
+    + DIM5_RAYS
+    + [rays for rays in map(seeded_pointed_rays, range(170)) if rays is not None]
+)
 
 
 class TestPlacingTriangulation:
@@ -238,15 +278,15 @@ class TestPlacingTriangulation:
     def test_corpus_covers_subspaces_and_rays_inside_the_span(self):
         kinds = set()
         for rays in TRIANGULATION_RAYS:
-            ranks = [rational_rank(rays[: i + 1]) for i in range(len(rays))]
-            steps = [ranks[i] > ranks[i - 1] for i in range(1, len(rays))]
-            if ranks[-1] < len(rays[0]):
+            if rational_rank(rays) < len(rays[0]):
                 kinds.add("proper subspace")
-            if not all(steps):
+            if not all(span_steps(rays)):
                 kinds.add("ray inside the span")
-            if any(not a and b for i, a in enumerate(steps) for b in steps[i + 1 :]):
+            if span_grows_after_a_ray_inside(rays):
                 kinds.add("span grows after a ray inside it")
         assert kinds == {"proper subspace", "ray inside the span", "span grows after a ray inside it"}
+        assert any(map(sees_a_ridge_from_both_sides, TRIANGULATION_RAYS))
+        assert len(DIM5_RAYS) == 4
         assert len(TRIANGULATION_RAYS) >= 100
 
 
@@ -329,6 +369,12 @@ class TestGradedGenerators:
     def test_unit_cube_4(self):
         gens = graded_generators(unit_cube(4))
         assert gens == [GradedPoint(v, 1) for v in iproduct((0, 1), repeat=4)]
+
+    def test_unit_cube_6_against_its_lattice_points(self):
+        gens = graded_generators(unit_cube(6))
+        assert len(gens) == 64
+        assert {g.degree for g in gens} == {1}
+        assert [g.point for g in gens] == lattice_points(unit_cube(6))
 
     def test_det_1521_triangle(self):
         p = polyhedron(2, [((3, 1), -1), ((-2, -3), -1), ((-2, 2), -3)])
