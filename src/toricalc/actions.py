@@ -81,8 +81,6 @@ def quotient_projection(action: LinearizedAction) -> QuotientData:
     """
     w = action.weights
     n = action.n
-    if w.nrows == 0:
-        return QuotientData(IntMatrix.identity(n), n)
     nf = snf(w)
     factors = invariant_factors_from(nf)
     if len(factors) < w.nrows:
@@ -141,13 +139,19 @@ def invariant_monomial(action: LinearizedAction, p: Sequence[int], r: int) -> tu
     p = tuple(int(x) for x in p)
     if len(p) != q.dim:
         raise ValueError(f"point has length {len(p)}, expected {q.dim}")
-    exps = []
-    for i in range(action.n):
-        ri = sum(pj * aj for pj, aj in zip(p, q.images.row(i))) - r * action.alpha[i]
+    exps = _exponents(action, q, p, r)
+    for i, ri in enumerate(exps, 1):
         if ri < 0:
-            raise NotInSemigroup(f"coordinate {i + 1} gets exponent {ri}")
-        exps.append(ri)
-    return tuple(exps) + (r,)
+            raise NotInSemigroup(f"coordinate {i} gets exponent {ri}")
+    return exps + (r,)
+
+
+def _exponents(action: LinearizedAction, q: QuotientData, p, r: int) -> tuple[int, ...]:
+    """The exponents r_i = p.a_i - r*alpha_i of the monomial at (p, r)."""
+    return tuple(
+        sum(pj * aj for pj, aj in zip(p, q.images.row(i))) - r * alpha_i
+        for i, alpha_i in enumerate(action.alpha)
+    )
 
 
 def is_semistable(action: LinearizedAction, support: Iterable[int]) -> bool:
@@ -227,10 +231,8 @@ def evaluate_invariants(
         if g.degree > bound:
             continue
         value = Fraction(1)
-        for i in range(action.n):
-            e = sum(pj * aj for pj, aj in zip(g.point, q.images.row(i)))
-            e -= g.degree * action.alpha[i]
-            value *= coords[i] ** e
+        for c, e in zip(coords, _exponents(action, q, g.point, g.degree)):
+            value *= c**e
         out.append((value, g.degree))
     return out
 
@@ -260,38 +262,12 @@ def proj_equal(
     for (a, _), (b, _) in zip(pos_left, pos_right):
         if (a == 0) != (b == 0):
             return False
+    # Any common scalar is a rational root of the lowest-degree ratio.
     pairs = [(b / a, d) for (a, d), (b, _) in zip(pos_left, pos_right) if a != 0]
-    degrees = [d for _, d in pairs]
-    g, coeffs = _bezout(degrees)
-    t = Fraction(1)
-    for (ratio, _), c in zip(pairs, coeffs):
-        t *= ratio**c
-    if any(t ** (d // g) != ratio for ratio, d in pairs):
+    root = _rational_root(*min(pairs, key=lambda pair: pair[1]))
+    if root is None:
         return False
-    return _rational_root(t, g) is not None
-
-
-def _bezout(nums: Sequence[int]) -> tuple[int, list[int]]:
-    """gcd g of nums plus coefficients c with sum(c_i * nums_i) = g."""
-    g, coeffs = nums[0], [1]
-    for x in nums[1:]:
-        g2, u, vv = _ext_gcd(g, x)
-        coeffs = [c * u for c in coeffs]
-        coeffs.append(vv)
-        g = g2
-    return g, coeffs
-
-
-def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        quot = old_r // r
-        old_r, r = r, old_r - quot * r
-        old_s, s = s, old_s - quot * s
-        old_t, t = t, old_t - quot * t
-    return old_r, old_s, old_t
+    return any(all(s**d == ratio for ratio, d in pairs) for s in (root, -root))
 
 
 def _rational_root(t: Fraction, k: int) -> Fraction | None:

@@ -1,10 +1,12 @@
 """Command-line front end: JSON in, canonical JSON out.
 
-Every verb reads polyhedra or actions from JSON files (``-`` reads
-standard input), dispatches to the library, and prints one canonical
-JSON document.  Exit codes: 0 on success, 1 when a domain error stops
-the computation (its class name appears verbatim on stderr), 2 on
-malformed input or usage.  No math happens in this module.
+Every verb is one row of ``VERBS``: its help text, the flag naming its
+input (a polyhedron or an action, read from a JSON file; ``-`` reads
+standard input), its extra flags from ``FLAGS``, and the library call
+that turns the decoded input into one canonical JSON document.  Exit
+codes: 0 on success, 1 when a domain error stops the computation (its
+class name appears verbatim on stderr), 2 on malformed input or usage.
+No math happens in this module.
 """
 
 import argparse
@@ -60,14 +62,13 @@ def _run(argv, stdin: str | None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
+    _, source, _, compute = VERBS[args.verb]
+    decode = polyhedron_from_json if source == "polytope" else action_from_json
     try:
-        result = args.handler(args, stdin)
-    except ToricalcError as e:
+        result = compute(decode(_load_json(getattr(args, source), stdin)), args)
+    except (ToricalcError, InputError, ValueError) as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
-        return 1
-    except (InputError, ValueError) as e:
-        print(f"{type(e).__name__}: {e}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(e, ToricalcError) else 2
     print(dump_canonical(result))
     return 0
 
@@ -79,45 +80,10 @@ def _parser() -> argparse.ArgumentParser:
         "computed exactly through lattice polyhedra.",
     )
     verbs = parser.add_subparsers(dest="verb", required=True, metavar="VERB")
-
-    def verb(name, handler, help, *, polytope=False, action=False, flags=()):
-        sub = verbs.add_parser(name, help=help)
-        if polytope:
-            sub.add_argument("--polytope", required=True, metavar="FILE",
-                             help="polyhedron JSON file, or - for stdin")
-        if action:
-            sub.add_argument("--action", required=True, metavar="FILE",
-                             help="action JSON file, or - for stdin")
-        for flag in flags:
-            if flag == "degree":
-                sub.add_argument("--degree", required=True, type=_nonneg,
-                                 metavar="R", help="grading degree")
-            elif flag == "bound":
-                sub.add_argument("--bound", required=True, type=_nonneg,
-                                 metavar="D", help="degree bound")
-            elif flag == "support":
-                sub.add_argument("--support", default="", metavar="CSV",
-                                 help="1-based coordinate indices, e.g. 1,2")
-            elif flag == "point":
-                sub.add_argument("--point", required=True, metavar="CSV",
-                                 help="rational coordinates, e.g. 1,2,3/2")
-        sub.set_defaults(handler=handler)
-
-    verb("delta", _cmd_delta, "polyhedron of a linearized action", action=True)
-    verb("group", _cmd_group, "recover an action from its polyhedron", polytope=True)
-    verb("generators", _cmd_generators, "graded semigroup generators", polytope=True)
-    verb("hilbert", _cmd_hilbert, "lattice points of the r-th dilate",
-         polytope=True, flags=("degree",))
-    verb("relations", _cmd_relations, "generators and binomial relations",
-         polytope=True, flags=("bound",))
-    verb("semistable", _cmd_semistable, "test a coordinate support",
-         action=True, flags=("support",))
-    verb("unstable", _cmd_unstable, "minimal unstable supports", action=True)
-    verb("fvector", _cmd_fvector, "face counts by dimension", polytope=True)
-    verb("betti", _cmd_betti, "even Betti numbers of the quotient", polytope=True)
-    verb("census", _cmd_census, "torus orbits by dimension", polytope=True)
-    verb("evaluate", _cmd_evaluate, "invariant generators at a point",
-         action=True, flags=("point", "bound"))
+    for name, (summary, source, flags, _) in VERBS.items():
+        sub = verbs.add_parser(name, help=summary)
+        for flag in (source, *flags):
+            sub.add_argument(f"--{flag}", **FLAGS[flag])
     return parser
 
 
@@ -129,6 +95,45 @@ def _nonneg(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError("must be nonnegative")
     return value
+
+
+# argparse keyword arguments of each ``--flag``, input flags included.
+FLAGS = {
+    "polytope": dict(required=True, metavar="FILE", help="polyhedron JSON file, or - for stdin"),
+    "action": dict(required=True, metavar="FILE", help="action JSON file, or - for stdin"),
+    "degree": dict(required=True, type=_nonneg, metavar="R", help="grading degree"),
+    "bound": dict(required=True, type=_nonneg, metavar="D", help="degree bound"),
+    "support": dict(default="", metavar="CSV", help="1-based coordinate indices, e.g. 1,2"),
+    "point": dict(required=True, metavar="CSV", help="rational coordinates, e.g. 1,2,3/2"),
+}
+
+# verb -> (help, input flag, extra flags, compute(decoded input, args) -> JSON result)
+VERBS = {
+    "delta": ("polyhedron of a linearized action", "action", (),
+              lambda action, args: polyhedron_to_json(delta(action))),
+    "group": ("recover an action from its polyhedron", "polytope", (),
+              lambda p, args: action_to_json(group_from_delta(p))),
+    "generators": ("graded semigroup generators", "polytope", (),
+                   lambda p, args: {"generators": generators_to_json(graded_generators(p))}),
+    "hilbert": ("lattice points of the r-th dilate", "polytope", ("degree",),
+                lambda p, args: {"degree": args.degree, "count": hilbert_function(p, args.degree)}),
+    "relations": ("generators and binomial relations", "polytope", ("bound",),
+                  lambda p, args: presentation_to_json(relation_space(p, args.bound))),
+    "semistable": ("test a coordinate support", "action", ("support",),
+                   lambda action, args: {"semistable": is_semistable(action, _parse_support(args.support))}),
+    "unstable": ("minimal unstable supports", "action", (),
+                 lambda action, args: {"supports": minimal_unstable_supports(action)}),
+    "fvector": ("face counts by dimension", "polytope", (),
+                lambda p, args: dict(zip(("f_vector", "simple"), f_vector(p)))),
+    "betti": ("even Betti numbers of the quotient", "polytope", (),
+              lambda p, args: {"betti": betti(p), "bounded": is_bounded(p)}),
+    "census": ("torus orbits by dimension", "polytope", (),
+               lambda p, args: {"orbits": {str(i): c for i, c in orbit_census(p).items()}}),
+    "evaluate": ("invariant generators at a point", "action", ("point", "bound"),
+                 lambda action, args: {"values": [
+                     {"degree": d, "value": str(v)}
+                     for v, d in evaluate_invariants(action, _parse_point(args.point), args.bound)]}),
+}
 
 
 def _load_json(path: str, stdin: str | None):
@@ -149,68 +154,10 @@ def _parse_support(text: str) -> tuple[int, ...]:
     if not text.strip():
         return ()
     try:
-        indices = tuple(int(part) for part in text.split(","))
+        return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise InputError(f"support must be comma-separated integers: {text!r}") from None
-    return indices
 
 
 def _parse_point(text: str) -> tuple[Fraction, ...]:
     return tuple(parse_fraction(part.strip()) for part in text.split(","))
-
-
-def _cmd_delta(args, stdin):
-    action = action_from_json(_load_json(args.action, stdin))
-    return polyhedron_to_json(delta(action))
-
-
-def _cmd_group(args, stdin):
-    p = polyhedron_from_json(_load_json(args.polytope, stdin))
-    return action_to_json(group_from_delta(p))
-
-
-def _cmd_generators(args, stdin):
-    p = polyhedron_from_json(_load_json(args.polytope, stdin))
-    return {"generators": generators_to_json(graded_generators(p))}
-
-
-def _cmd_hilbert(args, stdin):
-    p = polyhedron_from_json(_load_json(args.polytope, stdin))
-    return {"degree": args.degree, "count": hilbert_function(p, args.degree)}
-
-
-def _cmd_relations(args, stdin):
-    p = polyhedron_from_json(_load_json(args.polytope, stdin))
-    return presentation_to_json(relation_space(p, args.bound))
-
-
-def _cmd_semistable(args, stdin):
-    action = action_from_json(_load_json(args.action, stdin))
-    return {"semistable": is_semistable(action, _parse_support(args.support))}
-
-
-def _cmd_unstable(args, stdin):
-    action = action_from_json(_load_json(args.action, stdin))
-    return {"supports": [list(s) for s in minimal_unstable_supports(action)]}
-
-
-def _cmd_fvector(args, stdin):
-    p = polyhedron_from_json(_load_json(args.polytope, stdin))
-    counts, simple = f_vector(p)
-    return {"f_vector": list(counts), "simple": simple}
-
-
-def _cmd_betti(args, stdin):
-    p = polyhedron_from_json(_load_json(args.polytope, stdin))
-    return {"betti": list(betti(p)), "bounded": is_bounded(p)}
-
-
-def _cmd_census(args, stdin):
-    p = polyhedron_from_json(_load_json(args.polytope, stdin))
-    return {"orbits": {str(i): c for i, c in orbit_census(p).items()}}
-
-
-def _cmd_evaluate(args, stdin):
-    action = action_from_json(_load_json(args.action, stdin))
-    values = evaluate_invariants(action, _parse_point(args.point), args.bound)
-    return {"values": [{"degree": d, "value": str(v)} for v, d in values]}

@@ -3,10 +3,14 @@
 ``det`` checks that the transforms of the normal forms are unimodular.
 ``rational_rank`` and ``solve_rational`` are Gaussian elimination over
 ``fractions.Fraction``: a rank and a linear solve that do not go through
-the Smith form.
+the Smith form.  ``proj_equal_bezout`` decides projective equality of
+evaluation vectors through one Bezout combination of the degrees.
 """
 
 from fractions import Fraction
+
+from toricalc.actions import _rational_root
+from toricalc.errors import AllZero
 
 
 def det(m) -> int:
@@ -92,3 +96,51 @@ def solve_rational(a_rows, rhs):
     for r, c in enumerate(pivots):
         x[c] = rows[r][nc]
     return tuple(x)
+
+
+def proj_equal_bezout(v, w) -> bool:
+    """``toricalc.actions.proj_equal`` by the extended-gcd route.
+
+    With g the gcd of the positive degrees d_j of the nonzero pairs and
+    sum(c_j * d_j) = g, the candidate t = prod(rho_j ** c_j) must satisfy
+    t ** (d_j / g) = rho_j for every ratio rho_j and have a rational
+    g-th root.
+    """
+    left = [(Fraction(val), int(d)) for val, d in v]
+    right = [(Fraction(val), int(d)) for val, d in w]
+    if [d for _, d in left] != [d for _, d in right]:
+        raise ValueError("evaluations must come from the same generator list")
+    pos_left = [(val, d) for val, d in left if d > 0]
+    pos_right = [(val, d) for val, d in right if d > 0]
+    if all(val == 0 for val, _ in pos_left) or all(val == 0 for val, _ in pos_right):
+        raise AllZero("unstable point has no projective image")
+    for (a, d), (b, _) in zip(left, right):
+        if d == 0 and a != b:
+            return False
+    for (a, _), (b, _) in zip(pos_left, pos_right):
+        if (a == 0) != (b == 0):
+            return False
+    pairs = [(b / a, d) for (a, d), (b, _) in zip(pos_left, pos_right) if a != 0]
+    g, coeffs = _bezout([d for _, d in pairs])
+    t = Fraction(1)
+    for (ratio, _), c in zip(pairs, coeffs):
+        t *= ratio**c
+    if any(t ** (d // g) != ratio for ratio, d in pairs):
+        return False
+    return _rational_root(t, g) is not None
+
+
+def _bezout(nums) -> tuple[int, list[int]]:
+    """gcd g of nums plus coefficients c with sum(c_i * nums_i) = g."""
+    g, coeffs = nums[0], [1]
+    for x in nums[1:]:
+        old_r, r, old_s, s, old_t, t = g, x, 1, 0, 0, 1
+        while r:
+            quot = old_r // r
+            old_r, r = r, old_r - quot * r
+            old_s, s = s, old_s - quot * s
+            old_t, t = t, old_t - quot * t
+        coeffs = [c * old_s for c in coeffs]
+        coeffs.append(old_t)
+        g = old_r
+    return g, coeffs

@@ -5,6 +5,7 @@ monomial x^e t^r is tested directly as weight(e + r*alpha) = 0 against
 every weight row, by exhaustive scan over bounded exponents.
 """
 
+import random
 from fractions import Fraction
 from itertools import product as iproduct
 
@@ -45,6 +46,8 @@ from toricalc.polyhedra import (
     vrep,
 )
 from toricalc.semigroups import graded_generators, hilbert_function
+
+from oracles import proj_equal_bezout
 
 # The two recurring actions: scaling on C^2 (quotient CP^1) and the
 # coordinate-pair scaling on C^4 whose polyhedron is the unit square.
@@ -452,6 +455,31 @@ class TestProjEqual:
         w = evaluate_invariants(SQUARE_ACTION, (1, 1, 1, 2), 1)
         assert not proj_equal(v, w)
 
+
+    def test_agrees_with_bezout_oracle(self):
+        # Degrees 0-4 mix degree-0 entries with even and odd degrees; a
+        # negative scalar or a sign flip gives negative ratios, and a
+        # perturbed entry breaks an otherwise exact scaling.
+        rng = random.Random(7)
+        outcomes = {True: 0, False: 0}
+        for _ in range(3000):
+            degrees = [rng.randint(0, 4) for _ in range(rng.randint(1, 5))]
+            v = [(Fraction(rng.randint(-4, 4), rng.randint(1, 3)), d) for d in degrees]
+            s = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+            w = [(s**d * val, d) for val, d in v]
+            if rng.random() < 0.5:
+                j = rng.randrange(len(w))
+                factor = rng.choice([-1, 2, 4, Fraction(1, 9)])
+                w[j] = (w[j][0] * factor + rng.choice([0, 0, 1]), w[j][1])
+            try:
+                expected = proj_equal_bezout(v, w)
+            except AllZero:
+                with pytest.raises(AllZero):
+                    proj_equal(v, w)
+                continue
+            assert proj_equal(v, w) == expected, (v, w)
+            outcomes[expected] += 1
+        assert min(outcomes.values()) >= 300, outcomes
 
 class TestActionValidation:
     def test_shape_mismatch(self):

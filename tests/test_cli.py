@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -282,6 +283,28 @@ class TestErrorDiscipline:
         code, out, _ = execute(["--help"])
         assert code == 0
         assert "VERB" in out
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_verb_table() -> dict[str, set[str]]:
+    """verb -> flags named in the input column of README's verb table."""
+    section = README.read_text().split("## Command line", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \| `([^`]*)` \|", section, re.MULTILINE)
+    return {verb: set(re.findall(r"--\w+", flags)) for verb, flags in rows}
+
+
+class TestReadmeVerbTable:
+    def test_rows_match_parser(self):
+        table = readme_verb_table()
+        _, top_help, _ = execute(["--help"])
+        assert set(table) == set(re.findall(r"^ {4}(\w+)", top_help, re.MULTILINE))
+        for verb, flags in table.items():
+            code, out, err = execute([verb, "--help"])
+            assert (code, err) == (0, ""), verb
+            usage = out.split("\n\n", 1)[0]
+            assert set(re.findall(r"--\w+", usage)) == flags, verb
 
 
 def child_env():

@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from toricalc.actions import (
+    betti,
     delta,
     evaluate_invariants,
     is_semistable,
@@ -161,6 +162,21 @@ class TestPolyhedraProperties:
             return
         counts, _ = f_vector(p)
         assert sum((-1) ** i * c for i, c in enumerate(counts)) == 1
+
+    @given(boxed_polytopes())
+    @geometry
+    def test_poincare_duality(self, p):
+        # For a simple polytope the quotient is a rationally smooth
+        # projective variety: its even Betti numbers are palindromic and
+        # add up to the number of torus-fixed points, the vertices.
+        if is_empty(p):
+            return
+        counts, simple = f_vector(p)
+        if not simple:
+            return
+        b = betti(p)
+        assert b == b[::-1]
+        assert sum(b) == counts[0]
 
     @given(boxed_polytopes(), st.data())
     @geometry
