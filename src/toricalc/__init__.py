@@ -5,6 +5,8 @@ and the semistability combinatorics of linearized subtorus actions,
 all in exact arithmetic.
 """
 
+from types import ModuleType as _ModuleType
+
 from .actions import (
     LinearizedAction,
     QuotientData,
@@ -64,57 +66,5 @@ from .semigroups import (
 )
 
 __version__ = "0.1.0"
-__all__ = [
-    "AllZero",
-    "Cone",
-    "EmptyPolyhedron",
-    "Face",
-    "GradedPoint",
-    "InputError",
-    "IntMatrix",
-    "LinealityPresent",
-    "LinearizedAction",
-    "NonSpanning",
-    "NormalForm",
-    "NotInSemigroup",
-    "NotPointed",
-    "NotSimple",
-    "Polyhedron",
-    "QuotientData",
-    "RingPresentation",
-    "TorsionQuotient",
-    "ToricalcError",
-    "Unbounded",
-    "VRepresentation",
-    "betti",
-    "delta",
-    "dilate",
-    "evaluate_invariants",
-    "f_vector",
-    "face",
-    "graded_generators",
-    "group_from_delta",
-    "hilbert_basis",
-    "hilbert_function",
-    "hnf",
-    "homogenize",
-    "integer_kernel_basis",
-    "interval",
-    "invariant_monomial",
-    "is_bounded",
-    "is_empty",
-    "is_semistable",
-    "lattice_points",
-    "linearized_action",
-    "minimal_unstable_supports",
-    "orbit_census",
-    "polyhedron",
-    "positive_orthant",
-    "product",
-    "proj_equal",
-    "quotient_projection",
-    "snf",
-    "standard_simplex",
-    "unit_cube",
-    "vrep",
-]
+# Every public name imported above, and no submodule.
+__all__ = sorted(k for k, v in globals().items() if not k.startswith("_") and not isinstance(v, _ModuleType))

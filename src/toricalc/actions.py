@@ -24,7 +24,7 @@ from math import comb
 from typing import Iterable, Sequence
 
 from .errors import AllZero, NonSpanning, NotInSemigroup, NotSimple, TorsionQuotient
-from .lattice import IntMatrix, integer_kernel_basis, invariant_factors, invariant_factors_from, snf
+from .lattice import IntMatrix, as_int, integer_kernel_basis, invariant_factors, invariant_factors_from, snf
 from .polyhedra import Polyhedron, f_vector, face, polyhedron
 from .semigroups import graded_generators
 
@@ -45,7 +45,8 @@ class LinearizedAction:
     alpha: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", tuple(int(a) for a in self.alpha))
+        object.__setattr__(self, "n", as_int(self.n))
+        object.__setattr__(self, "alpha", tuple(map(as_int, self.alpha)))
         if len(self.alpha) != self.n:
             raise ValueError("linearization length must equal n")
         if self.weights.ncols != self.n:
@@ -66,9 +67,8 @@ class QuotientData:
 
 def linearized_action(weight_rows: Iterable[Sequence[int]], alpha: Sequence[int]) -> LinearizedAction:
     """Build an action from weight rows and a linearization vector."""
-    alpha = tuple(int(a) for a in alpha)
-    rows = [tuple(int(x) for x in row) for row in weight_rows]
-    return LinearizedAction(len(alpha), IntMatrix.from_rows(rows, len(alpha)), alpha)
+    alpha = tuple(alpha)
+    return LinearizedAction(len(alpha), IntMatrix.from_rows(weight_rows, len(alpha)), alpha)
 
 
 def quotient_projection(action: LinearizedAction) -> QuotientData:
@@ -133,10 +133,11 @@ def invariant_monomial(action: LinearizedAction, p: Sequence[int], r: int) -> tu
     from lattice points of the homogenization cone onto invariant
     monomials.  Raises NotInSemigroup when some r_i is negative.
     """
+    r = as_int(r)
     if r < 0:
         raise ValueError("degree must be nonnegative")
     q = quotient_projection(action)
-    p = tuple(int(x) for x in p)
+    p = tuple(map(as_int, p))
     if len(p) != q.dim:
         raise ValueError(f"point has length {len(p)}, expected {q.dim}")
     exps = _exponents(action, q, p, r)
@@ -219,6 +220,7 @@ def evaluate_invariants(
     in generator order, with the degree variable t set to 1.  A point
     is semistable exactly when some positive-degree value is nonzero.
     """
+    bound = as_int(bound)
     if bound < 0:
         raise ValueError("degree bound must be nonnegative")
     coords = tuple(Fraction(c) for c in point)
@@ -247,8 +249,8 @@ def proj_equal(
     value (the point is unstable and has no image).  Scalars that
     exist only over an extension field are reported as unequal.
     """
-    left = [(Fraction(val), int(d)) for val, d in v]
-    right = [(Fraction(val), int(d)) for val, d in w]
+    left = [(Fraction(val), as_int(d)) for val, d in v]
+    right = [(Fraction(val), as_int(d)) for val, d in w]
     if [d for _, d in left] != [d for _, d in right]:
         raise ValueError("evaluations must come from the same generator list")
     pos_left = [(val, d) for val, d in left if d > 0]

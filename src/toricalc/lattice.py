@@ -12,12 +12,27 @@ Conventions:
     ``d_i >= 0`` and ``d_i | d_{i+1}``.
   * Kernel bases are saturated and returned in Hermite form, so they are
     canonical for the kernel lattice.
+
+``as_int`` is the package's only rule for integer input: the value types
+and the entries that take integers directly pass through it, and nothing
+below them converts again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+
+
+def as_int(x) -> int:
+    """``int(x)`` when that equals ``x``; ValueError otherwise, never rounding."""
+    try:
+        n = int(x)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"expected an integer, got {x!r}") from None
+    if n != x:
+        raise ValueError(f"expected an integer, got {x!r}")
+    return n
 
 
 @dataclass(frozen=True)
@@ -31,17 +46,16 @@ class IntMatrix:
     ncols: int = -1
 
     def __post_init__(self):
-        rows = tuple(tuple(int(x) for x in row) for row in self.entries)
-        object.__setattr__(self, "entries", rows)
-        if rows:
-            width = len(rows[0])
-            if any(len(r) != width for r in rows):
-                raise ValueError("ragged matrix")
-            if self.ncols not in (-1, width):
-                raise ValueError("ncols does not match row length")
-            object.__setattr__(self, "ncols", width)
-        elif self.ncols < 0:
+        rows = tuple(tuple(map(as_int, row)) for row in self.entries)
+        width = len(rows[0]) if rows else as_int(self.ncols)
+        if width < 0:
             raise ValueError("zero-row matrix needs an explicit ncols")
+        if any(len(r) != width for r in rows):
+            raise ValueError("ragged matrix")
+        if self.ncols not in (-1, width):
+            raise ValueError("ncols does not match row length")
+        object.__setattr__(self, "entries", rows)
+        object.__setattr__(self, "ncols", width)
 
     @property
     def nrows(self) -> int:
@@ -49,15 +63,11 @@ class IntMatrix:
 
     @classmethod
     def from_rows(cls, rows, ncols: int | None = None) -> "IntMatrix":
-        rows = tuple(tuple(int(x) for x in row) for row in rows)
-        if not rows:
-            if ncols is None:
-                raise ValueError("zero-row matrix needs an explicit ncols")
-            return cls((), ncols)
-        return cls(rows)
+        return cls(tuple(rows), -1 if ncols is None else ncols)
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
+        n = as_int(n)
         return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), n)
 
     def row(self, i: int) -> tuple[int, ...]:
@@ -67,8 +77,6 @@ class IntMatrix:
         return tuple(r[j] for r in self.entries)
 
     def transpose(self) -> "IntMatrix":
-        if self.ncols == 0:
-            return IntMatrix((), self.nrows)
         if not self.entries:
             return IntMatrix(tuple(() for _ in range(self.ncols)), 0)
         return IntMatrix(tuple(zip(*self.entries)), self.nrows)
@@ -92,7 +100,6 @@ class NormalForm:
     Smith:   ``U @ M @ V == D``.
     """
 
-    kind: str
     D: IntMatrix
     U: IntMatrix
     V: IntMatrix | None = None
@@ -146,7 +153,7 @@ def hnf(m: IntMatrix) -> NormalForm:
                 _row_sub(d, r, q, prow)
                 _row_sub(u, r, q, prow)
         prow += 1
-    return NormalForm("hermite", IntMatrix(tuple(tuple(r) for r in d), nc), IntMatrix(tuple(tuple(r) for r in u), nr))
+    return NormalForm(IntMatrix(d, nc), IntMatrix(u, nr))
 
 
 def snf(m: IntMatrix) -> NormalForm:
@@ -211,12 +218,7 @@ def snf(m: IntMatrix) -> NormalForm:
             _negate(d, t)
             _negate(u, t)
         t += 1
-    return NormalForm(
-        "smith",
-        IntMatrix(tuple(tuple(r) for r in d), nc),
-        IntMatrix(tuple(tuple(r) for r in u), nr),
-        IntMatrix(tuple(tuple(r) for r in v), nc),
-    )
+    return NormalForm(IntMatrix(d, nc), IntMatrix(u, nr), IntMatrix(v, nc))
 
 
 def invariant_factors(m: IntMatrix) -> tuple[int, ...]:
@@ -230,8 +232,6 @@ def integer_kernel_basis(m: IntMatrix) -> IntMatrix:
     rank = len(invariant_factors_from(nf))
     v = nf.V
     kernel_rows = [v.column(j) for j in range(rank, m.ncols)]
-    if not kernel_rows:
-        return IntMatrix((), m.ncols)
     reduced = hnf(IntMatrix.from_rows(kernel_rows, m.ncols)).D
     rows = tuple(r for r in reduced.entries if any(r))
     return IntMatrix(rows, m.ncols)
@@ -250,7 +250,7 @@ def invariant_factors_from(nf: NormalForm) -> tuple[int, ...]:
 
 def primitive(v) -> tuple[int, ...]:
     """Divide an integer vector by the gcd of its entries. Zero stays zero."""
-    v = tuple(int(x) for x in v)
+    v = tuple(v)
     g = 0
     for x in v:
         g = gcd(g, x)

@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 from .errors import EmptyPolyhedron, LinealityPresent, Unbounded
-from .lattice import primitive
+from .lattice import as_int, primitive
 
 Vector = tuple[int, ...]
 Inequality = tuple[Vector, int]
@@ -35,13 +35,12 @@ class Polyhedron:
     inequalities: tuple[Inequality, ...]
 
     def __post_init__(self):
-        norm = []
-        for a, b in self.inequalities:
-            a = tuple(int(x) for x in a)
-            if len(a) != self.dim:
-                raise ValueError("inequality normal has wrong length")
-            norm.append((a, int(b)))
-        object.__setattr__(self, "inequalities", tuple(norm))
+        dim = as_int(self.dim)
+        rows = tuple((tuple(map(as_int, a)), as_int(b)) for a, b in self.inequalities)
+        if any(len(a) != dim for a, _ in rows):
+            raise ValueError("inequality normal has wrong length")
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "inequalities", rows)
 
     @property
     def n_inequalities(self) -> int:
@@ -50,7 +49,7 @@ class Polyhedron:
 
 def polyhedron(dim: int, inequalities) -> Polyhedron:
     """Build a Polyhedron from any nested iterable of (a, b) pairs."""
-    return Polyhedron(dim, tuple((tuple(a), b) for a, b in inequalities))
+    return Polyhedron(dim, tuple(inequalities))
 
 
 def interval(lo: int, hi: int) -> Polyhedron:
@@ -59,10 +58,12 @@ def interval(lo: int, hi: int) -> Polyhedron:
 
 
 def positive_orthant(dim: int) -> Polyhedron:
+    dim = as_int(dim)
     return polyhedron(dim, [(tuple(1 if j == i else 0 for j in range(dim)), 0) for i in range(dim)])
 
 
 def standard_simplex(dim: int) -> Polyhedron:
+    dim = as_int(dim)
     ineqs = [(tuple(1 if j == i else 0 for j in range(dim)), 0) for i in range(dim)]
     ineqs.append((tuple(-1 for _ in range(dim)), -1))
     return polyhedron(dim, ineqs)
@@ -70,7 +71,7 @@ def standard_simplex(dim: int) -> Polyhedron:
 
 def unit_cube(dim: int) -> Polyhedron:
     p = Polyhedron(0, ())
-    for _ in range(dim):
+    for _ in range(as_int(dim)):
         p = product(p, interval(0, 1))
     return p
 
@@ -196,9 +197,11 @@ class Cone:
     inequalities: tuple[Vector, ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(int(x) for x in c) for c in self.inequalities)
-        if any(len(c) != self.ambient for c in rows):
+        ambient = as_int(self.ambient)
+        rows = tuple(tuple(map(as_int, c)) for c in self.inequalities)
+        if any(len(c) != ambient for c in rows):
             raise ValueError("cone inequality has wrong length")
+        object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "inequalities", rows)
 
     def contains(self, x) -> bool:
@@ -275,7 +278,7 @@ def is_bounded(p: Polyhedron) -> bool:
 
 
 def _check_indices(p: Polyhedron, s) -> frozenset[int]:
-    s = frozenset(int(i) for i in s)
+    s = frozenset(map(as_int, s))
     if any(i < 1 or i > p.n_inequalities for i in s):
         raise ValueError("inequality index out of range (indices are 1-based)")
     return s
@@ -399,6 +402,7 @@ def lattice_points(p: Polyhedron) -> list[Vector]:
 
 def dilate(p: Polyhedron, m: int) -> Polyhedron:
     """The dilation m * p = {m x : x in p} for integer m >= 1."""
+    m = as_int(m)
     if m < 1:
         raise ValueError("dilation factor must be a positive integer")
     return Polyhedron(p.dim, tuple((a, m * b) for a, b in p.inequalities))

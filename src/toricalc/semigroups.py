@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 
 from .errors import NotPointed, Unbounded
-from .lattice import IntMatrix, invariant_factors_from, primitive, snf
+from .lattice import IntMatrix, as_int, invariant_factors_from, primitive, snf
 from .polyhedra import Cone, Polyhedron, _dot, dilate, extreme_rays, homogenize, lattice_points, vrep
 
 Vector = tuple[int, ...]
@@ -203,6 +203,7 @@ def hilbert_function(p: Polyhedron, r: int) -> int:
     the inequality system: 1 when that cone is {0}. Otherwise the cone
     is unbounded and ``Unbounded`` is raised.
     """
+    r = as_int(r)
     if r < 0:
         raise ValueError("degree must be nonnegative")
     if r == 0:
@@ -244,6 +245,7 @@ def relation_space(p: Polyhedron, bound: int) -> RingPresentation:
     first one. ``Unbounded`` is raised when p is unbounded, or when it is
     empty but some generator has degree 0.
     """
+    bound = as_int(bound)
     if bound < 1:
         raise ValueError("degree bound must be at least 1")
     v = vrep(p)

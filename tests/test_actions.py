@@ -481,6 +481,33 @@ class TestProjEqual:
             outcomes[expected] += 1
         assert min(outcomes.values()) >= 300, outcomes
 
+class TestIntegerRule:
+    def test_non_integers_rejected(self):
+        # Each of these used to be truncated or to compute with the float.
+        cases = {
+            "point": lambda: invariant_monomial(CP1, (Fraction(1, 2),), 1),
+            "degree": lambda: invariant_monomial(CP1, (0,), 1.5),
+            "weight": lambda: linearized_action([[1, 1.7]], (-1, 0)),
+            "linearization": lambda: linearized_action([[1, 1]], (-0.5, 0)),
+            "n": lambda: LinearizedAction(2.5, IntMatrix((), 2), (0, 0)),
+            "bound": lambda: evaluate_invariants(CP1, (1, 1), 1.5),
+            "proj degree": lambda: proj_equal([(1, 1.5)], [(1, 1.5)]),
+        }
+        for name, call in cases.items():
+            with pytest.raises(ValueError):
+                call()
+                pytest.fail(name)
+
+    def test_integral_values_accepted(self):
+        # Compared by repr, so that a float result equal to an int fails.
+        same = lambda x, y: repr(x) == repr(y)
+        assert same(linearized_action([[1.0, Fraction(2, 2)]], (-1.0, 0)), CP1)
+        assert same(LinearizedAction(2.0, CP1.weights, CP1.alpha), CP1)
+        assert same(invariant_monomial(CP1, (Fraction(1),), 1.0), invariant_monomial(CP1, (1,), 1))
+        assert same(evaluate_invariants(CP1, (1, 2), 1.0), evaluate_invariants(CP1, (1, 2), 1))
+        assert proj_equal([(1, 1.0)], [(2, True)])
+
+
 class TestActionValidation:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import pytest
 
 from toricalc.lattice import (
     IntMatrix,
+    as_int,
     hnf,
     integer_kernel_basis,
     invariant_factors,
@@ -182,6 +183,36 @@ class TestKernel:
     def test_zero_row_matrix(self):
         k = integer_kernel_basis(IntMatrix((), 3))
         assert k.entries == IntMatrix.identity(3).entries
+
+
+class TestIntegerRule:
+    def test_non_integers_rejected(self):
+        # Each of these used to be truncated, ignored or passed through.
+        cases = {
+            "half": lambda: as_int(0.5),
+            "text": lambda: as_int("3"),
+            "fraction": lambda: as_int(Fraction(1, 2)),
+            "nan": lambda: as_int(float("nan")),
+            "inf": lambda: as_int(float("inf")),
+            "none": lambda: as_int(None),
+            "entry": lambda: IntMatrix(((1, 0.5),)),
+            "zero-row ncols": lambda: IntMatrix((), 2.5),
+            "from_rows ncols": lambda: IntMatrix.from_rows([(1, 2)], 3),
+            "identity": lambda: IntMatrix.identity(1.5),
+        }
+        for name, call in cases.items():
+            with pytest.raises(ValueError):
+                call()
+                pytest.fail(name)
+
+    def test_integral_values_accepted(self):
+        for x in (2, True, 2.0, Fraction(4, 2)):
+            assert as_int(x) == x and type(as_int(x)) is int
+        m = IntMatrix.from_rows([(2.0, Fraction(-4, 2))])
+        assert m == M([2, -2]) and all(type(x) is int for x in m.row(0))
+        assert IntMatrix((), 3.0) == IntMatrix((), 3)
+        assert IntMatrix.identity(2.0) == IntMatrix.identity(2)
+        assert IntMatrix.from_rows([(1, 2)], 2.0).ncols == 2
 
 
 class TestHelpers:

@@ -14,6 +14,7 @@ import pytest
 from toricalc.errors import EmptyPolyhedron, LinealityPresent, Unbounded
 from toricalc.lattice import primitive
 from toricalc.polyhedra import (
+    Cone,
     Face,
     Polyhedron,
     VRepresentation,
@@ -427,6 +428,39 @@ class TestLatticePoints:
     def test_sorted_lex(self):
         pts = lattice_points(dilate(SQUARE, 2))
         assert pts == sorted(pts)
+
+
+class TestIntegerRule:
+    def test_non_integers_rejected(self):
+        # Each of these used to be truncated or to raise a bare TypeError.
+        cases = {
+            "b": lambda: polyhedron(1, [((1,), 0.5), ((-1,), -2)]),
+            "normal": lambda: polyhedron(1, [((Fraction(1, 2),), 0)]),
+            "dim": lambda: polyhedron(1.5, []),
+            "cone row": lambda: Cone(2, [(1, 0.5)]),
+            "cone ambient": lambda: Cone(2.5, []),
+            "support": lambda: face(SQUARE, [1.9]),
+            "dilation": lambda: dilate(SQUARE, 1.5),
+            "cube": lambda: unit_cube(1.5),
+            "simplex": lambda: standard_simplex(1.5),
+            "orthant": lambda: positive_orthant("2"),
+        }
+        for name, call in cases.items():
+            with pytest.raises(ValueError):
+                call()
+                pytest.fail(name)
+
+    def test_integral_values_accepted(self):
+        # Compared by repr, so that a float field equal to an int fails.
+        same = lambda x, y: repr(x) == repr(y)
+        assert same(polyhedron(1, [((1,), Fraction(4, 2))]), polyhedron(1, [((1,), 2)]))
+        assert same(polyhedron(2.0, [((1.0, True), -1)]), polyhedron(2, [((1, 1), -1)]))
+        assert same(Cone(2.0, [(1, 0.0)]), Cone(2, [(1, 0)]))
+        assert same(face(SQUARE, [1.0, True]), face(SQUARE, [1]))
+        assert same(dilate(SQUARE, 2.0), dilate(SQUARE, 2))
+        assert same(unit_cube(2.0), SQUARE)
+        assert same(standard_simplex(Fraction(2)), standard_simplex(2))
+        assert same(positive_orthant(2.0), positive_orthant(2))
 
 
 class TestTransforms:

@@ -6,6 +6,7 @@ never consults the triangulation machinery it is checking.
 
 import random
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations, product as iproduct
 from math import prod
 
@@ -454,6 +455,27 @@ class TestHilbertFunction:
     def test_negative_degree_rejected(self):
         with pytest.raises(ValueError):
             hilbert_function(SQUARE, -1)
+
+
+class TestIntegerRule:
+    def test_non_integers_rejected(self):
+        # Each of these used to be truncated or to raise a bare TypeError.
+        cases = {
+            "degree": lambda: hilbert_function(standard_simplex(2), 1.5),
+            "degree text": lambda: hilbert_function(SQUARE, "2"),
+            "bound": lambda: relation_space(SQUARE, 1.5),
+            "bound fraction": lambda: relation_space(SQUARE, Fraction(5, 2)),
+        }
+        for name, call in cases.items():
+            with pytest.raises(ValueError):
+                call()
+                pytest.fail(name)
+
+    def test_integral_values_accepted(self):
+        p = standard_simplex(2)
+        assert hilbert_function(p, 2.0) == hilbert_function(p, 2) == 6
+        assert hilbert_function(p, Fraction(0)) == hilbert_function(p, 0)
+        assert relation_space(p, 2.0) == relation_space(p, 2)
 
 
 class TestRelationSpace:
