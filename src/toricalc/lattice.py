@@ -15,7 +15,8 @@ Conventions:
 
 ``as_int`` is the package's only rule for integer input: the value types
 and the entries that take integers directly pass through it, and nothing
-below them converts again.
+below them converts again. ``_as_dim`` adds the one further rule for a
+dimension: it may not be negative.
 """
 
 from __future__ import annotations
@@ -32,6 +33,14 @@ def as_int(x) -> int:
         raise ValueError(f"expected an integer, got {x!r}") from None
     if n != x:
         raise ValueError(f"expected an integer, got {x!r}")
+    return n
+
+
+def _as_dim(x) -> int:
+    """``as_int(x)`` for a dimension, which may not be negative."""
+    n = as_int(x)
+    if n < 0:
+        raise ValueError(f"expected a nonnegative dimension, got {x!r}")
     return n
 
 
@@ -67,7 +76,7 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        n = as_int(n)
+        n = _as_dim(n)
         return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), n)
 
     def row(self, i: int) -> tuple[int, ...]:

@@ -3,10 +3,11 @@
 A polyhedron is given by integer inequality data ``a . p >= b``. This
 module builds its homogenization cone, converts between that H-form and
 the vertex/ray/lineality V-form with one incremental double description
-pass over the cone, answers face queries and counts faces from the
-tight-constraint masks of that one pass, and lists lattice points of
-bounded polyhedra. The extreme rays of any homogeneous ``Cone`` come
-from the same pass.
+pass over the cone, counts faces from the tight-constraint masks of that
+one pass, and lists lattice points of bounded polyhedra. A face query
+runs the same pass with the face's inequalities held as equalities, so
+it builds only the generators of that face. The extreme rays of any
+homogeneous ``Cone`` come from the same pass.
 
 Everything is deterministic: inequalities are inserted in the order
 given, generated rays are reduced to primitive integer vectors, and all
@@ -21,7 +22,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 from .errors import EmptyPolyhedron, LinealityPresent, Unbounded
-from .lattice import as_int, primitive
+from .lattice import _as_dim, as_int, primitive
 
 Vector = tuple[int, ...]
 Inequality = tuple[Vector, int]
@@ -35,7 +36,7 @@ class Polyhedron:
     inequalities: tuple[Inequality, ...]
 
     def __post_init__(self):
-        dim = as_int(self.dim)
+        dim = _as_dim(self.dim)
         rows = tuple((tuple(map(as_int, a)), as_int(b)) for a, b in self.inequalities)
         if any(len(a) != dim for a, _ in rows):
             raise ValueError("inequality normal has wrong length")
@@ -58,12 +59,12 @@ def interval(lo: int, hi: int) -> Polyhedron:
 
 
 def positive_orthant(dim: int) -> Polyhedron:
-    dim = as_int(dim)
+    dim = _as_dim(dim)
     return polyhedron(dim, [(tuple(1 if j == i else 0 for j in range(dim)), 0) for i in range(dim)])
 
 
 def standard_simplex(dim: int) -> Polyhedron:
-    dim = as_int(dim)
+    dim = _as_dim(dim)
     ineqs = [(tuple(1 if j == i else 0 for j in range(dim)), 0) for i in range(dim)]
     ineqs.append((tuple(-1 for _ in range(dim)), -1))
     return polyhedron(dim, ineqs)
@@ -71,7 +72,7 @@ def standard_simplex(dim: int) -> Polyhedron:
 
 def unit_cube(dim: int) -> Polyhedron:
     p = Polyhedron(0, ())
-    for _ in range(as_int(dim)):
+    for _ in range(_as_dim(dim)):
         p = product(p, interval(0, 1))
     return p
 
@@ -125,16 +126,25 @@ class _Ray:
         self.tight = tight
 
 
-def _dd_pair(constraints, ambient: int):
+def _dd_pair(constraints, ambient: int, equal: int = 0):
     """Double description of the cone {x : c . x >= 0 for all c}.
 
     Processes constraints in the given order, maintaining extreme rays
     (modulo lineality) and a lineality basis. Returns (rays, lineality)
     where rays are _Ray records with primitive integer vectors.
+
+    The constraints whose bits are set in the mask ``equal`` are held as
+    equalities, which gives the face of the cone they cut out: when such
+    a constraint is inserted, only the rays tight on it survive, with the
+    new adjacent combinations. A ray with c . x > 0 never has a
+    descendant tight on c, and the adjacency test of two rays tight on c
+    only consults rays tight on c, so the result is exactly the rays of
+    the full pass whose mask contains ``equal``, in the same order.
     """
     lin = [tuple(1 if j == i else 0 for j in range(ambient)) for i in range(ambient)]
     rays: list[_Ray] = []
     for k, c in enumerate(constraints):
+        held = equal >> k & 1
         lvals = [_dot(c, l) for l in lin]
         j0 = next((j for j, val in enumerate(lvals) if val != 0), None)
         if j0 is not None:
@@ -154,14 +164,15 @@ def _dd_pair(constraints, ambient: int):
                 if val:
                     r.vec = primitive(tuple(v0 * x - val * y for x, y in zip(r.vec, l0)))
                 r.tight |= 1 << k
-            rays.append(_Ray(l0, (1 << k) - 1))
+            if not held:
+                rays.append(_Ray(l0, (1 << k) - 1))
             lin = new_lin
         else:
             vals = [_dot(c, r.vec) for r in rays]
             plus = [i for i, v in enumerate(vals) if v > 0]
             zero = [i for i, v in enumerate(vals) if v == 0]
             minus = [i for i, v in enumerate(vals) if v < 0]
-            new_rays = [rays[i] for i in plus]
+            new_rays = [] if held else [rays[i] for i in plus]
             for i in zero:
                 rays[i].tight |= 1 << k
                 new_rays.append(rays[i])
@@ -197,7 +208,7 @@ class Cone:
     inequalities: tuple[Vector, ...]
 
     def __post_init__(self):
-        ambient = as_int(self.ambient)
+        ambient = _as_dim(self.ambient)
         rows = tuple(tuple(map(as_int, c)) for c in self.inequalities)
         if any(len(c) != ambient for c in rows):
             raise ValueError("cone inequality has wrong length")
@@ -228,16 +239,17 @@ def extreme_rays(c: Cone) -> tuple[tuple[Vector, ...], tuple[Vector, ...]]:
     return tuple(sorted({r.vec for r in rays})), tuple(sorted({_sign_normalize(l) for l in lin}))
 
 
-def _generators(p: Polyhedron):
+def _generators(p: Polyhedron, equal: int = 0):
     """One double description pass over the homogenization cone of ``p``.
 
     Returns (rays, lineality): rays are _Ray records (height last) whose
     mask has bit i - 1 for inequality i and bit n for the height row,
     with n inequalities; the lineality vectors have height 0 and are
-    tight everywhere. The rows go straight to ``_dd_pair``, since
-    ``Polyhedron`` has already checked them.
+    tight everywhere. The inequalities in the mask ``equal`` are held as
+    equalities (see ``_dd_pair``). The rows go straight to ``_dd_pair``,
+    since ``Polyhedron`` has already checked them.
     """
-    return _dd_pair(_homogenized_rows(p), p.dim + 1)
+    return _dd_pair(_homogenized_rows(p), p.dim + 1, equal)
 
 
 def _split_generators(rays, lin):
@@ -291,20 +303,19 @@ def face(p: Polyhedron, s) -> Face | None:
     is empty. The returned active set is closed: it lists every inequality
     tight on the whole face, not only those in ``s``.
 
-    The face is read off the one double description pass of ``p``: its
-    generators are those whose tight mask contains ``s``, and it is empty
-    when none of them has positive height. The witness is the mean of the
-    face's vertices plus the sum of its rays.
+    The face's generators come from one double description pass of ``p``
+    that holds the inequalities in ``s`` as equalities, so they are the
+    generators of the full pass whose tight mask contains ``s``. The face
+    is empty when none of them has positive height. The witness is the
+    mean of the face's vertices plus the sum of its rays.
     """
     s = _check_indices(p, s)
-    want = sum(1 << (i - 1) for i in s)
-    rays, lin = _generators(p)
-    kept = [r for r in rays if r.tight & want == want]
-    heights = [r.vec[-1] for r in kept if r.vec[-1] > 0]
+    rays, lin = _generators(p, sum(1 << (i - 1) for i in s))
+    heights = [r.vec[-1] for r in rays if r.vec[-1] > 0]
     if not heights:
         return None
     common = -1
-    for r in kept:
+    for r in rays:
         common &= r.tight
     active = frozenset(i + 1 for i in range(p.n_inequalities) if common >> i & 1)
     # Over the common denominator n * scale, the mean of the vertices x/h
@@ -312,13 +323,13 @@ def face(p: Polyhedron, s) -> Face | None:
     n = len(heights)
     scale = math.lcm(*heights)
     sums = [0] * p.dim
-    for r in kept:
+    for r in rays:
         h = r.vec[-1]
         weight = scale // h if h else n * scale
         for j in range(p.dim):
             sums[j] += weight * r.vec[j]
     witness = tuple(Fraction(x, n * scale) for x in sums)
-    return Face(active, _face_dim([r.vec for r in kept] + lin), witness)
+    return Face(active, _face_dim([r.vec for r in rays] + lin), witness)
 
 
 def _face_dim(generators) -> int:

@@ -5,12 +5,16 @@
 ``fractions.Fraction``: a rank and a linear solve that do not go through
 the Smith form.  ``proj_equal_bezout`` decides projective equality of
 evaluation vectors through one Bezout combination of the degrees.
+``face_from_full_pass`` answers a face query by the double description
+pass of the whole polyhedron, filtered by tight mask afterwards.
 """
 
+import math
 from fractions import Fraction
 
 from toricalc.actions import _rational_root
 from toricalc.errors import AllZero
+from toricalc.polyhedra import Face, _check_indices, _face_dim, _generators
 
 
 def det(m) -> int:
@@ -144,3 +148,31 @@ def _bezout(nums) -> tuple[int, list[int]]:
         coeffs.append(old_t)
         g = old_r
     return g, coeffs
+
+
+def face_from_full_pass(p, s):
+    """``toricalc.polyhedra.face`` by the route it replaced: the full double
+    description pass of ``p``, then only the generators whose tight mask
+    contains ``s``; witness, dimension and active set as ``face`` takes
+    them."""
+    s = _check_indices(p, s)
+    want = sum(1 << (i - 1) for i in s)
+    rays, lin = _generators(p)
+    kept = [r for r in rays if r.tight & want == want]
+    heights = [r.vec[-1] for r in kept if r.vec[-1] > 0]
+    if not heights:
+        return None
+    common = -1
+    for r in kept:
+        common &= r.tight
+    active = frozenset(i + 1 for i in range(p.n_inequalities) if common >> i & 1)
+    n = len(heights)
+    scale = math.lcm(*heights)
+    sums = [0] * p.dim
+    for r in kept:
+        h = r.vec[-1]
+        weight = scale // h if h else n * scale
+        for j in range(p.dim):
+            sums[j] += weight * r.vec[j]
+    witness = tuple(Fraction(x, n * scale) for x in sums)
+    return Face(active, _face_dim([r.vec for r in kept] + lin), witness)

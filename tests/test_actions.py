@@ -11,6 +11,7 @@ from itertools import product as iproduct
 
 import pytest
 
+from toricalc import actions
 from toricalc.actions import (
     LinearizedAction,
     betti,
@@ -47,7 +48,7 @@ from toricalc.polyhedra import (
 )
 from toricalc.semigroups import graded_generators, hilbert_function
 
-from oracles import proj_equal_bezout
+from oracles import face_from_full_pass, proj_equal_bezout
 
 # The two recurring actions: scaling on C^2 (quotient CP^1) and the
 # coordinate-pair scaling on C^4 whose polyhedron is the unit square.
@@ -295,6 +296,16 @@ class TestSemistability:
 
     def test_minimal_unstable_square(self):
         assert minimal_unstable_supports(SQUARE_ACTION) == [(1, 2), (3, 4)]
+
+    def test_minimal_unstable_cube6(self, monkeypatch):
+        # Each support's face holds its inequalities as equalities during
+        # the double description pass; rerunning the full pass of the cube
+        # per support made this walk about three times slower.
+        act = group_from_delta(unit_cube(6))
+        out = minimal_unstable_supports(act)
+        assert out == [(1, 2), (3, 4), (5, 6), (7, 8), (9, 10), (11, 12)]
+        monkeypatch.setattr(actions, "face", face_from_full_pass)
+        assert minimal_unstable_supports(act) == out
 
     def test_minimal_unstable_scaling(self):
         assert minimal_unstable_supports(CP1) == [(1, 2)]

@@ -199,6 +199,7 @@ class TestIntegerRule:
             "zero-row ncols": lambda: IntMatrix((), 2.5),
             "from_rows ncols": lambda: IntMatrix.from_rows([(1, 2)], 3),
             "identity": lambda: IntMatrix.identity(1.5),
+            "negative identity": lambda: IntMatrix.identity(-1),
         }
         for name, call in cases.items():
             with pytest.raises(ValueError):
@@ -212,6 +213,7 @@ class TestIntegerRule:
         assert m == M([2, -2]) and all(type(x) is int for x in m.row(0))
         assert IntMatrix((), 3.0) == IntMatrix((), 3)
         assert IntMatrix.identity(2.0) == IntMatrix.identity(2)
+        assert IntMatrix.identity(0) == IntMatrix((), 0)
         assert IntMatrix.from_rows([(1, 2)], 2.0).ncols == 2
 
 

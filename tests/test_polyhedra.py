@@ -2,7 +2,8 @@
 
 Derived expectations are computed by small independent oracles inside
 this file (pairwise vertex solving, box scans, Fourier-Motzkin face
-feasibility) and frozen literals.
+feasibility), the full-pass face route of ``oracles.py``, and frozen
+literals.
 """
 
 import random
@@ -19,6 +20,7 @@ from toricalc.polyhedra import (
     Polyhedron,
     VRepresentation,
     _dd_pair,
+    _homogenized_rows,
     _split_generators,
     dilate,
     f_vector,
@@ -35,7 +37,7 @@ from toricalc.polyhedra import (
     vrep,
 )
 
-from oracles import rational_rank
+from oracles import face_from_full_pass, rational_rank
 
 SQUARE = unit_cube(2)
 
@@ -151,6 +153,32 @@ def seeded_polyhedron(seed):
 
 
 FACE_SEEDS = range(48)
+
+
+def skewed_polyhedron(seed):
+    """Random polyhedron in dims 2-4 whose normals lie in a proper
+    sublattice: they vanish on the last one or two coordinates, and then
+    a unimodular map mixes all coordinates, so a nonempty one has
+    lineality, in general along a skewed direction."""
+    rng = random.Random(f"skewed:{seed}")
+    d = 2 + seed % 3
+    free = 1 + seed % 2 if d > 2 else 1
+    m = rng.randint(2, 6)
+    normals = [[rng.randint(-3, 3) for _ in range(d - free)] + [0] * free for _ in range(m)]
+    for _ in range(2 * d):
+        i, j = rng.sample(range(d), 2)
+        c = rng.choice((-1, 1))
+        for a in normals:
+            a[j] += c * a[i]
+    return polyhedron(d, [(tuple(a), rng.randint(-4, 2)) for a in normals])
+
+
+SKEWED_SEEDS = range(40)
+HELD_CORPUS = [("plain", seed) for seed in FACE_SEEDS] + [("skewed", seed) for seed in SKEWED_SEEDS]
+
+
+def held_corpus_polyhedron(kind, seed):
+    return seeded_polyhedron(seed) if kind == "plain" else skewed_polyhedron(seed)
 
 
 class TestVrep:
@@ -288,6 +316,50 @@ class TestFace:
         for k in range(min(m, 3) + 1):
             for s in combinations(range(1, m + 1), k):
                 assert face(p, s) == reference_face(p, set(s)), s
+
+    @pytest.mark.parametrize("kind, seed", HELD_CORPUS)
+    def test_held_equalities_match_full_pass(self, kind, seed):
+        # Holding rows as equalities during the pass must give exactly the
+        # rays of the full pass whose mask contains them: the same
+        # vectors, the same masks, in the same order.
+        p = held_corpus_polyhedron(kind, seed)
+        m = p.n_inequalities
+        rows, ambient = _homogenized_rows(p), p.dim + 1
+        full, full_lin = _dd_pair(rows, ambient)
+        for mask in range(1 << (m + 1)):
+            rays, lin = _dd_pair(rows, ambient, equal=mask)
+            assert lin == full_lin
+            expected = [(r.vec, r.tight) for r in full if r.tight & mask == mask]
+            assert [(r.vec, r.tight) for r in rays] == expected, mask
+        for k in range(m + 1):
+            for s in combinations(range(1, m + 1), k):
+                assert face(p, s) == face_from_full_pass(p, s), s
+
+    def test_held_corpus_covers_empty_faces_and_cut_lineality(self):
+        seen = set()
+        for kind, seed in HELD_CORPUS:
+            p = held_corpus_polyhedron(kind, seed)
+            v = vrep(p)
+            if v.is_empty:
+                continue
+            if any(sum(1 for x in l if x) > 1 for l in v.lineality):
+                seen.add("skewed lineality")
+            m = p.n_inequalities
+            # Row k cuts the lineality space of the rows before it when it
+            # raises their rank.
+            rows = _homogenized_rows(p)
+            cuts = [rational_rank(rows[: k + 1]) > rational_rank(rows[:k]) for k in range(m)]
+            for k in range(m + 1):
+                for s in combinations(range(1, m + 1), k):
+                    if face(p, s) is None:
+                        seen.add("empty face")
+                    # A held row that cuts the lineality space after a row
+                    # that is not held, which made a ray of a lineality
+                    # vector: the held row's step projects that ray and
+                    # adds no ray of its own.
+                    if any(cuts[i - 1] and any(cuts[j] for j in range(i - 1) if j + 1 not in s) for i in s):
+                        seen.add("held row cuts lineality")
+        assert seen == {"skewed lineality", "empty face", "held row cuts lineality"}
 
     def test_reference_corpus_covers_empty_and_lineality(self):
         kinds = set()
@@ -444,6 +516,11 @@ class TestIntegerRule:
             "cube": lambda: unit_cube(1.5),
             "simplex": lambda: standard_simplex(1.5),
             "orthant": lambda: positive_orthant("2"),
+            "negative dim": lambda: polyhedron(-1, []),
+            "negative cone ambient": lambda: Cone(-1, ()),
+            "negative cube": lambda: unit_cube(-2),
+            "negative simplex": lambda: standard_simplex(-1),
+            "negative orthant": lambda: positive_orthant(-1),
         }
         for name, call in cases.items():
             with pytest.raises(ValueError):
@@ -461,6 +538,8 @@ class TestIntegerRule:
         assert same(unit_cube(2.0), SQUARE)
         assert same(standard_simplex(Fraction(2)), standard_simplex(2))
         assert same(positive_orthant(2.0), positive_orthant(2))
+        assert same(unit_cube(0), Polyhedron(0, ()))
+        assert same(standard_simplex(0), polyhedron(0, [((), -1)]))
 
 
 class TestTransforms:
