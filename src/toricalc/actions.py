@@ -24,8 +24,8 @@ from math import comb
 from typing import Iterable, Sequence
 
 from .errors import AllZero, NonSpanning, NotInSemigroup, NotSimple, TorsionQuotient
-from .lattice import IntMatrix, as_int, integer_kernel_basis, invariant_factors, invariant_factors_from, snf
-from .polyhedra import Polyhedron, f_vector, face, polyhedron
+from .lattice import IntMatrix, _as_ints, as_int, integer_kernel_basis, invariant_factors, invariant_factors_from, snf
+from .polyhedra import Polyhedron, _face_generators, f_vector, polyhedron
 from .semigroups import graded_generators
 
 Support = tuple[int, ...]
@@ -46,7 +46,7 @@ class LinearizedAction:
 
     def __post_init__(self):
         object.__setattr__(self, "n", as_int(self.n))
-        object.__setattr__(self, "alpha", tuple(map(as_int, self.alpha)))
+        object.__setattr__(self, "alpha", _as_ints(self.alpha))
         if len(self.alpha) != self.n:
             raise ValueError("linearization length must equal n")
         if self.weights.ncols != self.n:
@@ -137,7 +137,7 @@ def invariant_monomial(action: LinearizedAction, p: Sequence[int], r: int) -> tu
     if r < 0:
         raise ValueError("degree must be nonnegative")
     q = quotient_projection(action)
-    p = tuple(map(as_int, p))
+    p = _as_ints(p)
     if len(p) != q.dim:
         raise ValueError(f"point has length {len(p)}, expected {q.dim}")
     exps = _exponents(action, q, p, r)
@@ -158,8 +158,10 @@ def _exponents(action: LinearizedAction, q: QuotientData, p, r: int) -> tuple[in
 def is_semistable(action: LinearizedAction, support: Iterable[int]) -> bool:
     """Whether points vanishing exactly on the given 1-based support
     are semistable: true iff the corresponding face of the polyhedron
-    is nonempty."""
-    return face(delta(action), support) is not None
+    is nonempty, which is when -W alpha, with W the weight matrix, lies
+    in the cone of the columns of W off the support. Only the face's
+    emptiness is computed."""
+    return _face_generators(delta(action), support) is not None
 
 
 def minimal_unstable_supports(action: LinearizedAction) -> list[Support]:
@@ -177,7 +179,7 @@ def minimal_unstable_supports(action: LinearizedAction) -> list[Support]:
             s = frozenset(combo)
             if any(s >= m for m in found):
                 continue
-            if face(p, combo) is None:
+            if _face_generators(p, combo) is None:
                 found.append(s)
                 out.append(combo)
     return out

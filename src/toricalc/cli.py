@@ -160,4 +160,6 @@ def _parse_support(text: str) -> tuple[int, ...]:
 
 
 def _parse_point(text: str) -> tuple[Fraction, ...]:
+    if not text.strip():
+        return ()
     return tuple(parse_fraction(part.strip()) for part in text.split(","))

@@ -9,13 +9,19 @@ Conventions:
     entries above each pivot reduced into ``[0, pivot)``. Pivot choice is
     leftmost column, then smallest absolute value, then lowest row index.
   * ``snf(M)`` returns ``U, V`` with ``U @ M @ V == D`` diagonal,
-    ``d_i >= 0`` and ``d_i | d_{i+1}``.
+    ``d_i >= 0`` and ``d_i | d_{i+1}``. Each step takes the entry of least
+    absolute value, first in row-major order, as its pivot. A pivot of
+    +-1 divides everything, so its column and its row are each cleared in
+    one pass with no divisibility scan; these operations commute, so D, U
+    and V equal those of the Euclid loop that every other pivot runs.
   * Kernel bases are saturated and returned in Hermite form, so they are
     canonical for the kernel lattice.
 
 ``as_int`` is the package's only rule for integer input: the value types
 and the entries that take integers directly pass through it, and nothing
-below them converts again. ``_as_dim`` adds the one further rule for a
+below them converts again. ``_as_ints`` applies it to a row and lets an
+exact ``int`` through unchecked, so a matrix computed here is not
+re-checked entry by entry. ``_as_dim`` adds the one further rule for a
 dimension: it may not be negative.
 """
 
@@ -34,6 +40,11 @@ def as_int(x) -> int:
     if n != x:
         raise ValueError(f"expected an integer, got {x!r}")
     return n
+
+
+def _as_ints(row) -> tuple[int, ...]:
+    """``as_int`` of each entry of ``row``; an exact ``int`` passes as it is."""
+    return tuple(x if type(x) is int else as_int(x) for x in row)
 
 
 def _as_dim(x) -> int:
@@ -55,7 +66,7 @@ class IntMatrix:
     ncols: int = -1
 
     def __post_init__(self):
-        rows = tuple(tuple(map(as_int, row)) for row in self.entries)
+        rows = tuple(_as_ints(row) for row in self.entries)
         width = len(rows[0]) if rows else as_int(self.ncols)
         if width < 0:
             raise ValueError("zero-row matrix needs an explicit ncols")
@@ -165,6 +176,24 @@ def hnf(m: IntMatrix) -> NormalForm:
     return NormalForm(IntMatrix(d, nc), IntMatrix(u, nr))
 
 
+def _smith_pivot(d, t):
+    """(i, j) with i, j >= t of the least nonzero |d[i][j]|, first in
+    row-major order; None when that block is zero. No entry beats a unit,
+    so the scan stops at the first one."""
+    best = None
+    for i in range(t, len(d)):
+        row = d[i]
+        for j in range(t, len(row)):
+            x = row[j]
+            if x:
+                a = abs(x)
+                if a == 1:
+                    return i, j
+                if best is None or a < best[0]:
+                    best = (a, i, j)
+    return best and best[1:]
+
+
 def snf(m: IntMatrix) -> NormalForm:
     """Smith normal form with transforms: U @ M @ V == D."""
     nr, nc = m.nrows, m.ncols
@@ -187,42 +216,55 @@ def snf(m: IntMatrix) -> NormalForm:
 
     t = 0
     while t < min(nr, nc):
-        cand = [(abs(d[i][j]), i, j) for i in range(t, nr) for j in range(t, nc) if d[i][j] != 0]
-        if not cand:
+        piv = _smith_pivot(d, t)
+        if piv is None:
             break
-        _, pi, pj = min(cand)
+        pi, pj = piv
         if pi != t:
             _swap(d, pi, t)
             _swap(u, pi, t)
         if pj != t:
             col_swap(pj, t)
-        while True:
-            col_nz = [i for i in range(t + 1, nr) if d[i][t] != 0]
-            if col_nz:
-                i = min(col_nz, key=lambda i: (abs(d[i][t]), i))
-                q = d[i][t] // d[t][t]
-                _row_sub(d, i, q, t)
-                _row_sub(u, i, q, t)
-                if d[i][t] != 0:
-                    _swap(d, i, t)
-                    _swap(u, i, t)
-                continue
-            row_nz = [j for j in range(t + 1, nc) if d[t][j] != 0]
-            if row_nz:
-                j = min(row_nz, key=lambda j: (abs(d[t][j]), j))
-                q = d[t][j] // d[t][t]
-                col_sub(j, q, t)
-                if d[t][j] != 0:
-                    col_swap(j, t)
-                continue
-            bad = next(
-                ((i, j) for i in range(t + 1, nr) for j in range(t + 1, nc) if d[i][j] % d[t][t] != 0),
-                None,
-            )
-            if bad is None:
-                break
-            _row_sub(d, t, -1, bad[0])
-            _row_sub(u, t, -1, bad[0])
+        p = d[t][t]
+        if p == 1 or p == -1:
+            # x // p is x * p, and every remainder is 0.
+            for i in range(t + 1, nr):
+                q = d[i][t] * p
+                if q:
+                    _row_sub(d, i, q, t)
+                    _row_sub(u, i, q, t)
+            for j in range(t + 1, nc):
+                q = d[t][j] * p
+                if q:
+                    col_sub(j, q, t)
+        else:
+            while True:
+                col_nz = [i for i in range(t + 1, nr) if d[i][t] != 0]
+                if col_nz:
+                    i = min(col_nz, key=lambda i: (abs(d[i][t]), i))
+                    q = d[i][t] // d[t][t]
+                    _row_sub(d, i, q, t)
+                    _row_sub(u, i, q, t)
+                    if d[i][t] != 0:
+                        _swap(d, i, t)
+                        _swap(u, i, t)
+                    continue
+                row_nz = [j for j in range(t + 1, nc) if d[t][j] != 0]
+                if row_nz:
+                    j = min(row_nz, key=lambda j: (abs(d[t][j]), j))
+                    q = d[t][j] // d[t][t]
+                    col_sub(j, q, t)
+                    if d[t][j] != 0:
+                        col_swap(j, t)
+                    continue
+                bad = next(
+                    ((i, j) for i in range(t + 1, nr) for j in range(t + 1, nc) if d[i][j] % d[t][t] != 0),
+                    None,
+                )
+                if bad is None:
+                    break
+                _row_sub(d, t, -1, bad[0])
+                _row_sub(u, t, -1, bad[0])
         if d[t][t] < 0:
             _negate(d, t)
             _negate(u, t)

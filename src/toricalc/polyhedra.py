@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 from .errors import EmptyPolyhedron, LinealityPresent, Unbounded
-from .lattice import _as_dim, as_int, primitive
+from .lattice import _as_dim, _as_ints, as_int, primitive
 
 Vector = tuple[int, ...]
 Inequality = tuple[Vector, int]
@@ -37,7 +37,7 @@ class Polyhedron:
 
     def __post_init__(self):
         dim = _as_dim(self.dim)
-        rows = tuple((tuple(map(as_int, a)), as_int(b)) for a, b in self.inequalities)
+        rows = tuple((_as_ints(a), as_int(b)) for a, b in self.inequalities)
         if any(len(a) != dim for a, _ in rows):
             raise ValueError("inequality normal has wrong length")
         object.__setattr__(self, "dim", dim)
@@ -209,7 +209,7 @@ class Cone:
 
     def __post_init__(self):
         ambient = _as_dim(self.ambient)
-        rows = tuple(tuple(map(as_int, c)) for c in self.inequalities)
+        rows = tuple(_as_ints(c) for c in self.inequalities)
         if any(len(c) != ambient for c in rows):
             raise ValueError("cone inequality has wrong length")
         object.__setattr__(self, "ambient", ambient)
@@ -290,10 +290,21 @@ def is_bounded(p: Polyhedron) -> bool:
 
 
 def _check_indices(p: Polyhedron, s) -> frozenset[int]:
-    s = frozenset(map(as_int, s))
+    s = frozenset(_as_ints(s))
     if any(i < 1 or i > p.n_inequalities for i in s):
         raise ValueError("inequality index out of range (indices are 1-based)")
     return s
+
+
+def _face_generators(p: Polyhedron, s):
+    """(rays, lineality) of the pass of ``p`` that holds the inequalities in
+    ``s`` (1-based indices) as equalities, or None when no ray has positive
+    height, that is when the face is empty."""
+    s = _check_indices(p, s)
+    rays, lin = _generators(p, sum(1 << (i - 1) for i in s))
+    if not any(r.vec[-1] > 0 for r in rays):
+        return None
+    return rays, lin
 
 
 def face(p: Polyhedron, s) -> Face | None:
@@ -309,11 +320,11 @@ def face(p: Polyhedron, s) -> Face | None:
     is empty when none of them has positive height. The witness is the
     mean of the face's vertices plus the sum of its rays.
     """
-    s = _check_indices(p, s)
-    rays, lin = _generators(p, sum(1 << (i - 1) for i in s))
-    heights = [r.vec[-1] for r in rays if r.vec[-1] > 0]
-    if not heights:
+    generators = _face_generators(p, s)
+    if generators is None:
         return None
+    rays, lin = generators
+    heights = [r.vec[-1] for r in rays if r.vec[-1] > 0]
     common = -1
     for r in rays:
         common &= r.tight

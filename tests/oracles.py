@@ -7,6 +7,10 @@ the Smith form.  ``proj_equal_bezout`` decides projective equality of
 evaluation vectors through one Bezout combination of the degrees.
 ``face_from_full_pass`` answers a face query by the double description
 pass of the whole polyhedron, filtered by tight mask afterwards.
+``snf_euclid`` is ``toricalc.lattice.snf`` with the Euclid loop run for
+every pivot, units included.  ``semistable_by_weight_cone`` decides
+semistability from the weights by Fourier-Motzkin elimination, without
+the polyhedron.
 """
 
 import math
@@ -14,6 +18,7 @@ from fractions import Fraction
 
 from toricalc.actions import _rational_root
 from toricalc.errors import AllZero
+from toricalc.lattice import IntMatrix, NormalForm, _negate, _row_sub, _swap
 from toricalc.polyhedra import Face, _check_indices, _face_dim, _generators
 
 
@@ -176,3 +181,125 @@ def face_from_full_pass(p, s):
             sums[j] += weight * r.vec[j]
     witness = tuple(Fraction(x, n * scale) for x in sums)
     return Face(active, _face_dim([r.vec for r in kept] + lin), witness)
+
+
+def snf_euclid(m):
+    """Smith normal form with transforms, U @ M @ V == D, by the Euclid
+    loop alone: pivot on the least nonzero entry (lowest row, then column,
+    among ties), reduce its column and row by division with remainder
+    until both are clear, and fold in a row whose entry the pivot does not
+    divide."""
+    nr, nc = m.nrows, m.ncols
+    d = [list(r) for r in m.entries]
+    u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
+    v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
+
+    def col_swap(i, j):
+        for row in d:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+
+    def col_sub(i, q, j):
+        """column i -= q * column j"""
+        for row in d:
+            row[i] -= q * row[j]
+        for row in v:
+            row[i] -= q * row[j]
+
+    t = 0
+    while t < min(nr, nc):
+        cand = [(abs(d[i][j]), i, j) for i in range(t, nr) for j in range(t, nc) if d[i][j] != 0]
+        if not cand:
+            break
+        _, pi, pj = min(cand)
+        if pi != t:
+            _swap(d, pi, t)
+            _swap(u, pi, t)
+        if pj != t:
+            col_swap(pj, t)
+        while True:
+            col_nz = [i for i in range(t + 1, nr) if d[i][t] != 0]
+            if col_nz:
+                i = min(col_nz, key=lambda i: (abs(d[i][t]), i))
+                q = d[i][t] // d[t][t]
+                _row_sub(d, i, q, t)
+                _row_sub(u, i, q, t)
+                if d[i][t] != 0:
+                    _swap(d, i, t)
+                    _swap(u, i, t)
+                continue
+            row_nz = [j for j in range(t + 1, nc) if d[t][j] != 0]
+            if row_nz:
+                j = min(row_nz, key=lambda j: (abs(d[t][j]), j))
+                q = d[t][j] // d[t][t]
+                col_sub(j, q, t)
+                if d[t][j] != 0:
+                    col_swap(j, t)
+                continue
+            bad = next(
+                ((i, j) for i in range(t + 1, nr) for j in range(t + 1, nc) if d[i][j] % d[t][t] != 0),
+                None,
+            )
+            if bad is None:
+                break
+            _row_sub(d, t, -1, bad[0])
+            _row_sub(u, t, -1, bad[0])
+        if d[t][t] < 0:
+            _negate(d, t)
+            _negate(u, t)
+        t += 1
+    return NormalForm(IntMatrix(d, nc), IntMatrix(u, nr), IntMatrix(v, nc))
+
+
+def semistable_by_weight_cone(action, support) -> bool:
+    """``toricalc.actions.is_semistable`` from the weights alone.
+
+    An invariant x^e t^r of positive degree r that vanishes nowhere off
+    the 1-based ``support`` has W e = -r W alpha with e >= 0 and e_j = 0
+    on the support. So the support is semistable iff -W alpha lies in the
+    cone of the weight columns w_j, j outside the support. Membership is
+    decided by Fourier-Motzkin elimination of the cone coefficients from
+    ``sum_j lam_j w_j = -W alpha``, ``lam >= 0``, in ``Fraction``s.
+    """
+    zero = set(support)
+    outside = [j for j in range(action.n) if j + 1 not in zero]
+    m = len(outside)
+    # A row (c, b) stands for c . lam <= b.
+    rows = []
+    for w in action.weights.entries:
+        c = [Fraction(w[j]) for j in outside]
+        b = Fraction(-sum(x * a for x, a in zip(w, action.alpha)))
+        rows += [(c, b), ([-x for x in c], -b)]
+    rows += [([Fraction(-(i == j)) for j in range(m)], Fraction(0)) for i in range(m)]
+    rows = _fm_reduce(rows)
+    for v in range(m):
+        if rows is None:
+            return False
+        pos = [r for r in rows if r[0][v] > 0]
+        neg = [r for r in rows if r[0][v] < 0]
+        kept = [r for r in rows if r[0][v] == 0]
+        for cp, bp in pos:
+            for cn, bn in neg:
+                sp, sn = -cn[v], cp[v]
+                kept.append(([sp * x + sn * y for x, y in zip(cp, cn)], sp * bp + sn * bn))
+        rows = _fm_reduce(kept)
+    return rows is not None
+
+
+def _fm_reduce(rows):
+    """Scale each row c . lam <= b so that its first nonzero coefficient
+    has absolute value 1 and keep the least b per c; None when a row with
+    c = 0 has b < 0, so the system has no solution."""
+    best = {}
+    for c, b in rows:
+        lead = next((abs(x) for x in c if x), None)
+        if lead is None:
+            if b < 0:
+                return None
+            continue
+        key = tuple(x / lead for x in c)
+        b /= lead
+        if key not in best or b < best[key]:
+            best[key] = b
+    return [(list(c), b) for c, b in best.items()]

@@ -304,7 +304,7 @@ class TestSemistability:
         act = group_from_delta(unit_cube(6))
         out = minimal_unstable_supports(act)
         assert out == [(1, 2), (3, 4), (5, 6), (7, 8), (9, 10), (11, 12)]
-        monkeypatch.setattr(actions, "face", face_from_full_pass)
+        monkeypatch.setattr(actions, "_face_generators", face_from_full_pass)
         assert minimal_unstable_supports(act) == out
 
     def test_minimal_unstable_scaling(self):

@@ -152,6 +152,12 @@ class TestGoldenOutputs:
         assert code == 0
         assert json.loads(out)["values"][0] == {"degree": 1, "value": "1/2"}
 
+    def test_evaluate_empty_point(self, tmp_path):
+        # On C^0 the point is empty; the one generator is t itself.
+        f = jfile(tmp_path, "c0.json", {"n": 0, "weights": [], "linearization": []})
+        code, out, err = execute(["evaluate", "--action", f, "--point", "", "--bound", "1"])
+        assert (code, out, err) == (0, '{"values":[{"degree":1,"value":"1"}]}\n', "")
+
     def test_relations(self, tmp_path):
         f = jfile(tmp_path, "interval.json", INTERVAL_POLY)
         code, out, _ = execute(["relations", "--polytope", f, "--bound", "2"])

@@ -1,5 +1,7 @@
 """Normal forms and kernels: frozen examples plus exact factorization checks."""
 
+import random
+
 import pytest
 
 from toricalc.lattice import (
@@ -13,11 +15,49 @@ from toricalc.lattice import (
 )
 from fractions import Fraction
 
-from oracles import det, rational_rank, solve_rational
+from oracles import det, rational_rank, snf_euclid, solve_rational
 
 
 def M(*rows, ncols=None):
     return IntMatrix.from_rows(rows, ncols=ncols)
+
+
+def snf_corpus(count=400, seed=10):
+    """Seeded matrices up to 6 x 7, taller ones included: entries in
+    [-2, 2] (unit pivots of either sign), the same times 2 or 3 (no unit
+    anywhere), some with a zero row or column, and W = [I_k | B] with
+    permuted columns mixed by unimodular row operations; plus the empty
+    shapes 0 x n and n x 0."""
+    rng = random.Random(seed)
+    out = [IntMatrix((), n) for n in range(4)] + [IntMatrix(((),) * n, 0) for n in range(1, 4)]
+    while len(out) < count:
+        nr, nc = rng.randint(1, 6), rng.randint(1, 7)
+        kind = rng.randrange(4)
+        if kind == 3:
+            k = min(nr, nc)
+            rows = [[int(i == j) for j in range(k)] + [rng.randint(-1, 2) for _ in range(nc - k)] for i in range(k)]
+            perm = rng.sample(range(nc), nc)
+            rows = [[r[c] for c in perm] for r in rows]
+            for _ in range(3 * k):
+                i, j = rng.sample(range(k), 2) if k > 1 else (0, 0)
+                if i != j:
+                    q = rng.choice([-2, -1, 1, 2])
+                    rows[i] = [x + q * y for x, y in zip(rows[i], rows[j])]
+        else:
+            scale = 1 if kind == 0 else rng.choice([2, 3])
+            rows = [[scale * rng.randint(-2, 2) for _ in range(nc)] for _ in range(nr)]
+            if kind == 2:
+                if rng.random() < 0.5:
+                    rows[rng.randrange(nr)] = [0] * nc
+                else:
+                    j = rng.randrange(nc)
+                    for r in rows:
+                        r[j] = 0
+        out.append(M(*rows, ncols=nc))
+    return out
+
+
+SNF_CORPUS = snf_corpus()
 
 
 def is_unimodular(u):
@@ -139,6 +179,26 @@ class TestSmith:
     def test_deterministic(self):
         m = M([3, 1, -4], [2, -3, 1])
         assert snf(m) == snf(m)
+
+    def test_matches_euclid_loop(self):
+        # A unit pivot clears its column and row in one pass each; the
+        # transforms must still be exactly those of the Euclid loop.
+        for m in SNF_CORPUS:
+            assert snf(m) == snf_euclid(m), m
+
+    def test_corpus_coverage(self):
+        def first_pivot(m):
+            nz = [(abs(x), i, j, x) for i, row in enumerate(m.entries) for j, x in enumerate(row) if x]
+            return min(nz)[3] if nz else 0
+
+        pivots = {first_pivot(m) for m in SNF_CORPUS}
+        assert {1, -1} <= pivots and any(abs(x) > 1 for x in pivots)
+        assert any(m.nrows == 0 and m.ncols for m in SNF_CORPUS)
+        assert any(m.ncols == 0 and m.nrows for m in SNF_CORPUS)
+        assert any(m.nrows > m.ncols > 0 for m in SNF_CORPUS)
+        assert any(m.nrows > 1 and not any(m.row(i)) for m in SNF_CORPUS for i in range(m.nrows))
+        assert any(m.nrows > 1 and not any(m.column(j)) for m in SNF_CORPUS for j in range(m.ncols))
+        assert any(invariant_factors(m) == (1,) * m.nrows and m.ncols > m.nrows > 1 for m in SNF_CORPUS)
 
 
 class TestKernel:

@@ -41,7 +41,7 @@ from toricalc.polyhedra import (
 )
 from toricalc.semigroups import graded_generators, hilbert_function, relation_space
 
-from oracles import det, rational_rank
+from oracles import det, rational_rank, semistable_by_weight_cone
 
 lax = settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 geometry = settings(
@@ -336,6 +336,34 @@ def seeded_action(seed):
     rng.shuffle(perm)
     weights = [[row[c] for c in perm] for row in rows]
     return linearized_action(weights, [rng.randint(-3, 1) for _ in range(n)])
+
+
+# Seeded actions (empty, bounded and unbounded polyhedra) plus actions of
+# the trivial group, k = 0, where every support is semistable.
+WEIGHT_CONE_CORPUS = [seeded_action(seed) for seed in range(24)] + [
+    linearized_action([], alpha) for alpha in ((), (1,), (-2, 0, 1))
+]
+
+
+class TestWeightConeOracle:
+    @pytest.mark.parametrize("act", WEIGHT_CONE_CORPUS)
+    def test_is_semistable_matches_weight_cone(self, act):
+        for size in range(act.n + 1):
+            for s in combinations(range(1, act.n + 1), size):
+                assert is_semistable(act, s) == semistable_by_weight_cone(act, s), s
+
+    @pytest.mark.parametrize("act", WEIGHT_CONE_CORPUS)
+    def test_minimal_unstable_supports_are_minimal(self, act):
+        for m in minimal_unstable_supports(act):
+            assert not semistable_by_weight_cone(act, m), m
+            for i in m:
+                assert semistable_by_weight_cone(act, tuple(j for j in m if j != i)), (m, i)
+
+    def test_corpus_covers_trivial_group_and_empty_delta(self):
+        assert any(act.weights.nrows == 0 for act in WEIGHT_CONE_CORPUS)
+        assert any(max(act.alpha, default=0) == 1 for act in WEIGHT_CONE_CORPUS)
+        assert any(is_empty(delta(act)) for act in WEIGHT_CONE_CORPUS)
+        assert any(not is_empty(delta(act)) and minimal_unstable_supports(act) for act in WEIGHT_CONE_CORPUS)
 
 
 class TestActionProperties:

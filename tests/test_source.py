@@ -6,7 +6,9 @@ Internal invariants are either proven or reported as a documented
 and the semigroup algorithms work in integers only, so they never use
 ``fractions.Fraction``. Integer input is checked by ``lattice.as_int``
 alone, since a bare ``int()`` truncates 0.5 to 0 without a word; only
-the command line, which parses argv text, calls ``int`` itself. The
+the command line, which parses argv text, calls ``int`` itself. A row
+goes through ``lattice._as_ints``, which skips the call for an exact
+``int``, not through ``map(as_int, ...)``. The
 package exports each public name it imports, and no submodule.
 """
 
@@ -48,6 +50,24 @@ def fraction_sites(path):
         elif isinstance(node, ast.Attribute) and node.attr == "Fraction":
             lines.append(node.lineno)
     return lines
+
+
+def map_as_int_sites(path):
+    """Line numbers of calls ``map(as_int, ...)`` outside the body of
+    ``lattice._as_ints``, the one place that converts a row."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    allowed = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == "_as_ints" and path.name == "lattice.py":
+            allowed.update(id(n) for n in ast.walk(node))
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and id(node) not in allowed:
+            if isinstance(node.func, ast.Name) and node.func.id == "map" and node.args:
+                first = node.args[0]
+                if isinstance(first, ast.Name) and first.id == "as_int":
+                    lines.append(node.lineno)
+    return sorted(lines)
 
 
 def int_call_sites(path):
@@ -108,6 +128,20 @@ def test_int_check_sees_calls_and_arguments(tmp_path):
     path = tmp_path / "lattice.py"
     path.write_text("def as_int(x):\n    return int(x)\n\ny = int(2)\nz = list(map(int, 'ab'))\n")
     assert int_call_sites(path) == [4, 5]
+
+
+def test_rows_converted_only_by_as_ints():
+    found = {p.name: map_as_int_sites(p) for p in SOURCES}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_map_check_sees_calls_outside_as_ints(tmp_path):
+    path = tmp_path / "lattice.py"
+    path.write_text(
+        "def _as_ints(row):\n    return tuple(map(as_int, row))\n\n"
+        "y = tuple(map(as_int, (1,)))\nz = set(map(abs, (1,)))\n"
+    )
+    assert map_as_int_sites(path) == [4]
 
 
 def test_exports_every_public_name():
