@@ -7,7 +7,8 @@ pass over the cone, counts faces from the tight-constraint masks of that
 one pass, and lists lattice points of bounded polyhedra. A face query
 runs the same pass with the face's inequalities held as equalities, so
 it builds only the generators of that face. The extreme rays of any
-homogeneous ``Cone`` come from the same pass.
+homogeneous ``Cone`` come from the same pass, and so does a pulling
+triangulation of a pointed one, read from the tight masks.
 
 Everything is deterministic: inequalities are inserted in the order
 given, generated rays are reduced to primitive integer vectors, and all
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
 
-from .errors import EmptyPolyhedron, LinealityPresent, Unbounded
+from .errors import EmptyPolyhedron, LinealityPresent, NotPointed, Unbounded
 from .lattice import _as_dim, _as_ints, as_int, primitive
 
 Vector = tuple[int, ...]
@@ -239,6 +240,52 @@ def extreme_rays(c: Cone) -> tuple[tuple[Vector, ...], tuple[Vector, ...]]:
     return tuple(sorted({r.vec for r in rays})), tuple(sorted({_sign_normalize(l) for l in lin}))
 
 
+def _triangulation(c: Cone) -> tuple[tuple[Vector, ...], list[tuple[int, ...]]]:
+    """The sorted extreme rays of a pointed cone and a pulling
+    triangulation of it, as ascending index tuples into the rays.
+
+    Both come from one double description pass: a face is the set of rays
+    tight on some constraints, kept as a bitmask over the rays. A face
+    whose ray count equals its rank is a simplex. Any other face is coned
+    from its first ray over the triangulations of its facets that miss
+    that ray; its facets are its intersections with the constraints' tight
+    sets that have rank one less (De Loera, Rambau and Santos,
+    "Triangulations", Springer 2010, section 4.3). ``NotPointed`` is raised
+    when the cone contains a line.
+    """
+    rays, lin = _dd_pair(c.inequalities, c.ambient)
+    if lin:
+        raise NotPointed("the cone contains a line")
+    tight = {r.vec: r.tight for r in rays}
+    vecs = tuple(sorted(tight))
+    if not vecs:
+        return vecs, []
+    index = range(len(vecs))
+    tight_sets = dict.fromkeys(
+        sum(1 << g for g in index if tight[vecs[g]] >> i & 1) for i in range(len(c.inequalities))
+    )
+    memo: dict[int, list[tuple[int, ...]]] = {}
+
+    def pull(face: int, rank: int) -> list[tuple[int, ...]]:
+        if face not in memo:
+            members = [g for g in index if face >> g & 1]
+            if len(members) == rank:
+                memo[face] = [tuple(members)]
+            else:
+                first = members[0]
+                memo[face] = [
+                    (first,) + s
+                    for f in dict.fromkeys(face & m for m in tight_sets)
+                    if not f >> first & 1
+                    and f.bit_count() >= rank - 1
+                    and _rank([vecs[g] for g in index if f >> g & 1]) == rank - 1
+                    for s in pull(f, rank - 1)
+                ]
+        return memo[face]
+
+    return vecs, pull((1 << len(vecs)) - 1, _rank(vecs))
+
+
 def _generators(p: Polyhedron, equal: int = 0):
     """One double description pass over the homogenization cone of ``p``.
 
@@ -340,14 +387,14 @@ def face(p: Polyhedron, s) -> Face | None:
         for j in range(p.dim):
             sums[j] += weight * r.vec[j]
     witness = tuple(Fraction(x, n * scale) for x in sums)
-    return Face(active, _face_dim([r.vec for r in rays] + lin), witness)
+    return Face(active, _rank([r.vec for r in rays] + lin) - 1, witness)
 
 
-def _face_dim(generators) -> int:
-    """Dimension of a face from its homogenized generators (vertices at
-    positive height, rays and lineality at height 0): their rank less
-    one, by fraction-free (Bareiss) elimination."""
-    rows = [list(g) for g in generators if any(g)]
+def _rank(vectors) -> int:
+    """Rank of integer vectors, by fraction-free (Bareiss) elimination.
+    The dimension of a face is the rank of its homogenized generators
+    (vertices at positive height, rays and lineality at height 0) less one."""
+    rows = [list(g) for g in vectors if any(g)]
     rank = 0
     prev = 1
     for c in range(len(rows[0]) if rows else 0):
@@ -360,7 +407,7 @@ def _face_dim(generators) -> int:
         rows = [r for r in rows if any(r)]
         prev = pc
         rank += 1
-    return rank - 1
+    return rank
 
 
 def f_vector(p: Polyhedron) -> tuple[tuple[int, ...], bool]:
@@ -388,7 +435,7 @@ def f_vector(p: Polyhedron) -> tuple[tuple[int, ...], bool]:
             if any(is_vertex[g] for g in sub) and sub != cur and sub not in seen:
                 seen.add(sub)
                 queue.append(sub)
-    dims = {fs: _face_dim([rays[g].vec for g in fs]) for fs in seen}
+    dims = {fs: _rank([rays[g].vec for g in fs]) - 1 for fs in seen}
     d = dims[top]
     counts = [0] * (d + 1)
     for fs, fd in dims.items():

@@ -1,23 +1,20 @@
 """Graded semigroup rings of homogenization cones.
 
 The cone over a polyhedron P lives one dimension up, with the extra
-coordinate as the grading; ``polyhedra.homogenize`` builds it and
-``polyhedra.extreme_rays`` runs its one double description pass, and
-both are re-exported here. Its lattice points form a graded semigroup
-whose minimal generators (the Hilbert basis, for pointed cones) give
-the multiplicative generators of the associated graded ring, and whose
-height-r slices have dimension ``hilbert_function(P, r)``.
+coordinate as the grading; ``polyhedra.homogenize`` builds it, and it
+and ``Cone`` are re-exported here. Its lattice points form a graded
+semigroup whose minimal generators (the Hilbert basis, for pointed
+cones) give the multiplicative generators of the associated graded
+ring, and whose height-r slices have dimension ``hilbert_function(P, r)``.
 
 The Hilbert basis computation follows Bruns and Ichim, "Normaliz:
 algorithms for affine monoids and rational cones", J. Algebra 324
-(2010). It triangulates the cone by placing its extreme rays in sorted
-order, in integers: each boundary facet of the triangulation keeps a
-normal, so a new ray finds the facets it sees with one dot product each,
-as Normaliz extends its triangulations (Bruns, Ichim and Soeger, "The
-power of pyramid decomposition in Normaliz", J. Symb. Comput. 74
-(2016)). It lists the lattice points of the half-open fundamental
-parallelepiped of each simplicial piece as the finite group read off the
-Smith form of its ray matrix. The candidates
+(2010). Any triangulation of the extreme rays gives the same basis, so
+the cone is triangulated by pulling its extreme rays in sorted order,
+read from the tight masks of its one double description pass
+(``polyhedra._triangulation``). It lists the lattice points of the
+half-open fundamental parallelepiped of each simplicial piece as the
+finite group read off the Smith form of its ray matrix. The candidates
 are then taken in order of a positive grading, and each is kept unless
 it lies above an element already kept. Relations among the generators
 are counted from the fibers of the monomials over their images, without
@@ -29,9 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as iproduct
 
-from .errors import NotPointed, Unbounded
-from .lattice import IntMatrix, as_int, invariant_factors_from, primitive, snf
-from .polyhedra import Cone, Polyhedron, _dot, dilate, extreme_rays, homogenize, lattice_points, vrep
+from .errors import Unbounded
+from .lattice import IntMatrix, as_int, invariant_factors_from, snf
+from .polyhedra import Cone, Polyhedron, _triangulation, dilate, homogenize, lattice_points, vrep
 
 Vector = tuple[int, ...]
 
@@ -57,80 +54,6 @@ class RingPresentation:
 
     generators: tuple[GradedPoint, ...]
     relations_by_degree: dict[int, DegreeRelations]
-
-
-def _placing_triangulation(rays: list[Vector]) -> list[tuple[int, ...]]:
-    """Simplicial subcones covering cone(rays), as index tuples.
-
-    Rays are placed in list order, in integers only. Between rays the
-    triangulation keeps its boundary facets (those in exactly one
-    simplex), each with a primitive normal that vanishes on the facet and
-    is positive on the opposite ray of its simplex, a map from each ridge
-    of the boundary to its two facets, and a basis ``comp`` of the vectors
-    orthogonal to the rays placed so far. A new ray r extends the span
-    exactly when some k in ``comp`` has k . r != 0. Then, with m = +-k and
-    m . r > 0, r is joined to every simplex, each old simplex becomes a
-    boundary facet with normal m, and the old normals and the rest of
-    ``comp`` are projected to vanish on r. Otherwise r sees the boundary
-    facets with n . r < 0 and is attached over each of them. A ridge
-    between a seen facet F and an unseen one F' gives the boundary facet
-    ridge + (r,) with normal (n_F' . r) n_F - (n_F . r) n_F': it vanishes
-    on r, and is positive on the opposite ray of F because
-    n_F . r < 0 <= n_F' . r. There must be at least one input ray, and
-    each must be extreme, which for a pointed cone rules out a ray
-    landing inside the old cone.
-    """
-    comp = list(IntMatrix.identity(len(rays[0])).entries)
-    simplices: list[tuple[int, ...]] = [()]
-    boundary: dict[tuple[int, ...], Vector] = {}
-    ridges: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for i, r in enumerate(rays):
-        j = next((j for j, k in enumerate(comp) if _dot(k, r)), None)
-        if j is not None:
-            m = comp.pop(j)
-            if _dot(m, r) < 0:
-                m = tuple(-x for x in m)
-            comp = [_eliminate(c, m, r) for c in comp]
-            boundary = {f + (i,): _eliminate(n, m, r) for f, n in boundary.items()}
-            boundary.update(dict.fromkeys(simplices, m))
-            simplices = [s + (i,) for s in simplices]
-            ridges = {}
-            for f in boundary:
-                for ridge in _ridges(f):
-                    ridges.setdefault(ridge, []).append(f)
-            continue
-        seen = {f for f, n in boundary.items() if _dot(n, r) < 0}
-        simplices.extend(sorted(f + (i,) for f in seen))
-        for f in seen:
-            for ridge in _ridges(f):
-                pair = ridges[ridge]
-                pair.remove(f)
-                if not pair:
-                    del ridges[ridge]
-                    continue
-                g = pair[0]
-                if g in seen:
-                    continue
-                new = ridge + (i,)
-                pair.append(new)
-                boundary[new] = _eliminate(boundary[f], boundary[g], r)
-                for sub in _ridges(ridge):
-                    ridges.setdefault(sub + (i,), []).append(new)
-        for f in seen:
-            del boundary[f]
-    return simplices
-
-
-def _ridges(f: tuple[int, ...]):
-    """The faces of an index tuple with one index left out, in order."""
-    return (f[:j] + f[j + 1 :] for j in range(len(f)))
-
-
-def _eliminate(v: Vector, m: Vector, r: Vector) -> Vector:
-    """primitive((m . r) v - (v . r) m), the combination of v and m that
-    vanishes on r; v itself when it already does."""
-    mr, vr = _dot(m, r), _dot(v, r)
-    return primitive(tuple(mr * a - vr * b for a, b in zip(v, m))) if vr else v
 
 
 def _parallelepiped_points(rays: list[Vector]) -> list[Vector]:
@@ -165,16 +88,12 @@ def hilbert_basis(c: Cone) -> list[Vector]:
     the cone minus 0 because a pointed cone's inequality matrix has
     trivial kernel. A candidate g is kept unless g - h lies in the cone
     for an h kept before it (Bruns and Ichim, J. Algebra 324 (2010)).
+    ``NotPointed`` is raised when the cone contains a line.
     """
-    rays, lineality = extreme_rays(c)
-    if lineality:
-        raise NotPointed("the cone contains a line")
-    if not rays:
-        return []
-    ray_list = list(rays)
-    candidates = set(ray_list)
-    for simplex in _placing_triangulation(ray_list):
-        candidates.update(_parallelepiped_points([ray_list[i] for i in simplex]))
+    rays, simplices = _triangulation(c)
+    candidates = set(rays)
+    for simplex in simplices:
+        candidates.update(_parallelepiped_points([rays[i] for i in simplex]))
     zero = tuple(0 for _ in range(c.ambient))
     candidates.discard(zero)
     grading = [sum(col) for col in zip(*c.inequalities)]
@@ -243,7 +162,9 @@ def relation_space(p: Polyhedron, bound: int) -> RingPresentation:
     degree r is the number of monomials minus the number of fibers. The
     binomials pair each fiber's members against its lexicographically
     first one. ``Unbounded`` is raised when p is unbounded, or when it is
-    empty but some generator has degree 0.
+    empty but some generator has degree 0. ``NotPointed`` is raised when p
+    is empty but the cone {a . x >= 0} of its inequality system contains a
+    line, since the cone over p then has no Hilbert basis.
     """
     bound = as_int(bound)
     if bound < 1:

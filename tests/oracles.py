@@ -19,7 +19,7 @@ from fractions import Fraction
 from toricalc.actions import _rational_root
 from toricalc.errors import AllZero
 from toricalc.lattice import IntMatrix, NormalForm, _negate, _row_sub, _swap
-from toricalc.polyhedra import Face, _check_indices, _face_dim, _generators
+from toricalc.polyhedra import Face, _check_indices, _generators, _rank
 
 
 def det(m) -> int:
@@ -180,7 +180,7 @@ def face_from_full_pass(p, s):
         for j in range(p.dim):
             sums[j] += weight * r.vec[j]
     witness = tuple(Fraction(x, n * scale) for x in sums)
-    return Face(active, _face_dim([r.vec for r in kept] + lin), witness)
+    return Face(active, _rank([r.vec for r in kept] + lin) - 1, witness)
 
 
 def snf_euclid(m):

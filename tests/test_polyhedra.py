@@ -21,6 +21,7 @@ from toricalc.polyhedra import (
     VRepresentation,
     _dd_pair,
     _homogenized_rows,
+    _rank,
     _split_generators,
     dilate,
     f_vector,
@@ -369,6 +370,38 @@ class TestFace:
         dims = {seeded_polyhedron(seed).dim for seed in FACE_SEEDS}
         assert kinds == {"empty", "lineality", "pointed"}
         assert dims == {1, 2, 3, 4}
+
+
+def seeded_vectors(seed):
+    """Seeded integer vectors of length 0-5: up to 7 of them, some rows
+    zero, and on odd seeds all drawn from the span of at most 2 vectors."""
+    rng = random.Random(seed)
+    n = seed % 6
+    basis = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(rng.randint(0, 2))]
+    vectors = []
+    for _ in range(rng.randint(0, 7)):
+        if rng.random() < 0.2:
+            vectors.append((0,) * n)
+        elif seed % 2:
+            coeffs = [rng.randint(-3, 3) for _ in basis]
+            vectors.append(tuple(sum(c * b[j] for c, b in zip(coeffs, basis)) for j in range(n)))
+        else:
+            vectors.append(tuple(rng.randint(-4, 4) for _ in range(n)))
+    return vectors
+
+
+class TestRank:
+    def test_matches_rational_rank(self):
+        kinds = set()
+        for seed in range(400):
+            vectors = seeded_vectors(seed)
+            rank = _rank(vectors)
+            assert rank == rational_rank(vectors), vectors
+            if any(not any(v) for v in vectors):
+                kinds.add("zero row")
+            if 0 < rank < min(len(vectors), seed % 6):
+                kinds.add("proper subspace")
+        assert kinds == {"zero row", "proper subspace"}
 
 
 class TestFVector:

@@ -8,7 +8,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product as iproduct
-from math import prod
+from math import factorial, prod
 
 import pytest
 
@@ -29,12 +29,11 @@ from toricalc.polyhedra import (
     standard_simplex,
     unit_cube,
 )
-from toricalc.polyhedra import extreme_rays, vrep
+from toricalc.polyhedra import _triangulation, extreme_rays, vrep
 from toricalc.semigroups import (
     Cone,
     GradedPoint,
     _parallelepiped_points,
-    _placing_triangulation,
     graded_generators,
     hilbert_basis,
     hilbert_function,
@@ -208,10 +207,9 @@ def facet_normal(facet_rays, span_basis, inside_ray):
     return normal if side > 0 else tuple(-n for n in normal)
 
 
-def seeded_pointed_rays(seed, d=None):
-    """Extreme rays of the cone over a seeded polyhedron in dimension d
-    (1-4 by the seed when not given), in the order ``hilbert_basis``
-    places them, or None when that cone is zero or not pointed. Seeds
+def seeded_pointed_cone(seed, d=None):
+    """The cone over a seeded polyhedron in dimension d (1-4 by the seed
+    when not given), or None when that cone is zero or not pointed. Seeds
     divisible by 3 add an equality, so the cone spans a proper subspace."""
     rng = random.Random(seed)
     d = 1 + seed % 4 if d is None else d
@@ -222,8 +220,14 @@ def seeded_pointed_rays(seed, d=None):
     if seed % 3 == 0:
         a, b = tuple(rng.randint(-2, 2) for _ in range(d)), rng.randint(-2, 2)
         rows += [(a, b), (tuple(-x for x in a), -b)]
-    rays, lineality = extreme_rays(homogenize(Polyhedron(d, tuple(rows))))
-    return list(rays) if rays and not lineality else None
+    c = homogenize(Polyhedron(d, tuple(rows)))
+    rays, lineality = extreme_rays(c)
+    return c if rays and not lineality else None
+
+
+def sorted_rays(c):
+    """The extreme rays of a cone, in the order ``hilbert_basis`` numbers them."""
+    return list(extreme_rays(c)[0])
 
 
 def span_steps(rays):
@@ -254,27 +258,44 @@ def sees_a_ridge_from_both_sides(rays):
 
 # Cones of dimension 5 over seeded 4-polytopes whose span grows again
 # after a ray that lies inside it.
-DIM5_RAYS = [
-    rays
-    for rays in (seeded_pointed_rays(seed, 4) for seed in range(200, 240))
-    if rays is not None and rational_rank(rays) == 5 and span_grows_after_a_ray_inside(rays)
+DIM5_CONES = [
+    c
+    for c in (seeded_pointed_cone(seed, 4) for seed in range(200, 240))
+    if c is not None and rational_rank(sorted_rays(c)) == 5 and span_grows_after_a_ray_inside(sorted_rays(c))
 ][:4]
 
-TRIANGULATION_RAYS = (
-    [list(extreme_rays(c)[0]) for c in HILBERT_CONES]
-    + [
-        list(extreme_rays(homogenize(p))[0])
-        for p in (unit_cube(3), unit_cube(4), standard_simplex(3), standard_simplex(4))
-    ]
-    + DIM5_RAYS
-    + [rays for rays in map(seeded_pointed_rays, range(170)) if rays is not None]
+TRIANGULATION_CONES = (
+    list(HILBERT_CONES)
+    + [homogenize(p) for p in (unit_cube(3), unit_cube(4), standard_simplex(3), standard_simplex(4))]
+    + DIM5_CONES
+    + [c for c in map(seeded_pointed_cone, range(170)) if c is not None]
 )
+TRIANGULATION_RAYS = [sorted_rays(c) for c in TRIANGULATION_CONES]
+# One case per cone, named after its entry of TRIANGULATION_RAYS.
+TRIANGULATION_CASES = [pytest.param(c, id=f"rays{i}") for i, c in enumerate(TRIANGULATION_CONES)]
+
+
+def normalized_volume(c, rays, simplices):
+    """Sum over the simplices of prod d_i / prod g(r_i), where prod d_i is
+    the simplex's lattice index and g the grading of ``hilbert_basis`` (the
+    sum of the inequality rows). This is the normalized volume of the
+    cone's slice at g = 1, so every triangulation of the cone gives it."""
+    grading = [sum(col) for col in zip(*c.inequalities)]
+    g = lambda r: sum(w * x for w, x in zip(grading, r))
+    return sum(Fraction(index([rays[i] for i in s]), prod(g(rays[i]) for i in s)) for s in simplices)
 
 
 class TestPlacingTriangulation:
-    @pytest.mark.parametrize("rays", TRIANGULATION_RAYS)
-    def test_matches_facet_normal_placing(self, rays):
-        assert _placing_triangulation(rays) == reference_triangulation(rays)
+    """The pulling triangulation against the facet-normal placing of
+    ``reference_triangulation``: two triangulations of one cone cover it
+    with the same normalized volume."""
+
+    @pytest.mark.parametrize("c", TRIANGULATION_CASES)
+    def test_matches_facet_normal_placing(self, c):
+        rays, simplices = _triangulation(c)
+        assert list(rays) == sorted_rays(c)
+        reference = reference_triangulation(list(rays))
+        assert normalized_volume(c, rays, simplices) == normalized_volume(c, rays, reference)
 
     def test_corpus_covers_subspaces_and_rays_inside_the_span(self):
         kinds = set()
@@ -287,8 +308,42 @@ class TestPlacingTriangulation:
                 kinds.add("span grows after a ray inside it")
         assert kinds == {"proper subspace", "ray inside the span", "span grows after a ray inside it"}
         assert any(map(sees_a_ridge_from_both_sides, TRIANGULATION_RAYS))
-        assert len(DIM5_RAYS) == 4
+        assert len(DIM5_CONES) == 4
         assert len(TRIANGULATION_RAYS) >= 100
+
+
+class TestPullingTriangulation:
+    @pytest.mark.parametrize("c", TRIANGULATION_CASES)
+    def test_simplices_are_independent(self, c):
+        rays, simplices = _triangulation(c)
+        assert simplices
+        for s in simplices:
+            assert list(s) == sorted(set(s))
+            assert rational_rank([rays[i] for i in s]) == len(s)
+        assert len(set(simplices)) == len(simplices)
+
+    @pytest.mark.parametrize("c", TRIANGULATION_CASES)
+    def test_covers_seeded_combinations(self, c):
+        rays, simplices = _triangulation(c)
+        rng = random.Random(len(rays))
+        for _ in range(10):
+            x = [0] * c.ambient
+            for r in rays:
+                k = rng.randint(0, 3)
+                x = [a + k * b for a, b in zip(x, r)]
+            solutions = (
+                solve_rational([[rays[i][j] for i in s] for j in range(c.ambient)], x) for s in simplices
+            )
+            assert any(t is not None and min(t) >= 0 for t in solutions), x
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_unit_cube_unimodular(self, k):
+        # The cube is compressed, so every pulling triangulation of it is
+        # unimodular (Sullivant, Tohoku Math. J. 58 (2006)): k! simplices
+        # of normalized volume 1.
+        rays, simplices = _triangulation(homogenize(unit_cube(k)))
+        assert len(simplices) == factorial(k)
+        assert all(index([rays[i] for i in s]) == 1 for s in simplices)
 
 
 class TestHomogenize:
@@ -538,6 +593,9 @@ class TestRelationSpace:
             relation_space(p, 2)
 
     def test_empty_with_line_in_cone_not_pointed(self):
+        # Delta is empty, and the cone {a . x >= 0} holds the line x_1 = 0.
         p = polyhedron(2, [((1, 0), 1), ((-1, 0), 0)])
-        with pytest.raises(NotPointed):
-            relation_space(p, 2)
+        assert vrep(p).is_empty
+        for bound in (1, 2):
+            with pytest.raises(NotPointed):
+                relation_space(p, bound)
