@@ -19,6 +19,7 @@ arithmetic is exact.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import comb
 from typing import Iterable, Sequence
@@ -36,7 +37,8 @@ class LinearizedAction:
     """A subtorus acting diagonally on C^n, plus a linearization.
 
     ``weights`` has one row per generating one-parameter subgroup; its
-    column i is the weight on the i-th coordinate.  ``alpha`` gives the
+    column i is the weight on the i-th coordinate. Rows given as plain
+    sequences are checked by ``IntMatrix.from_rows``.  ``alpha`` gives the
     character by which the degree variable t transforms.
     """
 
@@ -47,10 +49,28 @@ class LinearizedAction:
     def __post_init__(self):
         object.__setattr__(self, "n", as_int(self.n))
         object.__setattr__(self, "alpha", _as_ints(self.alpha))
+        if not isinstance(self.weights, IntMatrix):
+            object.__setattr__(self, "weights", IntMatrix.from_rows(self.weights, self.n))
         if len(self.alpha) != self.n:
             raise ValueError("linearization length must equal n")
         if self.weights.ncols != self.n:
             raise ValueError("weight matrix must have n columns")
+
+    @cached_property
+    def _quotient(self) -> tuple["QuotientData", Polyhedron]:
+        """The projection and the polyhedron of the action, computed on the
+        first query and kept in the instance ``__dict__``. It is not a
+        field, so ``==``, ``hash`` and ``repr`` ignore it; an exception is
+        not kept, so it is raised again on the next query."""
+        n, k = self.n, self.weights.nrows
+        nf = snf(self.weights)
+        factors = invariant_factors_from(nf)
+        if len(factors) < k:
+            raise ValueError("weight rows must be linearly independent")
+        if any(f != 1 for f in factors):
+            raise TorsionQuotient(f"weight lattice has invariant factors {factors}")
+        q = QuotientData(IntMatrix.from_rows([nf.V.entries[i][k:] for i in range(n)], n - k), n - k)
+        return q, polyhedron(q.dim, [(q.images.row(i), self.alpha[i]) for i in range(n)])
 
 
 @dataclass(frozen=True)
@@ -75,36 +95,23 @@ def quotient_projection(action: LinearizedAction) -> QuotientData:
     """Project the coordinate characters to the quotient-torus lattice.
 
     The isomorphism with Z^dim is the one determined by the Smith
-    decomposition of the weight matrix, so repeated calls agree.
-    Raises TorsionQuotient when the weight rows span a non-saturated
-    lattice (the acting group is then disconnected).
+    decomposition of the weight matrix. It is computed once per action
+    and the same object is returned to every later call. Raises
+    ValueError when the weight rows are linearly dependent, and
+    TorsionQuotient when an invariant factor of the weight matrix is
+    not 1.
     """
-    w = action.weights
-    n = action.n
-    nf = snf(w)
-    factors = invariant_factors_from(nf)
-    if len(factors) < w.nrows:
-        raise ValueError("weight rows must be linearly independent")
-    if any(f != 1 for f in factors):
-        raise TorsionQuotient(f"weight lattice has invariant factors {factors}")
-    k = w.nrows
-    rows = [tuple(nf.V.entries[i][j] for j in range(k, n)) for i in range(n)]
-    return QuotientData(IntMatrix.from_rows(rows, n - k), n - k)
+    return action._quotient[0]
 
 
 def delta(action: LinearizedAction) -> Polyhedron:
     """The polyhedron of the action: points p with p.a_i >= alpha_i.
 
     Inequality i is exactly (a_i, alpha_i), so supports index straight
-    into the coordinates of C^n.
+    into the coordinates of C^n. Built with the projection, once per
+    action, and shared by every later call.
     """
-    return _delta_from(action, quotient_projection(action))
-
-
-def _delta_from(action: LinearizedAction, q: QuotientData) -> Polyhedron:
-    """``delta(action)`` built from its already computed projection ``q``."""
-    ineqs = [(q.images.row(i), action.alpha[i]) for i in range(action.n)]
-    return polyhedron(q.dim, ineqs)
+    return action._quotient[1]
 
 
 def group_from_delta(p: Polyhedron) -> LinearizedAction:
@@ -136,7 +143,7 @@ def invariant_monomial(action: LinearizedAction, p: Sequence[int], r: int) -> tu
     r = as_int(r)
     if r < 0:
         raise ValueError("degree must be nonnegative")
-    q = quotient_projection(action)
+    q = action._quotient[0]
     p = _as_ints(p)
     if len(p) != q.dim:
         raise ValueError(f"point has length {len(p)}, expected {q.dim}")
@@ -228,8 +235,7 @@ def evaluate_invariants(
     coords = tuple(Fraction(c) for c in point)
     if len(coords) != action.n:
         raise ValueError(f"point has length {len(coords)}, expected {action.n}")
-    q = quotient_projection(action)
-    p = _delta_from(action, q)
+    q, p = action._quotient
     out = []
     for g in graded_generators(p):
         if g.degree > bound:

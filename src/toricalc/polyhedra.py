@@ -6,9 +6,9 @@ the vertex/ray/lineality V-form with one incremental double description
 pass over the cone, counts faces from the tight-constraint masks of that
 one pass, and lists lattice points of bounded polyhedra. A face query
 runs the same pass with the face's inequalities held as equalities, so
-it builds only the generators of that face. The extreme rays of any
-homogeneous ``Cone`` come from the same pass, and so does a pulling
-triangulation of a pointed one, read from the tight masks.
+it builds only the generators of that face. A pulling triangulation of
+a pointed homogeneous ``Cone`` comes from the same pass, read from the
+tight masks.
 
 Everything is deterministic: inequalities are inserted in the order
 given, generated rays are reduced to primitive integer vectors, and all
@@ -231,13 +231,6 @@ def _homogenized_rows(p: Polyhedron) -> list[Vector]:
 def homogenize(p: Polyhedron) -> Cone:
     """The cone over ``p``: each (a, b) becomes (a, -b), plus height >= 0."""
     return Cone(p.dim + 1, tuple(_homogenized_rows(p)))
-
-
-def extreme_rays(c: Cone) -> tuple[tuple[Vector, ...], tuple[Vector, ...]]:
-    """(extreme rays, lineality basis) of the cone, primitive and sorted;
-    lineality vectors have their first nonzero coordinate positive."""
-    rays, lin = _dd_pair(c.inequalities, c.ambient)
-    return tuple(sorted({r.vec for r in rays})), tuple(sorted({_sign_normalize(l) for l in lin}))
 
 
 def _triangulation(c: Cone) -> tuple[tuple[Vector, ...], list[tuple[int, ...]]]:

@@ -7,6 +7,8 @@ the Smith form.  ``proj_equal_bezout`` decides projective equality of
 evaluation vectors through one Bezout combination of the degrees.
 ``face_from_full_pass`` answers a face query by the double description
 pass of the whole polyhedron, filtered by tight mask afterwards.
+``extreme_rays`` lists the extreme rays and lineality of a cone from
+that pass, sorted, as the order ``hilbert_basis`` numbers the rays in.
 ``snf_euclid`` is ``toricalc.lattice.snf`` with the Euclid loop run for
 every pivot, units included.  ``semistable_by_weight_cone`` decides
 semistability from the weights by Fourier-Motzkin elimination, without
@@ -19,7 +21,7 @@ from fractions import Fraction
 from toricalc.actions import _rational_root
 from toricalc.errors import AllZero
 from toricalc.lattice import IntMatrix, NormalForm, _negate, _row_sub, _swap
-from toricalc.polyhedra import Face, _check_indices, _generators, _rank
+from toricalc.polyhedra import Face, _check_indices, _dd_pair, _generators, _rank, _sign_normalize
 
 
 def det(m) -> int:
@@ -303,3 +305,10 @@ def _fm_reduce(rows):
         if key not in best or b < best[key]:
             best[key] = b
     return [(list(c), b) for c, b in best.items()]
+
+
+def extreme_rays(c):
+    """(extreme rays, lineality basis) of the cone, primitive and sorted;
+    lineality vectors have their first nonzero coordinate positive."""
+    rays, lin = _dd_pair(c.inequalities, c.ambient)
+    return tuple(sorted({r.vec for r in rays})), tuple(sorted({_sign_normalize(l) for l in lin}))

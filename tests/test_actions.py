@@ -5,6 +5,9 @@ monomial x^e t^r is tested directly as weight(e + r*alpha) = 0 against
 every weight row, by exhaustive scan over bounded exponents.
 """
 
+import copy
+import dataclasses
+import pickle
 import random
 from fractions import Fraction
 from itertools import product as iproduct
@@ -34,7 +37,8 @@ from toricalc.errors import (
     NotSimple,
     TorsionQuotient,
 )
-from toricalc.lattice import IntMatrix, hnf
+from toricalc.jsonio import action_from_json
+from toricalc.lattice import IntMatrix, hnf, snf
 from toricalc.polyhedra import (
     interval,
     is_empty,
@@ -525,3 +529,113 @@ class TestActionValidation:
             LinearizedAction(2, IntMatrix.from_rows([(1, 1, 1)], 3), (0, 0))
         with pytest.raises(ValueError):
             linearized_action([[1, 1]], (0,))
+
+    def test_plain_rows_accepted(self):
+        assert LinearizedAction(2, [[1, 1]], (-1, 0)) == CP1
+        assert LinearizedAction(2, ((1, 1),), (-1, 0)) == CP1
+        assert LinearizedAction(2, [], (0, 0)).weights == IntMatrix((), 2)
+
+    def test_bad_plain_rows_rejected(self):
+        for rows in ([[1, 1], [1]], [[1, 1, 1]], [[1, 0.5]], [[1, "1"]]):
+            with pytest.raises(ValueError):
+                LinearizedAction(2, rows, (0, 0))
+
+
+def square_action():
+    """A fresh action equal to SQUARE_ACTION, never queried before."""
+    return linearized_action([[1, 1, 0, 0], [0, 0, 1, 1]], (-1, 0, -1, 0))
+
+
+class TestQuotientCache:
+    def test_same_objects_every_call(self):
+        a = square_action()
+        assert delta(a) is delta(a)
+        assert quotient_projection(a) is quotient_projection(a)
+
+    def test_cache_is_not_a_field(self):
+        warm, fresh = square_action(), square_action()
+        minimal_unstable_supports(warm)
+        assert "_quotient" in vars(warm) and "_quotient" not in vars(fresh)
+        assert warm == fresh and hash(warm) == hash(fresh) and repr(warm) == repr(fresh)
+        assert {warm: 1}[fresh] == 1
+
+    def test_errors_raised_on_every_call(self):
+        cases = [
+            (linearized_action([[2, 4]], (0, 0)), TorsionQuotient),
+            (linearized_action([[1, 1], [2, 2]], (0, 0)), ValueError),
+        ]
+        queries = [
+            quotient_projection,
+            delta,
+            minimal_unstable_supports,
+            lambda a: is_semistable(a, ()),
+            lambda a: invariant_monomial(a, (), 0),
+            lambda a: evaluate_invariants(a, (1, 1), 1),
+        ]
+        for act, error in cases:
+            for _ in range(2):
+                for query in queries:
+                    with pytest.raises(error):
+                        query(act)
+            assert "_quotient" not in vars(act)
+
+    def test_replace_gets_its_own_delta(self):
+        a = square_action()
+        p = delta(a)
+        b = dataclasses.replace(a, alpha=(0, 0, 0, 0))
+        assert delta(b) is not p
+        assert delta(b) == delta(linearized_action([[1, 1, 0, 0], [0, 0, 1, 1]], (0, 0, 0, 0)))
+        assert minimal_unstable_supports(b) != minimal_unstable_supports(a)
+        assert delta(a) is p
+
+    @pytest.mark.parametrize("warm", [False, True])
+    @pytest.mark.parametrize(
+        "roundtrip",
+        [copy.copy, copy.deepcopy, lambda a: pickle.loads(pickle.dumps(a))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copies_answer_the_same(self, roundtrip, warm):
+        a = square_action()
+        if warm:
+            delta(a)
+        b = roundtrip(a)
+        assert b == a and hash(b) == hash(a)
+        assert quotient_projection(b) == quotient_projection(a)
+        assert delta(b) == delta(a)
+        assert minimal_unstable_supports(b) == minimal_unstable_supports(a)
+        assert evaluate_invariants(b, (1, 2, 3, 5), 1) == evaluate_invariants(a, (1, 2, 3, 5), 1)
+
+    def test_computed_on_first_query_only(self, monkeypatch):
+        early = []
+
+        def refuse(m):
+            early.append(m)
+            raise RuntimeError("Smith form computed before the first query")
+
+        monkeypatch.setattr(actions, "snf", refuse)
+        built = [
+            linearized_action([[1, 1, 0, 0], [0, 0, 1, 1]], (-1, 0, -1, 0)),
+            LinearizedAction(2, IntMatrix.from_rows([[1, 1]], 2), (-1, 0)),
+            LinearizedAction(2, [[1, 1]], (-1, 0)),
+            action_from_json({"n": 2, "weights": [[1, 1]], "linearization": [-1, 0]}),
+            group_from_delta(unit_cube(2)),
+        ]
+        assert early == []
+        calls = []
+
+        def counting(m):
+            calls.append(m)
+            return snf(m)
+
+        monkeypatch.setattr(actions, "snf", counting)
+        for a in built:
+            assert "_quotient" not in vars(a)
+            before = len(calls)
+            for _ in range(2):
+                p = delta(a)
+                quotient_projection(a)
+                is_semistable(a, (1,))
+                minimal_unstable_supports(a)
+                invariant_monomial(a, (0,) * p.dim, 0)
+                evaluate_invariants(a, (1,) * a.n, 1)
+            assert len(calls) == before + 1

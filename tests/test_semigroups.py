@@ -29,7 +29,7 @@ from toricalc.polyhedra import (
     standard_simplex,
     unit_cube,
 )
-from toricalc.polyhedra import _triangulation, extreme_rays, vrep
+from toricalc.polyhedra import _triangulation, vrep
 from toricalc.semigroups import (
     Cone,
     GradedPoint,
@@ -41,7 +41,7 @@ from toricalc.semigroups import (
     relation_space,
 )
 
-from oracles import rational_rank, solve_rational
+from oracles import extreme_rays, rational_rank, solve_rational
 from test_acceptance import HILBERT_CONES
 
 SQUARE = unit_cube(2)
