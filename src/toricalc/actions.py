@@ -25,7 +25,7 @@ from math import comb
 from typing import Iterable, Sequence
 
 from .errors import AllZero, NonSpanning, NotInSemigroup, NotSimple, TorsionQuotient
-from .lattice import IntMatrix, _as_ints, as_int, integer_kernel_basis, invariant_factors, invariant_factors_from, snf
+from .lattice import IntMatrix, _as_ints, _left_kernel, as_int, invariant_factors_from, snf
 from .polyhedra import Polyhedron, _face_generators, f_vector, polyhedron
 from .semigroups import graded_generators
 
@@ -119,16 +119,15 @@ def group_from_delta(p: Polyhedron) -> LinearizedAction:
 
     Requires the inequality normals to span the ambient lattice over
     the integers (NonSpanning otherwise); the weight rows are then the
-    saturated kernel of the transposed normal matrix, and the returned
-    action's polyhedron agrees with p up to a unimodular change of
-    coordinates.
+    saturated left kernel of the normal matrix, in Hermite form, and the
+    returned action's polyhedron agrees with p up to a unimodular change
+    of coordinates. One Smith form of the normal matrix gives both the
+    test and the kernel.
     """
     a = IntMatrix.from_rows([ineq[0] for ineq in p.inequalities], p.dim)
-    if p.dim > 0:
-        factors = invariant_factors(a)
-        if len(factors) < p.dim or any(f != 1 for f in factors):
-            raise NonSpanning("inequality normals do not span the lattice")
-    w = integer_kernel_basis(a.transpose())
+    factors, w = _left_kernel(a)
+    if len(factors) < p.dim or any(f != 1 for f in factors):
+        raise NonSpanning("inequality normals do not span the lattice")
     alpha = tuple(b for _, b in p.inequalities)
     return LinearizedAction(p.n_inequalities, w, alpha)
 

@@ -279,13 +279,17 @@ def invariant_factors(m: IntMatrix) -> tuple[int, ...]:
 
 def integer_kernel_basis(m: IntMatrix) -> IntMatrix:
     """Basis of the saturated lattice {v : M v = 0}, rows in Hermite form."""
+    return _left_kernel(m.transpose())[1]
+
+
+def _left_kernel(m: IntMatrix) -> tuple[tuple[int, ...], IntMatrix]:
+    """The invariant factors of M and a basis of the saturated lattice
+    {w : w M = 0}, rows in Hermite form, from one Smith form U M V = D.
+    Since U is unimodular and the rows of D past the rank are zero, the
+    rows of U past the rank are a basis of that lattice."""
     nf = snf(m)
-    rank = len(invariant_factors_from(nf))
-    v = nf.V
-    kernel_rows = [v.column(j) for j in range(rank, m.ncols)]
-    reduced = hnf(IntMatrix.from_rows(kernel_rows, m.ncols)).D
-    rows = tuple(r for r in reduced.entries if any(r))
-    return IntMatrix(rows, m.ncols)
+    factors = invariant_factors_from(nf)
+    return factors, hnf(IntMatrix.from_rows(nf.U.entries[len(factors):], m.nrows)).D
 
 
 def invariant_factors_from(nf: NormalForm) -> tuple[int, ...]:

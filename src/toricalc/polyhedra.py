@@ -4,11 +4,18 @@ A polyhedron is given by integer inequality data ``a . p >= b``. This
 module builds its homogenization cone, converts between that H-form and
 the vertex/ray/lineality V-form with one incremental double description
 pass over the cone, counts faces from the tight-constraint masks of that
-one pass, and lists lattice points of bounded polyhedra. A face query
-runs the same pass with the face's inequalities held as equalities, so
-it builds only the generators of that face. A pulling triangulation of
-a pointed homogeneous ``Cone`` comes from the same pass, read from the
-tight masks.
+one pass, and lists lattice points of bounded polyhedra. A pulling
+triangulation of a pointed homogeneous ``Cone`` comes from the same
+pass, read from the tight masks.
+
+A polyhedron computes its homogenization cone, that cone's pass and its
+face counts once, on first use, outside its fields. ``vrep``,
+``is_bounded``, ``is_empty``, ``lattice_points``, ``f_vector`` and the
+triangulation behind ``semigroups.hilbert_basis`` all read that pass;
+an exception is raised again on every call. Only a face query (``face``,
+and the semistability tests of ``actions``) runs a pass of its own,
+holding the face's inequalities as equalities, so that it builds only
+the generators of that face.
 
 Everything is deterministic: inequalities are inserted in the order
 given, generated rays are reduced to primitive integer vectors, and all
@@ -20,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product as iproduct
 
 from .errors import EmptyPolyhedron, LinealityPresent, NotPointed, Unbounded
@@ -47,6 +55,19 @@ class Polyhedron:
     @property
     def n_inequalities(self) -> int:
         return len(self.inequalities)
+
+    @cached_property
+    def _cone(self) -> Cone:
+        """The homogenization cone, built on first use and kept in the
+        instance ``__dict__``; it carries the polyhedron's one double
+        description pass."""
+        return Cone(self.dim + 1, tuple(_homogenized_rows(self)))
+
+    @cached_property
+    def _f_vector(self) -> tuple[tuple[int, ...], bool]:
+        """``f_vector``'s answer, kept like ``_cone``. An exception is not
+        kept, so it is raised again on the next call."""
+        return _face_counts(self)
 
 
 def polyhedron(dim: int, inequalities) -> Polyhedron:
@@ -219,6 +240,16 @@ class Cone:
     def contains(self, x) -> bool:
         return all(sum(c * v for c, v in zip(row, x)) >= 0 for row in self.inequalities)
 
+    @cached_property
+    def _pass(self) -> tuple[tuple[_Ray, ...], tuple[Vector, ...]]:
+        """The double description pass of the cone, no constraint held as
+        an equality: (rays, lineality) as ``_dd_pair`` returns them, in
+        tuples. Computed on first use and kept in the instance
+        ``__dict__``; the records are shared, so no caller may change
+        them."""
+        rays, lin = _dd_pair(self.inequalities, self.ambient)
+        return tuple(rays), tuple(lin)
+
 
 def _homogenized_rows(p: Polyhedron) -> list[Vector]:
     """Rows of the cone over ``p``: (a, -b) for each inequality in order,
@@ -229,8 +260,9 @@ def _homogenized_rows(p: Polyhedron) -> list[Vector]:
 
 
 def homogenize(p: Polyhedron) -> Cone:
-    """The cone over ``p``: each (a, b) becomes (a, -b), plus height >= 0."""
-    return Cone(p.dim + 1, tuple(_homogenized_rows(p)))
+    """The cone over ``p``: each (a, b) becomes (a, -b), plus height >= 0.
+    It is built once per polyhedron and returned to every call."""
+    return p._cone
 
 
 def _triangulation(c: Cone) -> tuple[tuple[Vector, ...], list[tuple[int, ...]]]:
@@ -246,7 +278,7 @@ def _triangulation(c: Cone) -> tuple[tuple[Vector, ...], list[tuple[int, ...]]]:
     "Triangulations", Springer 2010, section 4.3). ``NotPointed`` is raised
     when the cone contains a line.
     """
-    rays, lin = _dd_pair(c.inequalities, c.ambient)
+    rays, lin = c._pass
     if lin:
         raise NotPointed("the cone contains a line")
     tight = {r.vec: r.tight for r in rays}
@@ -286,9 +318,13 @@ def _generators(p: Polyhedron, equal: int = 0):
     mask has bit i - 1 for inequality i and bit n for the height row,
     with n inequalities; the lineality vectors have height 0 and are
     tight everywhere. The inequalities in the mask ``equal`` are held as
-    equalities (see ``_dd_pair``). The rows go straight to ``_dd_pair``,
-    since ``Polyhedron`` has already checked them.
+    equalities (see ``_dd_pair``); each such query runs a pass of its
+    own, while the plain pass (``equal`` 0) is the cone's cached one.
+    The rows go straight to ``_dd_pair``, since ``Polyhedron`` has
+    already checked them.
     """
+    if not equal:
+        return p._cone._pass
     return _dd_pair(_homogenized_rows(p), p.dim + 1, equal)
 
 
@@ -321,12 +357,22 @@ def vrep(p: Polyhedron) -> VRepresentation:
     )
 
 
+def _vertex_vectors(p: Polyhedron) -> list[Vector]:
+    """The generators of positive height (x, h) of the pass, each standing
+    for the vertex x / h; none when ``p`` is empty."""
+    return [r.vec for r in _generators(p)[0] if r.vec[-1] > 0]
+
+
 def is_empty(p: Polyhedron) -> bool:
-    return vrep(p).is_empty
+    return not _vertex_vectors(p)
 
 
 def is_bounded(p: Polyhedron) -> bool:
-    return vrep(p).is_bounded
+    """Whether ``p`` has no ray and no line; the empty polyhedron is
+    bounded."""
+    rays, lin = _generators(p)
+    heights = [r.vec[-1] for r in rays]
+    return not any(heights) or (all(heights) and not lin)
 
 
 def _check_indices(p: Polyhedron, s) -> frozenset[int]:
@@ -380,7 +426,7 @@ def face(p: Polyhedron, s) -> Face | None:
         for j in range(p.dim):
             sums[j] += weight * r.vec[j]
     witness = tuple(Fraction(x, n * scale) for x in sums)
-    return Face(active, _rank([r.vec for r in rays] + lin) - 1, witness)
+    return Face(active, _rank([r.vec for r in rays] + list(lin)) - 1, witness)
 
 
 def _rank(vectors) -> int:
@@ -408,53 +454,62 @@ def f_vector(p: Polyhedron) -> tuple[tuple[int, ...], bool]:
 
     Counts every nonempty face including the polyhedron itself; unbounded
     faces count like any other. The flag reports whether each vertex lies
-    on exactly dim(p) facets.
+    on exactly dim(p) facets. Computed once per polyhedron; raises
+    ``EmptyPolyhedron`` or ``LinealityPresent`` on every call when the
+    polyhedron is empty or holds a line.
     """
+    return p._f_vector
+
+
+def _face_counts(p: Polyhedron) -> tuple[tuple[int, ...], bool]:
+    """``f_vector`` from the cached pass. A face is a bitmask over the
+    pass's generators; the faces are the intersections of the tight sets
+    of the inequalities, one set per inequality, that hold a vertex
+    (Kaibel and Pfetsch, "Computing the face lattice of a polytope from
+    its vertex-facet incidences", 2002)."""
     rays, lin = _generators(p)
-    is_vertex = [r.vec[-1] > 0 for r in rays]
-    if not any(is_vertex):
+    index = range(len(rays))
+    vertices = sum(1 << g for g in index if rays[g].vec[-1] > 0)
+    if not vertices:
         raise EmptyPolyhedron("f-vector of the empty polyhedron")
     if lin:
         raise LinealityPresent("f-vector requires a pointed polyhedron")
-    top = frozenset(range(len(rays)))
+    tight_sets = dict.fromkeys(
+        sum(1 << g for g in index if rays[g].tight >> i & 1) for i in range(p.n_inequalities)
+    )
+    top = (1 << len(rays)) - 1
     seen = {top}
     queue = [top]
     while queue:
         cur = queue.pop()
-        for i in range(p.n_inequalities):
-            sub = frozenset(g for g in cur if rays[g].tight >> i & 1)
+        for t in tight_sets:
+            sub = cur & t
             # A nonempty face of a pointed polyhedron holds a vertex; a
             # set of rays alone is no face.
-            if any(is_vertex[g] for g in sub) and sub != cur and sub not in seen:
+            if sub & vertices and sub not in seen:
                 seen.add(sub)
                 queue.append(sub)
-    dims = {fs: _rank([rays[g].vec for g in fs]) - 1 for fs in seen}
+    dims = {f: _rank([rays[g].vec for g in index if f >> g & 1]) - 1 for f in seen}
     d = dims[top]
     counts = [0] * (d + 1)
-    for fs, fd in dims.items():
+    for fd in dims.values():
         counts[fd] += 1
-    facets = [fs for fs, fd in dims.items() if fd == d - 1]
-    simple = True
-    for gi in range(len(rays)):
-        if not is_vertex[gi]:
-            continue
-        if sum(1 for fs in facets if gi in fs) != d:
-            simple = False
-            break
+    facets = [f for f, fd in dims.items() if fd == d - 1]
+    simple = all(sum(f >> g & 1 for f in facets) == d for g in index if vertices >> g & 1)
     return tuple(counts), simple
 
 
 def lattice_points(p: Polyhedron) -> list[Vector]:
     """All integer points of a bounded polyhedron, sorted lexicographically."""
-    v = vrep(p)
-    if v.rays or v.lineality:
+    if not is_bounded(p):
         raise Unbounded("lattice points of an unbounded polyhedron")
-    if not v.vertices:
+    vertices = _vertex_vectors(p)
+    if not vertices:
         return []
-    ranges = []
-    for j in range(p.dim):
-        coords = [vt[j] for vt in v.vertices]
-        ranges.append(range(math.ceil(min(coords)), math.floor(max(coords)) + 1))
+    ranges = [
+        range(min(-(-v[j] // v[-1]) for v in vertices), max(v[j] // v[-1] for v in vertices) + 1)
+        for j in range(p.dim)
+    ]
     out = []
     for pt in iproduct(*ranges):
         if all(_dot(a, pt) >= b for a, b in p.inequalities):

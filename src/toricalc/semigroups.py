@@ -12,13 +12,14 @@ algorithms for affine monoids and rational cones", J. Algebra 324
 (2010). Any triangulation of the extreme rays gives the same basis, so
 the cone is triangulated by pulling its extreme rays in sorted order,
 read from the tight masks of its one double description pass
-(``polyhedra._triangulation``). It lists the lattice points of the
-half-open fundamental parallelepiped of each simplicial piece as the
-finite group read off the Smith form of its ray matrix. The candidates
-are then taken in order of a positive grading, and each is kept unless
-it lies above an element already kept. Relations among the generators
-are counted from the fibers of the monomials over their images, without
-a second lattice point count.
+(``polyhedra._triangulation``). The cone over a polyhedron keeps that
+pass, so ``vrep`` and ``is_bounded`` of the same polyhedron reuse it.
+It lists the lattice points of the half-open fundamental parallelepiped
+of each simplicial piece as the finite group read off the Smith form of
+its ray matrix. The candidates are then taken in order of a positive
+grading, and each is kept unless it lies above an element already kept.
+Relations among the generators are counted from the fibers of the
+monomials over their images, without a second lattice point count.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from itertools import product as iproduct
 
 from .errors import Unbounded
 from .lattice import IntMatrix, as_int, invariant_factors_from, snf
-from .polyhedra import Cone, Polyhedron, _triangulation, dilate, homogenize, lattice_points, vrep
+from .polyhedra import Cone, Polyhedron, _triangulation, dilate, homogenize, is_bounded, lattice_points
 
 Vector = tuple[int, ...]
 
@@ -169,8 +170,7 @@ def relation_space(p: Polyhedron, bound: int) -> RingPresentation:
     bound = as_int(bound)
     if bound < 1:
         raise ValueError("degree bound must be at least 1")
-    v = vrep(p)
-    if v.rays or v.lineality:
+    if not is_bounded(p):
         raise Unbounded("relations need a bounded polyhedron")
     gens = graded_generators(p)
     if any(g.degree == 0 for g in gens):

@@ -7,6 +7,8 @@ the Smith form.  ``proj_equal_bezout`` decides projective equality of
 evaluation vectors through one Bezout combination of the degrees.
 ``face_from_full_pass`` answers a face query by the double description
 pass of the whole polyhedron, filtered by tight mask afterwards.
+``f_vector_by_frozensets`` counts faces by the walk ``f_vector`` replaced:
+faces as frozensets of generator indices, from a pass of its own.
 ``extreme_rays`` lists the extreme rays and lineality of a cone from
 that pass, sorted, as the order ``hilbert_basis`` numbers the rays in.
 ``snf_euclid`` is ``toricalc.lattice.snf`` with the Euclid loop run for
@@ -19,9 +21,9 @@ import math
 from fractions import Fraction
 
 from toricalc.actions import _rational_root
-from toricalc.errors import AllZero
+from toricalc.errors import AllZero, EmptyPolyhedron, LinealityPresent
 from toricalc.lattice import IntMatrix, NormalForm, _negate, _row_sub, _swap
-from toricalc.polyhedra import Face, _check_indices, _dd_pair, _generators, _rank, _sign_normalize
+from toricalc.polyhedra import Face, _check_indices, _dd_pair, _homogenized_rows, _rank, _sign_normalize
 
 
 def det(m) -> int:
@@ -164,7 +166,7 @@ def face_from_full_pass(p, s):
     them."""
     s = _check_indices(p, s)
     want = sum(1 << (i - 1) for i in s)
-    rays, lin = _generators(p)
+    rays, lin = _dd_pair(_homogenized_rows(p), p.dim + 1)
     kept = [r for r in rays if r.tight & want == want]
     heights = [r.vec[-1] for r in kept if r.vec[-1] > 0]
     if not heights:
@@ -312,3 +314,36 @@ def extreme_rays(c):
     lineality vectors have their first nonzero coordinate positive."""
     rays, lin = _dd_pair(c.inequalities, c.ambient)
     return tuple(sorted({r.vec for r in rays})), tuple(sorted({_sign_normalize(l) for l in lin}))
+
+
+def f_vector_by_frozensets(p):
+    """``toricalc.polyhedra.f_vector`` by the route it replaced: a fresh
+    double description pass, then a walk over faces kept as frozensets of
+    generator indices, each intersected with every inequality's tight
+    set."""
+    rays, lin = _dd_pair(_homogenized_rows(p), p.dim + 1)
+    is_vertex = [r.vec[-1] > 0 for r in rays]
+    if not any(is_vertex):
+        raise EmptyPolyhedron("f-vector of the empty polyhedron")
+    if lin:
+        raise LinealityPresent("f-vector requires a pointed polyhedron")
+    top = frozenset(range(len(rays)))
+    seen = {top}
+    queue = [top]
+    while queue:
+        cur = queue.pop()
+        for i in range(p.n_inequalities):
+            sub = frozenset(g for g in cur if rays[g].tight >> i & 1)
+            if any(is_vertex[g] for g in sub) and sub != cur and sub not in seen:
+                seen.add(sub)
+                queue.append(sub)
+    dims = {fs: _rank([rays[g].vec for g in fs]) - 1 for fs in seen}
+    d = dims[top]
+    counts = [0] * (d + 1)
+    for fd in dims.values():
+        counts[fd] += 1
+    facets = [fs for fs, fd in dims.items() if fd == d - 1]
+    simple = all(
+        sum(1 for fs in facets if g in fs) == d for g in range(len(rays)) if is_vertex[g]
+    )
+    return tuple(counts), simple

@@ -38,7 +38,7 @@ from toricalc.errors import (
     TorsionQuotient,
 )
 from toricalc.jsonio import action_from_json
-from toricalc.lattice import IntMatrix, hnf, snf
+from toricalc.lattice import IntMatrix, hnf, invariant_factors, snf
 from toricalc.polyhedra import (
     interval,
     is_empty,
@@ -173,6 +173,14 @@ class TestDelta:
         assert sorted(vrep(p).vertices) == sorted(vrep(standard_simplex(2)).vertices)
 
 
+def seeded_inequalities(seed):
+    """(d, rows): 1-3 dimensions, d-6 inequalities with entries in
+    [-2, 2]; the normals span Z^d for some seeds and not for others."""
+    rng = random.Random(f"group:{seed}")
+    d = rng.randint(1, 3)
+    return d, [(tuple(rng.randint(-2, 2) for _ in range(d)), rng.randint(-2, 2)) for _ in range(rng.randint(d, 6))]
+
+
 class TestGroupFromDelta:
     def test_unit_square(self):
         act = group_from_delta(unit_cube(2))
@@ -212,6 +220,37 @@ class TestGroupFromDelta:
         assert hnf(normals(p)).D == hnf(normals(p2)).D
         for r in range(4):
             assert hilbert_function(p, r) == hilbert_function(p2, r)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_weights_are_the_saturated_left_kernel(self, seed):
+        # The weights are read from the Smith form that also decides
+        # NonSpanning. Checked here against what defines them: rows in
+        # Hermite form, killing the normal matrix A from the left, m - d
+        # of them, spanning a saturated lattice; those pin the answer
+        # down.
+        d, rows = seeded_inequalities(seed)
+        p = polyhedron(d, rows)
+        a = IntMatrix.from_rows([n for n, _ in rows], d)
+        factors = invariant_factors(a)
+        if len(factors) < d or any(f != 1 for f in factors):
+            with pytest.raises(NonSpanning):
+                group_from_delta(p)
+            return
+        w = group_from_delta(p).weights
+        assert all(x == 0 for row in (w @ a).entries for x in row)
+        assert w.nrows == len(rows) - d
+        assert invariant_factors(w) == (1,) * w.nrows
+        assert hnf(w).D == w
+
+    def test_kernel_corpus_covers_both_outcomes(self):
+        spanning = 0
+        for seed in range(40):
+            try:
+                group_from_delta(polyhedron(*seeded_inequalities(seed)))
+                spanning += 1
+            except NonSpanning:
+                pass
+        assert 5 <= spanning <= 35
 
 
 class TestInvariantMonomial:

@@ -6,13 +6,19 @@ feasibility), the full-pass face route of ``oracles.py``, and frozen
 literals.
 """
 
+import copy
+import json
+import pickle
 import random
 from fractions import Fraction
 from itertools import combinations, product as iproduct
 
 import pytest
 
-from toricalc.errors import EmptyPolyhedron, LinealityPresent, Unbounded
+from toricalc import polyhedra
+from toricalc.actions import betti, delta, linearized_action, orbit_census
+from toricalc.cli import execute
+from toricalc.errors import EmptyPolyhedron, LinealityPresent, NotPointed, Unbounded
 from toricalc.lattice import primitive
 from toricalc.polyhedra import (
     Cone,
@@ -26,6 +32,7 @@ from toricalc.polyhedra import (
     dilate,
     f_vector,
     face,
+    homogenize,
     interval,
     is_bounded,
     is_empty,
@@ -37,6 +44,7 @@ from toricalc.polyhedra import (
     unit_cube,
     vrep,
 )
+from toricalc.semigroups import graded_generators, hilbert_basis, relation_space
 
 from oracles import face_from_full_pass, rational_rank
 
@@ -600,3 +608,159 @@ class TestTransforms:
         assert is_bounded(SQUARE)
         assert not is_bounded(positive_orthant(1))
         assert is_bounded(polyhedron(1, [((1,), 1), ((-1,), 0)]))
+
+
+def prism():
+    """The triangle times a segment: bounded and simple."""
+    return product(standard_simplex(2), interval(0, 1))
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """Records the constraint rows of every double description pass."""
+    calls = []
+    run = polyhedra._dd_pair
+
+    def counting(constraints, ambient, equal=0):
+        calls.append(tuple(constraints))
+        return run(constraints, ambient, equal)
+
+    monkeypatch.setattr(polyhedra, "_dd_pair", counting)
+    return calls
+
+
+class TestPassCache:
+    """Each polyhedron runs its plain double description pass once and
+    counts its faces once; the answers are not shared mutable objects and
+    the errors are not kept."""
+
+    QUERIES = {
+        "vrep": vrep,
+        "is_bounded": is_bounded,
+        "is_empty": is_empty,
+        "lattice_points": lattice_points,
+        "f_vector": f_vector,
+        "betti": betti,
+        "orbit_census": orbit_census,
+        "graded_generators": graded_generators,
+        "hilbert_basis": lambda p: hilbert_basis(homogenize(p)),
+        "relation_space": lambda p: relation_space(p, 2),
+    }
+
+    def test_one_pass_across_every_query(self, passes):
+        p = prism()
+        first = {name: query(p) for name, query in self.QUERIES.items()}
+        again = {name: query(p) for name, query in self.QUERIES.items()}
+        assert passes == [tuple(polyhedra._homogenized_rows(p))]
+        assert again == first
+        assert first["f_vector"] == ((6, 9, 5, 1), True)
+
+    def test_one_pass_for_the_delta_of_an_action(self, passes):
+        act = linearized_action([[1, 1, 0, 0], [0, 0, 1, 1]], (-1, 0, -1, 0))
+        assert f_vector(delta(act)) == ((4, 4, 1), True)
+        assert betti(delta(act)) == (1, 2, 1)
+        assert orbit_census(delta(act)) == {0: 4, 1: 4, 2: 1}
+        assert is_bounded(delta(act))
+        assert len(passes) == 1
+
+    def test_face_counts_kept(self, monkeypatch):
+        p = prism()
+        counted = []
+        count = polyhedra._face_counts
+
+        def counting(q):
+            counted.append(q)
+            return count(q)
+
+        monkeypatch.setattr(polyhedra, "_face_counts", counting)
+        assert betti(p) == (1, 2, 2, 1)
+        assert orbit_census(p) == {0: 6, 1: 9, 2: 5, 3: 1}
+        assert f_vector(p) == ((6, 9, 5, 1), True)
+        assert counted == [p]
+
+    def test_cli_betti_runs_one_pass(self, passes):
+        poly = {"dim": 2, "inequalities": [{"a": a, "b": b} for a, b in unit_cube(2).inequalities]}
+        code, out, err = execute(["betti", "--polytope", "-"], stdin=json.dumps(poly))
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"betti": [1, 2, 1], "bounded": True}
+        assert len(passes) == 1
+
+    def test_face_query_runs_its_own_pass(self, passes):
+        p = prism()
+        f_vector(p)
+        assert face(p, {1}).dim == 2
+        assert face(p, ()).dim == 3
+        # The held-equality pass of {1} runs; the empty support reads the
+        # cached pass.
+        assert len(passes) == 2
+
+    def test_nothing_computed_at_construction(self, passes):
+        p = prism()
+        dilate(p, 2)
+        product(p, p)
+        assert passes == []
+        assert not {"_cone", "_f_vector"} & set(vars(p))
+
+    def test_cache_is_not_a_field(self):
+        warm, fresh = prism(), prism()
+        f_vector(warm)
+        assert {"_cone", "_f_vector"} <= set(vars(warm))
+        assert "_pass" in vars(homogenize(warm))
+        assert warm == fresh and hash(warm) == hash(fresh) and repr(warm) == repr(fresh)
+        assert homogenize(warm) is homogenize(warm)
+        assert homogenize(warm) == homogenize(fresh)
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    @pytest.mark.parametrize(
+        "roundtrip",
+        [copy.copy, copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copies_answer_the_same(self, roundtrip, warm):
+        p = prism()
+        if warm:
+            for query in self.QUERIES.values():
+                query(p)
+        q = roundtrip(p)
+        assert q == p and hash(q) == hash(p)
+        for name, query in self.QUERIES.items():
+            assert query(q) == query(p), name
+
+    def test_returned_containers_are_fresh(self):
+        p = prism()
+        points = lattice_points(p)
+        points.clear()
+        gens = graded_generators(p)
+        gens.clear()
+        basis = hilbert_basis(homogenize(p))
+        basis.clear()
+        census = orbit_census(p)
+        census[0] = -1
+        pres = relation_space(p, 2)
+        pres.relations_by_degree.clear()
+        assert len(lattice_points(p)) == 6
+        assert len(graded_generators(p)) == 6
+        assert len(hilbert_basis(homogenize(p))) == 6
+        assert orbit_census(p)[0] == 6
+        assert sorted(relation_space(p, 2).relations_by_degree) == [1, 2]
+
+    @pytest.mark.parametrize(
+        "p, queries, error",
+        [
+            (polyhedron(1, [((1,), 1), ((-1,), 0)]), [f_vector, betti, orbit_census], EmptyPolyhedron),
+            (polyhedron(2, [((1, 0), 0)]), [f_vector, betti, orbit_census], LinealityPresent),
+            (positive_orthant(2), [lattice_points, lambda p: relation_space(p, 1)], Unbounded),
+            # Empty, but the cone {a . x >= 0} of its rows holds a line.
+            (polyhedron(2, [((1, 0), 1), ((-1, 0), 0)]),
+             [graded_generators, lambda p: hilbert_basis(homogenize(p)), lambda p: relation_space(p, 1)],
+             NotPointed),
+        ],
+        ids=["empty", "lineality", "unbounded", "not-pointed"],
+    )
+    def test_errors_raised_on_every_call(self, passes, p, queries, error):
+        for _ in range(3):
+            for query in queries:
+                with pytest.raises(error):
+                    query(p)
+        assert "_f_vector" not in vars(p)
+        assert len(passes) == 1

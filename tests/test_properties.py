@@ -22,6 +22,7 @@ from toricalc.actions import (
     proj_equal,
     quotient_projection,
 )
+from toricalc.errors import EmptyPolyhedron, LinealityPresent
 from toricalc.lattice import (
     IntMatrix,
     hnf,
@@ -33,15 +34,19 @@ from toricalc.polyhedra import (
     dilate,
     f_vector,
     face,
+    interval,
     is_empty,
     lattice_points,
     polyhedron,
+    positive_orthant,
     product,
+    standard_simplex,
+    unit_cube,
     vrep,
 )
 from toricalc.semigroups import graded_generators, hilbert_function, relation_space
 
-from oracles import det, rational_rank, semistable_by_weight_cone
+from oracles import det, f_vector_by_frozensets, rational_rank, semistable_by_weight_cone
 
 lax = settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 geometry = settings(
@@ -364,6 +369,51 @@ class TestWeightConeOracle:
         assert any(max(act.alpha, default=0) == 1 for act in WEIGHT_CONE_CORPUS)
         assert any(is_empty(delta(act)) for act in WEIGHT_CONE_CORPUS)
         assert any(not is_empty(delta(act)) and minimal_unstable_supports(act) for act in WEIGHT_CONE_CORPUS)
+
+
+# The named polyhedra of the other test files: cubes, simplices,
+# orthants, a prism, the square pyramid (not simple), an unbounded one
+# with a redundant inequality tight on a ray only and a half-plane, which
+# holds a line; then the polyhedra of the seeded actions, some empty and
+# some unbounded.
+FACE_COUNT_FIXTURES = (
+    [unit_cube(d) for d in range(5)]
+    + [standard_simplex(d) for d in range(1, 4)]
+    + [positive_orthant(d) for d in range(1, 4)]
+    + [
+        product(standard_simplex(2), interval(0, 1)),
+        polyhedron(3, [((0, 0, 1), 0), ((-1, 0, -1), -1), ((1, 0, -1), -1), ((0, -1, -1), -1), ((0, 1, -1), -1)]),
+        polyhedron(2, [((1, 0), -2), ((1, 0), -1), ((0, 1), 1)]),
+        polyhedron(2, [((1, 0), 0)]),
+    ]
+    + [delta(act) for act in WEIGHT_CONE_CORPUS]
+)
+
+
+def face_counts_or_error(count, p):
+    try:
+        return count(p)
+    except (EmptyPolyhedron, LinealityPresent) as e:
+        return type(e)
+
+
+class TestFaceCountOracle:
+    # f_vector walks faces as bitmasks over the cached pass; the oracle
+    # walks frozensets over a pass of its own.
+    @pytest.mark.parametrize("seed", POLYTOPE_SEEDS)
+    def test_matches_frozenset_walk_on_seeds(self, seed):
+        p = seeded_polytope(seed)
+        assert face_counts_or_error(f_vector, p) == face_counts_or_error(f_vector_by_frozensets, p)
+
+    @pytest.mark.parametrize("p", FACE_COUNT_FIXTURES)
+    def test_matches_frozenset_walk_on_fixtures(self, p):
+        assert face_counts_or_error(f_vector, p) == face_counts_or_error(f_vector_by_frozensets, p)
+
+    def test_fixtures_cover_every_outcome(self):
+        outcomes = {face_counts_or_error(f_vector, p) for p in FACE_COUNT_FIXTURES}
+        assert {EmptyPolyhedron, LinealityPresent} <= outcomes
+        assert {o[1] for o in outcomes if isinstance(o, tuple)} == {True, False}
+        assert any(not is_empty(p) and not vrep(p).is_bounded for p in FACE_COUNT_FIXTURES)
 
 
 class TestActionProperties:
