@@ -62,13 +62,12 @@ class LinearizedAction:
         first query and kept in the instance ``__dict__``. It is not a
         field, so ``==``, ``hash`` and ``repr`` ignore it; an exception is
         not kept, so it is raised again on the next query."""
-        n, k = self.n, self.weights.nrows
         nf = snf(self.weights)
         factors = invariant_factors_from(nf)
-        if len(factors) < k:
-            raise ValueError("weight rows must be linearly independent")
         if any(f != 1 for f in factors):
             raise TorsionQuotient(f"weight lattice has invariant factors {factors}")
+        # Dependent rows still generate a torus, of dimension k = rank W.
+        n, k = self.n, len(factors)
         q = QuotientData(IntMatrix.from_rows([nf.V.entries[i][k:] for i in range(n)], n - k), n - k)
         return q, polyhedron(q.dim, [(q.images.row(i), self.alpha[i]) for i in range(n)])
 
@@ -96,10 +95,10 @@ def quotient_projection(action: LinearizedAction) -> QuotientData:
 
     The isomorphism with Z^dim is the one determined by the Smith
     decomposition of the weight matrix. It is computed once per action
-    and the same object is returned to every later call. Raises
-    ValueError when the weight rows are linearly dependent, and
-    TorsionQuotient when an invariant factor of the weight matrix is
-    not 1.
+    and the same object is returned to every later call. The weight
+    rows may be linearly dependent: the quotient then has dimension n
+    less the rank of the weight matrix. Raises TorsionQuotient when an
+    invariant factor of the weight matrix is not 1.
     """
     return action._quotient[0]
 

@@ -10,12 +10,12 @@ pass, read from the tight masks.
 
 A polyhedron computes its homogenization cone, that cone's pass and its
 face counts once, on first use, outside its fields. ``vrep``,
-``is_bounded``, ``is_empty``, ``lattice_points``, ``f_vector`` and the
-triangulation behind ``semigroups.hilbert_basis`` all read that pass;
+``is_bounded``, ``is_empty``, ``f_vector``, the triangulation behind
+``semigroups.hilbert_basis`` and the scan of r * p behind
+``lattice_points`` and ``semigroups.hilbert_function`` read that pass;
 an exception is raised again on every call. Only a face query (``face``,
 and the semistability tests of ``actions``) runs a pass of its own,
-holding the face's inequalities as equalities, so that it builds only
-the generators of that face.
+holding the face's inequalities as equalities.
 
 Everything is deterministic: inequalities are inserted in the order
 given, generated rays are reduced to primitive integer vectors, and all
@@ -60,7 +60,10 @@ class Polyhedron:
     def _cone(self) -> Cone:
         """The homogenization cone, built on first use and kept in the
         instance ``__dict__``; it carries the polyhedron's one double
-        description pass."""
+        description pass. With n inequalities, a ray's tight mask has bit
+        i - 1 for inequality i and bit n for the height row, and its
+        vector has the height last; the lineality vectors have height 0
+        and are tight everywhere."""
         return Cone(self.dim + 1, tuple(_homogenized_rows(self)))
 
     @cached_property
@@ -311,23 +314,6 @@ def _triangulation(c: Cone) -> tuple[tuple[Vector, ...], list[tuple[int, ...]]]:
     return vecs, pull((1 << len(vecs)) - 1, _rank(vecs))
 
 
-def _generators(p: Polyhedron, equal: int = 0):
-    """One double description pass over the homogenization cone of ``p``.
-
-    Returns (rays, lineality): rays are _Ray records (height last) whose
-    mask has bit i - 1 for inequality i and bit n for the height row,
-    with n inequalities; the lineality vectors have height 0 and are
-    tight everywhere. The inequalities in the mask ``equal`` are held as
-    equalities (see ``_dd_pair``); each such query runs a pass of its
-    own, while the plain pass (``equal`` 0) is the cone's cached one.
-    The rows go straight to ``_dd_pair``, since ``Polyhedron`` has
-    already checked them.
-    """
-    if not equal:
-        return p._cone._pass
-    return _dd_pair(_homogenized_rows(p), p.dim + 1, equal)
-
-
 def _split_generators(rays, lin):
     """Split homogenization-cone generators at height 1 / height 0."""
     vertices = []
@@ -347,7 +333,7 @@ def vrep(p: Polyhedron) -> VRepresentation:
 
     Returns the empty representation when the polyhedron is empty.
     """
-    vertices, rec_rays, lineality = _split_generators(*_generators(p))
+    vertices, rec_rays, lineality = _split_generators(*p._cone._pass)
     if not vertices:
         return VRepresentation((), (), ())
     return VRepresentation(
@@ -357,20 +343,14 @@ def vrep(p: Polyhedron) -> VRepresentation:
     )
 
 
-def _vertex_vectors(p: Polyhedron) -> list[Vector]:
-    """The generators of positive height (x, h) of the pass, each standing
-    for the vertex x / h; none when ``p`` is empty."""
-    return [r.vec for r in _generators(p)[0] if r.vec[-1] > 0]
-
-
 def is_empty(p: Polyhedron) -> bool:
-    return not _vertex_vectors(p)
+    return not any(r.vec[-1] > 0 for r in p._cone._pass[0])
 
 
 def is_bounded(p: Polyhedron) -> bool:
     """Whether ``p`` has no ray and no line; the empty polyhedron is
     bounded."""
-    rays, lin = _generators(p)
+    rays, lin = p._cone._pass
     heights = [r.vec[-1] for r in rays]
     return not any(heights) or (all(heights) and not lin)
 
@@ -385,9 +365,10 @@ def _check_indices(p: Polyhedron, s) -> frozenset[int]:
 def _face_generators(p: Polyhedron, s):
     """(rays, lineality) of the pass of ``p`` that holds the inequalities in
     ``s`` (1-based indices) as equalities, or None when no ray has positive
-    height, that is when the face is empty."""
-    s = _check_indices(p, s)
-    rays, lin = _generators(p, sum(1 << (i - 1) for i in s))
+    height, that is when the face is empty. A nonempty ``s`` runs a pass of
+    its own (see ``_dd_pair``); the empty one reads the cached pass."""
+    equal = sum(1 << (i - 1) for i in _check_indices(p, s))
+    rays, lin = _dd_pair(_homogenized_rows(p), p.dim + 1, equal) if equal else p._cone._pass
     if not any(r.vec[-1] > 0 for r in rays):
         return None
     return rays, lin
@@ -467,7 +448,7 @@ def _face_counts(p: Polyhedron) -> tuple[tuple[int, ...], bool]:
     of the inequalities, one set per inequality, that hold a vertex
     (Kaibel and Pfetsch, "Computing the face lattice of a polytope from
     its vertex-facet incidences", 2002)."""
-    rays, lin = _generators(p)
+    rays, lin = p._cone._pass
     index = range(len(rays))
     vertices = sum(1 << g for g in index if rays[g].vec[-1] > 0)
     if not vertices:
@@ -501,20 +482,31 @@ def _face_counts(p: Polyhedron) -> tuple[tuple[int, ...], bool]:
 
 def lattice_points(p: Polyhedron) -> list[Vector]:
     """All integer points of a bounded polyhedron, sorted lexicographically."""
-    if not is_bounded(p):
+    return _dilated_points(p, 1)
+
+
+def _dilated_points(p: Polyhedron, r: int) -> list[Vector]:
+    """The integer points of r * p, r >= 0, sorted, from the pass of ``p``:
+    the box spanned by the vertices r * x / h of r * p, for the generators
+    (x, h) of positive height, filtered by a . pt >= r * b. At r = 0 this is
+    the cone {a . x >= 0}, generated by the pass's lineality and rays of
+    height 0 even when ``p`` is empty; ``Unbounded`` is raised when that
+    cone is not {0}, and for r >= 1 when ``p`` is not bounded."""
+    rays, lin = p._cone._pass
+    heights = [ray.vec[-1] for ray in rays]
+    if (lin or not all(heights)) and (r == 0 or any(heights)):
         raise Unbounded("lattice points of an unbounded polyhedron")
-    vertices = _vertex_vectors(p)
+    if r == 0:
+        return [(0,) * p.dim]
+    vertices = [ray.vec for ray in rays if ray.vec[-1] > 0]
     if not vertices:
         return []
     ranges = [
-        range(min(-(-v[j] // v[-1]) for v in vertices), max(v[j] // v[-1] for v in vertices) + 1)
+        range(min(-(-r * v[j] // v[-1]) for v in vertices), max(r * v[j] // v[-1] for v in vertices) + 1)
         for j in range(p.dim)
     ]
-    out = []
-    for pt in iproduct(*ranges):
-        if all(_dot(a, pt) >= b for a, b in p.inequalities):
-            out.append(pt)
-    return out
+    rows = [(a, r * b) for a, b in p.inequalities]
+    return [pt for pt in iproduct(*ranges) if all(_dot(a, pt) >= b for a, b in rows)]
 
 
 def dilate(p: Polyhedron, m: int) -> Polyhedron:

@@ -13,7 +13,8 @@ algorithms for affine monoids and rational cones", J. Algebra 324
 the cone is triangulated by pulling its extreme rays in sorted order,
 read from the tight masks of its one double description pass
 (``polyhedra._triangulation``). The cone over a polyhedron keeps that
-pass, so ``vrep`` and ``is_bounded`` of the same polyhedron reuse it.
+pass, so ``vrep``, ``is_bounded`` and ``hilbert_function``, which scans
+r * P over r times its vertices, reuse it.
 It lists the lattice points of the half-open fundamental parallelepiped
 of each simplicial piece as the finite group read off the Smith form of
 its ray matrix. The candidates are then taken in order of a positive
@@ -29,7 +30,7 @@ from itertools import product as iproduct
 
 from .errors import Unbounded
 from .lattice import IntMatrix, as_int, invariant_factors_from, snf
-from .polyhedra import Cone, Polyhedron, _triangulation, dilate, homogenize, is_bounded, lattice_points
+from .polyhedra import Cone, Polyhedron, _dilated_points, _triangulation, homogenize, is_bounded
 
 Vector = tuple[int, ...]
 
@@ -126,10 +127,7 @@ def hilbert_function(p: Polyhedron, r: int) -> int:
     r = as_int(r)
     if r < 0:
         raise ValueError("degree must be nonnegative")
-    if r == 0:
-        height_zero = Polyhedron(p.dim, tuple((a, 0) for a, _ in p.inequalities))
-        return len(lattice_points(height_zero))
-    return len(lattice_points(dilate(p, r)))
+    return len(_dilated_points(p, r))
 
 
 def _monomials(gens: list[GradedPoint], total: int, dim: int) -> list[tuple[Vector, Vector]]:

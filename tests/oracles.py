@@ -11,6 +11,12 @@ pass of the whole polyhedron, filtered by tight mask afterwards.
 faces as frozensets of generator indices, from a pass of its own.
 ``extreme_rays`` lists the extreme rays and lineality of a cone from
 that pass, sorted, as the order ``hilbert_basis`` numbers the rays in.
+``hilbert_function_by_dilation`` counts the lattice points of r * p in a
+dilated copy of p, each copy with a pass of its own.
+``scan_invariant_count`` counts invariant monomials of bounded exponents
+by testing weight zero against the weight rows, and
+``polytope_invariant_count`` counts the same monomials as lattice points
+through the action's projection.
 ``snf_euclid`` is ``toricalc.lattice.snf`` with the Euclid loop run for
 every pivot, units included.  ``semistable_by_weight_cone`` decides
 semistability from the weights by Fourier-Motzkin elimination, without
@@ -19,11 +25,23 @@ the polyhedron.
 
 import math
 from fractions import Fraction
+from itertools import product as iproduct
 
-from toricalc.actions import _rational_root
+from toricalc.actions import _rational_root, quotient_projection
 from toricalc.errors import AllZero, EmptyPolyhedron, LinealityPresent
 from toricalc.lattice import IntMatrix, NormalForm, _negate, _row_sub, _swap
-from toricalc.polyhedra import Face, _check_indices, _dd_pair, _homogenized_rows, _rank, _sign_normalize
+from toricalc.polyhedra import (
+    Face,
+    Polyhedron,
+    _check_indices,
+    _dd_pair,
+    _homogenized_rows,
+    _rank,
+    _sign_normalize,
+    dilate,
+    lattice_points,
+    polyhedron,
+)
 
 
 def det(m) -> int:
@@ -347,3 +365,37 @@ def f_vector_by_frozensets(p):
         sum(1 for fs in facets if g in fs) == d for g in range(len(rays)) if is_vertex[g]
     )
     return tuple(counts), simple
+
+
+def hilbert_function_by_dilation(p, r):
+    """``toricalc.semigroups.hilbert_function`` by the route it replaced:
+    the lattice points of the polyhedron ``dilate(p, r)`` and, at r = 0,
+    those of the height-zero polyhedron {a . x >= 0}. Either is a new
+    polyhedron, so it runs a pass of its own."""
+    if r == 0:
+        return len(lattice_points(Polyhedron(p.dim, tuple((a, 0) for a, _ in p.inequalities))))
+    return len(lattice_points(dilate(p, r)))
+
+
+def scan_invariant_count(action, r, emax):
+    """Count invariant monomials x^e t^r with all e_i <= emax, found by
+    testing weight-zero directly against the weight rows."""
+    rows = action.weights.entries
+    count = 0
+    for e in iproduct(range(emax + 1), repeat=action.n):
+        v = [ei + r * ai for ei, ai in zip(e, action.alpha)]
+        if all(sum(wi * vi for wi, vi in zip(row, v)) == 0 for row in rows):
+            count += 1
+    return count
+
+
+def polytope_invariant_count(action, r, emax):
+    """The same count via lattice points p with r*alpha <= A p <= r*alpha + emax."""
+    q = quotient_projection(action)
+    ineqs = []
+    for i in range(action.n):
+        a = q.images.row(i)
+        lo = r * action.alpha[i]
+        ineqs.append((a, lo))
+        ineqs.append((tuple(-x for x in a), -(lo + emax)))
+    return len(lattice_points(polyhedron(q.dim, ineqs)))

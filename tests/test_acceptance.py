@@ -19,13 +19,11 @@ from toricalc.actions import (
     linearized_action,
     minimal_unstable_supports,
     proj_equal,
-    quotient_projection,
 )
 from toricalc.polyhedra import (
     dilate,
     f_vector,
     interval,
-    lattice_points,
     polyhedron,
     positive_orthant,
     product,
@@ -41,6 +39,8 @@ from toricalc.semigroups import (
     homogenize,
     relation_space,
 )
+
+from oracles import polytope_invariant_count, scan_invariant_count
 
 SQUARE_ACTION = linearized_action([[1, 1, 0, 0], [0, 0, 1, 1]], (-1, 0, -1, 0))
 
@@ -93,29 +93,6 @@ HILBERT_CONES = [
     Cone(3, ((1, 0, 0), (-1, 2, 0), (0, -1, 3))),
     Cone(3, ((1, 1, 1), (1, -1, 0), (0, 1, -1))),
 ]
-
-
-def scan_invariant_count(action, r, emax):
-    """Invariant monomials x^e t^r with e_i <= emax, by direct weight test."""
-    rows = action.weights.entries
-    count = 0
-    for e in iproduct(range(emax + 1), repeat=action.n):
-        v = [ei + r * ai for ei, ai in zip(e, action.alpha)]
-        if all(sum(wi * vi for wi, vi in zip(row, v)) == 0 for row in rows):
-            count += 1
-    return count
-
-
-def polytope_invariant_count(action, r, emax):
-    """The same count through lattice points of {r*alpha <= Ap <= r*alpha + emax}."""
-    q = quotient_projection(action)
-    ineqs = []
-    for i in range(action.n):
-        a = q.images.row(i)
-        lo = r * action.alpha[i]
-        ineqs.append((a, lo))
-        ineqs.append((tuple(-x for x in a), -(lo + emax)))
-    return len(lattice_points(polyhedron(q.dim, ineqs)))
 
 
 def scan_semistable(action, support, rmax=3, emax=4):

@@ -45,43 +45,18 @@ from toricalc.polyhedra import (
     lattice_points,
     polyhedron,
     positive_orthant,
-    product,
     standard_simplex,
     unit_cube,
     vrep,
 )
 from toricalc.semigroups import graded_generators, hilbert_function
 
-from oracles import face_from_full_pass, proj_equal_bezout
+from oracles import face_from_full_pass, polytope_invariant_count, proj_equal_bezout, scan_invariant_count
 
 # The two recurring actions: scaling on C^2 (quotient CP^1) and the
 # coordinate-pair scaling on C^4 whose polyhedron is the unit square.
 CP1 = linearized_action([[1, 1]], (-1, 0))
 SQUARE_ACTION = linearized_action([[1, 1, 0, 0], [0, 0, 1, 1]], (-1, 0, -1, 0))
-
-
-def scan_invariant_count(action, r, emax):
-    """Count invariant monomials x^e t^r with all e_i <= emax, found by
-    testing weight-zero directly against the weight rows."""
-    rows = action.weights.entries
-    count = 0
-    for e in iproduct(range(emax + 1), repeat=action.n):
-        v = [ei + r * ai for ei, ai in zip(e, action.alpha)]
-        if all(sum(wi * vi for wi, vi in zip(row, v)) == 0 for row in rows):
-            count += 1
-    return count
-
-
-def polytope_invariant_count(action, r, emax):
-    """The same count via lattice points p with r*alpha <= A p <= r*alpha + emax."""
-    q = quotient_projection(action)
-    ineqs = []
-    for i in range(action.n):
-        a = q.images.row(i)
-        lo = r * action.alpha[i]
-        ineqs.append((a, lo))
-        ineqs.append((tuple(-x for x in a), -(lo + emax)))
-    return len(lattice_points(polyhedron(q.dim, ineqs)))
 
 
 def scan_semistable(action, support, rmax=3, emax=4):
@@ -134,9 +109,17 @@ class TestQuotientProjection:
         with pytest.raises(TorsionQuotient):
             quotient_projection(linearized_action([[2, 4]], (0, 0)))
 
-    def test_dependent_rows_rejected(self):
-        with pytest.raises(ValueError):
-            quotient_projection(linearized_action([[1, 1], [2, 2]], (0, 0)))
+    def test_dependent_rows_give_the_quotient_of_their_span(self):
+        # The rows generate the same torus as the first one alone, so the
+        # quotient has dimension n less the rank.
+        act = linearized_action([[1, 1], [2, 2]], (-1, 0))
+        q = quotient_projection(act)
+        assert q.dim == 1
+        assert q == quotient_projection(CP1)
+        assert all(x == 0 for row in (act.weights @ q.images).entries for x in row)
+        assert minimal_unstable_supports(act) == minimal_unstable_supports(CP1) == [(1, 2)]
+        for r in range(4):
+            assert hilbert_function(delta(act), r) == r + 1
 
     def test_deterministic(self):
         assert quotient_projection(SQUARE_ACTION) == quotient_projection(SQUARE_ACTION)
@@ -601,7 +584,7 @@ class TestQuotientCache:
     def test_errors_raised_on_every_call(self):
         cases = [
             (linearized_action([[2, 4]], (0, 0)), TorsionQuotient),
-            (linearized_action([[1, 1], [2, 2]], (0, 0)), ValueError),
+            (linearized_action([[2, 4], [4, 8]], (0, 0)), TorsionQuotient),
         ]
         queries = [
             quotient_projection,

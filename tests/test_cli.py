@@ -72,6 +72,13 @@ class TestGoldenOutputs:
             '{"degree":1,"point":[1,0]},{"degree":1,"point":[1,1]}]}\n'
         )
 
+    def test_dependent_weight_rows(self, tmp_path):
+        # A multiple of CP1's row adds nothing to the group it generates.
+        dep = dict(CP1_ACTION, weights=[[1, 1], [2, 2]])
+        want = '{"dim":1,"inequalities":[{"a":[-1],"b":-1},{"a":[1],"b":0}]}\n'
+        for action in (CP1_ACTION, dep):
+            assert execute(["delta", "--action", jfile(tmp_path, "a.json", action)]) == (0, want, "")
+
     def test_betti(self, tmp_path):
         f = jfile(tmp_path, "square.json", SQUARE_POLY)
         assert execute(["betti", "--polytope", f])[1] == '{"betti":[1,2,1],"bounded":true}\n'
@@ -259,7 +266,7 @@ class TestErrorDiscipline:
             lambda t: [
                 "delta",
                 "--action",
-                jfile(t, "dep.json", {"n": 2, "weights": [[1, 1], [2, 2]], "linearization": [0, 0]}),
+                jfile(t, "long.json", {"n": 2, "weights": [[1, 1, 1]], "linearization": [0, 0]}),
             ],
         ],
     )

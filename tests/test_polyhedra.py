@@ -44,7 +44,7 @@ from toricalc.polyhedra import (
     unit_cube,
     vrep,
 )
-from toricalc.semigroups import graded_generators, hilbert_basis, relation_space
+from toricalc.semigroups import graded_generators, hilbert_basis, hilbert_function, relation_space
 
 from oracles import face_from_full_pass, rational_rank
 
@@ -645,6 +645,9 @@ class TestPassCache:
         "graded_generators": graded_generators,
         "hilbert_basis": lambda p: hilbert_basis(homogenize(p)),
         "relation_space": lambda p: relation_space(p, 2),
+        "hilbert_function 0": lambda p: hilbert_function(p, 0),
+        "hilbert_function 1": lambda p: hilbert_function(p, 1),
+        "hilbert_function 3": lambda p: hilbert_function(p, 3),
     }
 
     def test_one_pass_across_every_query(self, passes):
@@ -654,6 +657,7 @@ class TestPassCache:
         assert passes == [tuple(polyhedra._homogenized_rows(p))]
         assert again == first
         assert first["f_vector"] == ((6, 9, 5, 1), True)
+        assert [first[f"hilbert_function {r}"] for r in (0, 1, 3)] == [1, 6, 40]
 
     def test_one_pass_for_the_delta_of_an_action(self, passes):
         act = linearized_action([[1, 1, 0, 0], [0, 0, 1, 1]], (-1, 0, -1, 0))
@@ -683,6 +687,21 @@ class TestPassCache:
         code, out, err = execute(["betti", "--polytope", "-"], stdin=json.dumps(poly))
         assert (code, err) == (0, "")
         assert json.loads(out) == {"betti": [1, 2, 1], "bounded": True}
+        assert len(passes) == 1
+
+    def test_cli_hilbert_runs_one_pass(self, passes):
+        poly = {"dim": 2, "inequalities": [{"a": a, "b": b} for a, b in unit_cube(2).inequalities]}
+        code, out, err = execute(["hilbert", "--polytope", "-", "--degree", "2"], stdin=json.dumps(poly))
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"count": 9, "degree": 2}
+        assert len(passes) == 1
+
+    @pytest.mark.parametrize("r", [0, 1, 3])
+    def test_hilbert_function_runs_one_pass(self, passes, r):
+        p = prism()
+        first = hilbert_function(p, r)
+        assert passes == [tuple(polyhedra._homogenized_rows(p))]
+        assert hilbert_function(p, r) == first
         assert len(passes) == 1
 
     def test_face_query_runs_its_own_pass(self, passes):
@@ -749,7 +768,10 @@ class TestPassCache:
         [
             (polyhedron(1, [((1,), 1), ((-1,), 0)]), [f_vector, betti, orbit_census], EmptyPolyhedron),
             (polyhedron(2, [((1, 0), 0)]), [f_vector, betti, orbit_census], LinealityPresent),
-            (positive_orthant(2), [lattice_points, lambda p: relation_space(p, 1)], Unbounded),
+            (positive_orthant(2),
+             [lattice_points, lambda p: relation_space(p, 1), lambda p: hilbert_function(p, 0),
+              lambda p: hilbert_function(p, 2)],
+             Unbounded),
             # Empty, but the cone {a . x >= 0} of its rows holds a line.
             (polyhedron(2, [((1, 0), 1), ((-1, 0), 0)]),
              [graded_generators, lambda p: hilbert_basis(homogenize(p)), lambda p: relation_space(p, 1)],

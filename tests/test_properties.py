@@ -22,7 +22,7 @@ from toricalc.actions import (
     proj_equal,
     quotient_projection,
 )
-from toricalc.errors import EmptyPolyhedron, LinealityPresent
+from toricalc.errors import EmptyPolyhedron, LinealityPresent, Unbounded
 from toricalc.lattice import (
     IntMatrix,
     hnf,
@@ -31,10 +31,12 @@ from toricalc.lattice import (
     snf,
 )
 from toricalc.polyhedra import (
+    Polyhedron,
     dilate,
     f_vector,
     face,
     interval,
+    is_bounded,
     is_empty,
     lattice_points,
     polyhedron,
@@ -46,7 +48,15 @@ from toricalc.polyhedra import (
 )
 from toricalc.semigroups import graded_generators, hilbert_function, relation_space
 
-from oracles import det, f_vector_by_frozensets, rational_rank, semistable_by_weight_cone
+from oracles import (
+    det,
+    f_vector_by_frozensets,
+    hilbert_function_by_dilation,
+    polytope_invariant_count,
+    rational_rank,
+    scan_invariant_count,
+    semistable_by_weight_cone,
+)
 
 lax = settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 geometry = settings(
@@ -329,6 +339,60 @@ class TestRingProperties:
         assert kinds == {"empty", "lattice", "fractional"}
 
 
+# Polyhedra whose degree-0 and higher counts take different branches:
+# empty ones whose cone {a . x >= 0} is {0}, a ray or a line, unbounded
+# ones with and without lineality, and the two polyhedra in dimension 0.
+HILBERT_FIXTURES = {
+    "empty, cone {0}": polyhedron(1, [((1,), 1), ((-1,), 0)]),
+    "empty, cone a ray": polyhedron(2, [((1, 0), 1), ((-1, 0), 0), ((0, 1), 0)]),
+    "empty, cone a line": polyhedron(2, [((1, 0), 1), ((-1, 0), 0)]),
+    "unbounded": polyhedron(2, [((1, 0), 1), ((0, 1), -1), ((-1, 1), -3)]),
+    "orthant": positive_orthant(2),
+    "lineality": polyhedron(2, [((1, 0), 0), ((-1, 0), -2)]),
+    "dim 0": Polyhedron(0, ()),
+    "dim 0, empty": polyhedron(0, [((), 1)]),
+}
+
+
+def count_or_error(count, p, r):
+    try:
+        return count(p, r)
+    except Unbounded as e:
+        return type(e), str(e)
+
+
+class TestHilbertFunctionOracle:
+    # hilbert_function scans r * p from the pass of p; the oracle counts
+    # the lattice points of a dilated copy, or at r = 0 of the cone
+    # {a . x >= 0}, each a polyhedron of its own.
+    @pytest.mark.parametrize("seed", POLYTOPE_SEEDS)
+    def test_matches_dilated_copy_on_seeds(self, seed):
+        p = seeded_polytope(seed)
+        for r in range(7):
+            assert count_or_error(hilbert_function, p, r) == count_or_error(hilbert_function_by_dilation, p, r), r
+
+    @pytest.mark.parametrize("p", HILBERT_FIXTURES.values(), ids=HILBERT_FIXTURES.keys())
+    def test_matches_dilated_copy_on_fixtures(self, p):
+        for r in range(7):
+            assert count_or_error(hilbert_function, p, r) == count_or_error(hilbert_function_by_dilation, p, r), r
+
+    def test_fixtures_cover_every_outcome(self):
+        outcomes = {
+            name: [count_or_error(hilbert_function, p, r) for r in (0, 1)] for name, p in HILBERT_FIXTURES.items()
+        }
+        error = (Unbounded, "lattice points of an unbounded polyhedron")
+        assert outcomes == {
+            "empty, cone {0}": [1, 0],
+            "empty, cone a ray": [error, 0],
+            "empty, cone a line": [error, 0],
+            "unbounded": [error, error],
+            "orthant": [error, error],
+            "lineality": [error, error],
+            "dim 0": [1, 1],
+            "dim 0, empty": [1, 0],
+        }
+
+
 def seeded_action(seed):
     """W = [I_k | B] with its columns permuted (torsion-free by
     construction), n = 3-6, B in [-1, 2] and alpha in [-3, 1], so the
@@ -348,6 +412,67 @@ def seeded_action(seed):
 WEIGHT_CONE_CORPUS = [seeded_action(seed) for seed in range(24)] + [
     linearized_action([], alpha) for alpha in ((), (1,), (-2, 0, 1))
 ]
+
+
+def with_dependent_row(act, seed):
+    """``act`` with one more weight row, an integer combination of its
+    rows put in at a seeded place; the rows generate the same torus."""
+    rng = random.Random(seed)
+    rows = [list(row) for row in act.weights.entries]
+    coeffs = [rng.choice((-2, -1, 1, 2)) for _ in rows]
+    extra = [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(act.n)]
+    rows.insert(rng.randint(0, len(rows)), extra)
+    return linearized_action(rows, act.alpha)
+
+
+def top_exponent(act):
+    """The largest exponent p . a_i - alpha_i at a vertex p of a nonempty
+    bounded delta, so that every invariant of degree r has exponents at
+    most r times it."""
+    q = quotient_projection(act)
+    return max(
+        sum(x * y for x, y in zip(v, q.images.row(i))) - act.alpha[i]
+        for v in vrep(delta(act)).vertices
+        for i in range(act.n)
+    )
+
+
+DEPENDENT_SEEDS = range(40)
+
+
+class TestDependentRows:
+    # A combination of the rows adds nothing to the group, so the quotient
+    # keeps its dimension, the unstable supports and, up to a unimodular
+    # change of coordinates, delta.
+    @pytest.mark.parametrize("seed", DEPENDENT_SEEDS)
+    def test_dependent_row_keeps_the_quotient(self, seed):
+        act = seeded_action(seed)
+        dep = with_dependent_row(act, seed)
+        assert dep.weights.nrows == act.weights.nrows + 1
+        assert quotient_projection(dep).dim == quotient_projection(act).dim
+        assert minimal_unstable_supports(dep) == minimal_unstable_supports(act)
+        for r in range(3):
+            assert scan_invariant_count(dep, r, 2) == polytope_invariant_count(dep, r, 2), r
+        p, p2 = delta(act), delta(dep)
+        if is_empty(p) or not is_bounded(p):
+            return
+        assert f_vector(p2) == f_vector(p)
+        top = top_exponent(dep)
+        for r in range(4):
+            count = hilbert_function(p2, r)
+            assert count == hilbert_function(p, r), r
+            # The scan sees every invariant of degree r once r * top <= 3.
+            if r * top <= 3:
+                assert count == scan_invariant_count(dep, r, 3), r
+
+    def test_corpus_covers_bounded_delta_and_whole_scans(self):
+        bounded = [
+            top_exponent(dep)
+            for dep in (with_dependent_row(seeded_action(seed), seed) for seed in DEPENDENT_SEEDS)
+            if not is_empty(delta(dep)) and is_bounded(delta(dep))
+        ]
+        assert len(bounded) >= 10
+        assert sum(top <= 1 for top in bounded) >= 3
 
 
 class TestWeightConeOracle:

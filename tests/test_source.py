@@ -9,7 +9,9 @@ alone, since a bare ``int()`` truncates 0.5 to 0 without a word; only
 the command line, which parses argv text, calls ``int`` itself. A row
 goes through ``lattice._as_ints``, which skips the call for an exact
 ``int``, not through ``map(as_int, ...)``. The
-package exports each public name it imports, and no submodule.
+package exports each public name it imports, and no submodule. Every
+other module uses each name it imports, so no import outlives the code
+that needed it.
 """
 
 import ast
@@ -88,6 +90,20 @@ def int_call_sites(path):
     return sorted(lines)
 
 
+def unused_imports(path):
+    """Names bound by an import (``from __future__`` aside) that no other
+    node of the module reads, with the import's line number."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported += [((a.asname or a.name).split(".")[0], node.lineno) for a in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported if name not in used)
+
+
 # The package's public API.
 PUBLIC_NAMES = {
     "AllZero", "Cone", "EmptyPolyhedron", "Face", "GradedPoint", "InputError",
@@ -142,6 +158,21 @@ def test_map_check_sees_calls_outside_as_ints(tmp_path):
         "y = tuple(map(as_int, (1,)))\nz = set(map(abs, (1,)))\n"
     )
     assert map_as_int_sites(path) == [4]
+
+
+def test_submodules_use_every_import():
+    found = {p.name: unused_imports(p) for p in SOURCES if p.name != "__init__.py"}
+    assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_import_check_sees_unused_names(tmp_path):
+    path = tmp_path / "semigroups.py"
+    path.write_text(
+        "from __future__ import annotations\nimport math\nimport os.path\n"
+        "from .polyhedra import dilate, lattice_points as lp, vrep\n\n"
+        "def f(p) -> math.inf:\n    return vrep(p)\n"
+    )
+    assert unused_imports(path) == [(3, "os"), (4, "dilate"), (4, "lp")]
 
 
 def test_exports_every_public_name():
