@@ -193,10 +193,10 @@ def minimal_unstable_supports(action: LinearizedAction) -> list[Support]:
 def betti(p: Polyhedron) -> tuple[int, ...]:
     """Even Betti numbers (b_0, b_2, ..., b_{2d}) of the quotient.
 
-    Expands sum_i f_i (q-1)^i in powers of q; defined for simple
-    polyhedra only (NotSimple otherwise).  For unbounded inputs the
-    polynomial is still returned; whether it carries topological
-    meaning is up to the caller.
+    Expands sum_i f_i (q-1)^i in powers of q; simple polyhedra only
+    (NotSimple otherwise). An i-dimensional torus orbit has (q-1)^i points
+    over F_q, so this counts the F_q-points of the toric variety, bounded
+    or not; for a simple polytope it is the Poincare polynomial.
     """
     counts, simple = f_vector(p)
     if not simple:

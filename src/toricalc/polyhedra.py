@@ -3,10 +3,10 @@
 A polyhedron is given by integer inequality data ``a . p >= b``. This
 module builds its homogenization cone, converts between that H-form and
 the vertex/ray/lineality V-form with one incremental double description
-pass over the cone, counts faces from the tight-constraint masks of that
-one pass, and lists lattice points of bounded polyhedra. A pulling
-triangulation of a pointed homogeneous ``Cone`` comes from the same
-pass, read from the tight masks.
+pass over the cone, and lists lattice points of bounded polyhedra. The
+face counts and the pulling triangulation of a pointed ``Cone`` walk the
+face lattice down from that pass's tight masks by one facet rule,
+``_facets``; it is graded, so no face below the top is ranked.
 
 A polyhedron computes its homogenization cone, that cone's pass and its
 face counts once, on first use, outside its fields. ``vrep``,
@@ -268,6 +268,24 @@ def homogenize(p: Polyhedron) -> Cone:
     return p._cone
 
 
+def _tight_sets(masks, m: int) -> list[int]:
+    """For each of m constraints, the bitmask of the generators tight on
+    it, bit g standing for the generator with tight mask ``masks[g]``;
+    without repeats, in constraint order."""
+    return list(dict.fromkeys(sum(1 << g for g, t in enumerate(masks) if t >> i & 1) for i in range(m)))
+
+
+def _facets(face: int, tight_sets) -> list[int]:
+    """The facets of a face of a pointed cone, both as bitmasks over its
+    generators: the maximal sets among ``face & t``, t in ``tight_sets``,
+    other than ``face`` itself, in the order they first appear. Each has
+    rank one less than ``face`` (Kaibel and Pfetsch, "Computing the face
+    lattice of a polytope from its vertex-facet incidences", 2002)."""
+    subs = dict.fromkeys(face & t for t in tight_sets)
+    subs.pop(face, None)
+    return [f for f in subs if not any(f != g and f & g == f for g in subs)]
+
+
 def _triangulation(c: Cone) -> tuple[tuple[Vector, ...], list[tuple[int, ...]]]:
     """The sorted extreme rays of a pointed cone and a pulling
     triangulation of it, as ascending index tuples into the rays.
@@ -275,11 +293,11 @@ def _triangulation(c: Cone) -> tuple[tuple[Vector, ...], list[tuple[int, ...]]]:
     Both come from one double description pass: a face is the set of rays
     tight on some constraints, kept as a bitmask over the rays. A face
     whose ray count equals its rank is a simplex. Any other face is coned
-    from its first ray over the triangulations of its facets that miss
-    that ray; its facets are its intersections with the constraints' tight
-    sets that have rank one less (De Loera, Rambau and Santos,
-    "Triangulations", Springer 2010, section 4.3). ``NotPointed`` is raised
-    when the cone contains a line.
+    from its first ray over the triangulations of its facets (``_facets``)
+    that miss that ray (De Loera, Rambau and Santos, "Triangulations",
+    Springer 2010, section 4.3). Only the whole cone is ranked: each facet
+    has rank one less than its face. ``NotPointed`` is raised when the
+    cone contains a line.
     """
     rays, lin = c._pass
     if lin:
@@ -288,25 +306,20 @@ def _triangulation(c: Cone) -> tuple[tuple[Vector, ...], list[tuple[int, ...]]]:
     vecs = tuple(sorted(tight))
     if not vecs:
         return vecs, []
-    index = range(len(vecs))
-    tight_sets = dict.fromkeys(
-        sum(1 << g for g in index if tight[vecs[g]] >> i & 1) for i in range(len(c.inequalities))
-    )
+    tight_sets = _tight_sets([tight[v] for v in vecs], len(c.inequalities))
     memo: dict[int, list[tuple[int, ...]]] = {}
 
     def pull(face: int, rank: int) -> list[tuple[int, ...]]:
         if face not in memo:
-            members = [g for g in index if face >> g & 1]
+            members = [g for g in range(len(vecs)) if face >> g & 1]
             if len(members) == rank:
                 memo[face] = [tuple(members)]
             else:
                 first = members[0]
                 memo[face] = [
                     (first,) + s
-                    for f in dict.fromkeys(face & m for m in tight_sets)
+                    for f in _facets(face, tight_sets)
                     if not f >> first & 1
-                    and f.bit_count() >= rank - 1
-                    and _rank([vecs[g] for g in index if f >> g & 1]) == rank - 1
                     for s in pull(f, rank - 1)
                 ]
         return memo[face]
@@ -444,10 +457,10 @@ def f_vector(p: Polyhedron) -> tuple[tuple[int, ...], bool]:
 
 def _face_counts(p: Polyhedron) -> tuple[tuple[int, ...], bool]:
     """``f_vector`` from the cached pass. A face is a bitmask over the
-    pass's generators; the faces are the intersections of the tight sets
-    of the inequalities, one set per inequality, that hold a vertex
-    (Kaibel and Pfetsch, "Computing the face lattice of a polytope from
-    its vertex-facet incidences", 2002)."""
+    pass's generators. The walk goes down from the whole cone one level
+    at a time through ``_facets``, keeping the faces that hold a vertex:
+    each level is one dimension lower than the last, so no face is
+    ranked."""
     rays, lin = p._cone._pass
     index = range(len(rays))
     vertices = sum(1 << g for g in index if rays[g].vec[-1] > 0)
@@ -455,29 +468,15 @@ def _face_counts(p: Polyhedron) -> tuple[tuple[int, ...], bool]:
         raise EmptyPolyhedron("f-vector of the empty polyhedron")
     if lin:
         raise LinealityPresent("f-vector requires a pointed polyhedron")
-    tight_sets = dict.fromkeys(
-        sum(1 << g for g in index if rays[g].tight >> i & 1) for i in range(p.n_inequalities)
-    )
-    top = (1 << len(rays)) - 1
-    seen = {top}
-    queue = [top]
-    while queue:
-        cur = queue.pop()
-        for t in tight_sets:
-            sub = cur & t
-            # A nonempty face of a pointed polyhedron holds a vertex; a
-            # set of rays alone is no face.
-            if sub & vertices and sub not in seen:
-                seen.add(sub)
-                queue.append(sub)
-    dims = {f: _rank([rays[g].vec for g in index if f >> g & 1]) - 1 for f in seen}
-    d = dims[top]
-    counts = [0] * (d + 1)
-    for fd in dims.values():
-        counts[fd] += 1
-    facets = [f for f, fd in dims.items() if fd == d - 1]
-    simple = all(sum(f >> g & 1 for f in facets) == d for g in index if vertices >> g & 1)
-    return tuple(counts), simple
+    tight_sets = _tight_sets([r.tight for r in rays], len(p._cone.inequalities))
+    levels = [{(1 << len(rays)) - 1}]
+    while levels[-1]:
+        # A nonempty face of a pointed polyhedron holds a vertex; a set of
+        # rays alone is no face.
+        levels.append({f for face in levels[-1] for f in _facets(face, tight_sets) if f & vertices})
+    d = len(levels) - 2
+    simple = all(sum(f >> g & 1 for f in levels[1]) == d for g in index if vertices >> g & 1)
+    return tuple(len(level) for level in reversed(levels[:-1])), simple
 
 
 def lattice_points(p: Polyhedron) -> list[Vector]:

@@ -11,8 +11,8 @@ pass of the whole polyhedron, filtered by tight mask afterwards.
 faces as frozensets of generator indices, from a pass of its own.
 ``extreme_rays`` lists the extreme rays and lineality of a cone from
 that pass, sorted, as the order ``hilbert_basis`` numbers the rays in.
-``hilbert_function_by_dilation`` counts the lattice points of r * p in a
-dilated copy of p, each copy with a pass of its own.
+``hilbert_function_by_dilation`` counts the lattice points of r * p over a
+box that Fourier-Motzkin elimination reads from the inequalities alone.
 ``scan_invariant_count`` counts invariant monomials of bounded exponents
 by testing weight zero against the weight rows, and
 ``polytope_invariant_count`` counts the same monomials as lattice points
@@ -28,17 +28,15 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 from toricalc.actions import _rational_root, quotient_projection
-from toricalc.errors import AllZero, EmptyPolyhedron, LinealityPresent
+from toricalc.errors import AllZero, EmptyPolyhedron, LinealityPresent, Unbounded
 from toricalc.lattice import IntMatrix, NormalForm, _negate, _row_sub, _swap
 from toricalc.polyhedra import (
     Face,
-    Polyhedron,
     _check_indices,
     _dd_pair,
     _homogenized_rows,
     _rank,
     _sign_normalize,
-    dilate,
     lattice_points,
     polyhedron,
 )
@@ -298,15 +296,22 @@ def semistable_by_weight_cone(action, support) -> bool:
     for v in range(m):
         if rows is None:
             return False
-        pos = [r for r in rows if r[0][v] > 0]
-        neg = [r for r in rows if r[0][v] < 0]
-        kept = [r for r in rows if r[0][v] == 0]
-        for cp, bp in pos:
-            for cn, bn in neg:
-                sp, sn = -cn[v], cp[v]
-                kept.append(([sp * x + sn * y for x, y in zip(cp, cn)], sp * bp + sn * bn))
-        rows = _fm_reduce(kept)
+        rows = _fm_eliminate(rows, v)
     return rows is not None
+
+
+def _fm_eliminate(rows, v):
+    """The rows c . lam <= b with variable v eliminated by combining each
+    row where it has a positive coefficient with each where it has a
+    negative one, reduced by ``_fm_reduce``."""
+    pos = [r for r in rows if r[0][v] > 0]
+    neg = [r for r in rows if r[0][v] < 0]
+    kept = [r for r in rows if r[0][v] == 0]
+    for cp, bp in pos:
+        for cn, bn in neg:
+            sp, sn = -cn[v], cp[v]
+            kept.append(([sp * x + sn * y for x, y in zip(cp, cn)], sp * bp + sn * bn))
+    return _fm_reduce(kept)
 
 
 def _fm_reduce(rows):
@@ -368,13 +373,32 @@ def f_vector_by_frozensets(p):
 
 
 def hilbert_function_by_dilation(p, r):
-    """``toricalc.semigroups.hilbert_function`` by the route it replaced:
-    the lattice points of the polyhedron ``dilate(p, r)`` and, at r = 0,
-    those of the height-zero polyhedron {a . x >= 0}. Either is a new
-    polyhedron, so it runs a pass of its own."""
-    if r == 0:
-        return len(lattice_points(Polyhedron(p.dim, tuple((a, 0) for a, _ in p.inequalities))))
-    return len(lattice_points(dilate(p, r)))
+    """``toricalc.semigroups.hilbert_function`` from the inequalities
+    alone, with no double description pass: r * p is {a . x >= r * b}.
+    Fourier-Motzkin elimination of the other coordinates bounds each
+    coordinate. An infeasible system counts 0, since its projection on
+    the first coordinate is empty; a feasible one with a coordinate
+    bounded on one side only raises ``Unbounded``; otherwise the lattice
+    points of the bounding box are counted against the inequalities."""
+    rows = _fm_reduce([([Fraction(-x) for x in a], Fraction(-r * b)) for a, b in p.inequalities])
+    box = []
+    for j in range(p.dim):
+        proj = rows
+        for v in range(p.dim):
+            if v != j and proj is not None:
+                proj = _fm_eliminate(proj, v)
+        if proj is None:
+            return 0
+        upper = [b for c, b in proj if c[j] > 0]
+        lower = [-b for c, b in proj if c[j] < 0]
+        if upper and lower and max(lower) > min(upper):
+            return 0
+        if not (upper and lower):
+            raise Unbounded("lattice points of an unbounded polyhedron")
+        box.append(range(math.ceil(max(lower)), math.floor(min(upper)) + 1))
+    return sum(
+        all(sum(x * y for x, y in zip(a, pt)) >= r * b for a, b in p.inequalities) for pt in iproduct(*box)
+    )
 
 
 def scan_invariant_count(action, r, emax):

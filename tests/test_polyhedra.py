@@ -629,6 +629,50 @@ def passes(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def ranks(monkeypatch):
+    """Records the vectors of every ``_rank`` call."""
+    calls = []
+    run = polyhedra._rank
+
+    def counting(vectors):
+        calls.append(tuple(vectors))
+        return run(vectors)
+
+    monkeypatch.setattr(polyhedra, "_rank", counting)
+    return calls
+
+
+class TestGradedWalks:
+    """The face walks read dimensions off the grading of the face lattice:
+    the face counts rank no face, and the pulling triangulation ranks the
+    whole cone once."""
+
+    def test_face_counts_rank_no_face(self, ranks):
+        pyramid = polyhedron(
+            3, [((0, 0, 1), 0), ((-1, 0, -1), -1), ((1, 0, -1), -1), ((0, -1, -1), -1), ((0, 1, -1), -1)]
+        )
+        counts = [polyhedra._face_counts(p) for p in (prism(), unit_cube(6), positive_orthant(3), pyramid)]
+        assert counts == [
+            ((6, 9, 5, 1), True),
+            ((64, 192, 240, 160, 60, 12, 1), True),
+            ((1, 3, 3, 1), True),
+            ((5, 8, 5, 1), False),
+        ]
+        assert ranks == []
+
+    def test_triangulation_ranks_the_cone_once(self, ranks):
+        cones = [homogenize(unit_cube(6)), homogenize(positive_orthant(3)), Cone(2, ((0, 1), (2, -1)))]
+        assert ranks == [polyhedra._triangulation(c)[0] for c in cones]
+        # The zero cone has no ray to rank.
+        assert polyhedra._triangulation(Cone(0, ())) == ((), [])
+        assert len(ranks) == 3
+
+    def test_graded_generators_rank_once(self, ranks):
+        assert len(graded_generators(unit_cube(6))) == 64
+        assert len(ranks) == 1
+
+
 class TestPassCache:
     """Each polyhedron runs its plain double description pass once and
     counts its faces once; the answers are not shared mutable objects and

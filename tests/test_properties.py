@@ -32,9 +32,12 @@ from toricalc.lattice import (
 )
 from toricalc.polyhedra import (
     Polyhedron,
+    _facets,
+    _tight_sets,
     dilate,
     f_vector,
     face,
+    homogenize,
     interval,
     is_bounded,
     is_empty,
@@ -57,6 +60,7 @@ from oracles import (
     scan_invariant_count,
     semistable_by_weight_cone,
 )
+from test_semigroups import TRIANGULATION_CONES
 
 lax = settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 geometry = settings(
@@ -363,8 +367,8 @@ def count_or_error(count, p, r):
 
 class TestHilbertFunctionOracle:
     # hilbert_function scans r * p from the pass of p; the oracle counts
-    # the lattice points of a dilated copy, or at r = 0 of the cone
-    # {a . x >= 0}, each a polyhedron of its own.
+    # over a box that Fourier-Motzkin elimination reads from the
+    # inequalities {a . x >= r * b}, with no pass at all.
     @pytest.mark.parametrize("seed", POLYTOPE_SEEDS)
     def test_matches_dilated_copy_on_seeds(self, seed):
         p = seeded_polytope(seed)
@@ -539,6 +543,55 @@ class TestFaceCountOracle:
         assert {EmptyPolyhedron, LinealityPresent} <= outcomes
         assert {o[1] for o in outcomes if isinstance(o, tuple)} == {True, False}
         assert any(not is_empty(p) and not vrep(p).is_bounded for p in FACE_COUNT_FIXTURES)
+
+
+# Pointed cones: those the triangulation tests use, the cones over the
+# seeded polytopes (empty ones give the zero cone) and the cubes' cones.
+FACET_RULE_CASES = (
+    [pytest.param(c, id=f"rays{i}") for i, c in enumerate(TRIANGULATION_CONES)]
+    + [pytest.param(homogenize(seeded_polytope(seed)), id=f"seed{seed}") for seed in POLYTOPE_SEEDS]
+    + [pytest.param(homogenize(unit_cube(k)), id=f"cube{k}") for k in range(1, 7)]
+)
+
+
+class TestFacetRule:
+    # _facets keeps the maximal proper sets face & t. Each must be a facet,
+    # with rays of rank one less than the face's (Gaussian elimination over
+    # the rationals), and every other proper face & t must lie in one.
+    @pytest.mark.parametrize("c", FACET_RULE_CASES)
+    def test_facets_drop_the_rank_by_one(self, c):
+        rays, lin = c._pass
+        assert not lin
+        tight_sets = _tight_sets([r.tight for r in rays], len(c.inequalities))
+        rank = {}
+
+        def rank_of(f):
+            if f not in rank:
+                rank[f] = rational_rank([r.vec for g, r in enumerate(rays) if f >> g & 1])
+            return rank[f]
+
+        top = (1 << len(rays)) - 1
+        reached = {top}
+        queue = [top]
+        while queue:
+            cur = queue.pop()
+            facets = _facets(cur, tight_sets)
+            assert all(rank_of(f) == rank_of(cur) - 1 for f in facets), cur
+            for t in tight_sets:
+                sub = cur & t
+                assert sub == cur or any(sub & f == sub for f in facets), (cur, t)
+            for f in facets:
+                if f not in reached:
+                    reached.add(f)
+                    queue.append(f)
+        # Every face, every intersection of tight sets, is reached.
+        faces = {top}
+        while True:
+            more = faces | {f & t for f in faces for t in tight_sets}
+            if more == faces:
+                break
+            faces = more
+        assert reached == faces
 
 
 class TestActionProperties:

@@ -472,6 +472,40 @@ class TestGradedGenerators:
         assert gens == [GradedPoint((), 1)]
 
 
+def seeded_unbounded_polyhedra(count):
+    """The first ``count`` nonempty, unbounded, pointed polyhedra drawn
+    from ``random.Random(11)``: dims 1-3, 1-5 inequalities, coefficients
+    in [-3, 3]."""
+    rng = random.Random(11)
+    out = []
+    while len(out) < count:
+        d = rng.randint(1, 3)
+        rows = [(tuple(rng.randint(-3, 3) for _ in range(d)), rng.randint(-3, 3)) for _ in range(rng.randint(1, 5))]
+        p = polyhedron(d, rows)
+        v = vrep(p)
+        if not v.is_empty and v.rays and not v.lineality:
+            out.append(p)
+    return out
+
+
+BASE_RING_CASES = [pytest.param(p, id=f"unbounded{i}") for i, p in enumerate(seeded_unbounded_polyhedra(200))]
+
+
+class TestBaseRing:
+    # The height-0 part of the cone over p is a face of it, the recession
+    # cone {a . x >= 0}, and a face's Hilbert basis is the cone's basis
+    # elements that lie in it. So the degree-0 graded generators generate
+    # the base ring R_0. The triangulation here runs on cones with rays of
+    # height 0.
+    @pytest.mark.parametrize("p", BASE_RING_CASES)
+    def test_recession_basis_is_the_degree_zero_part(self, p):
+        recession = Cone(p.dim, tuple(a for a, _ in p.inequalities))
+        assert hilbert_basis(recession) == [g.point for g in graded_generators(p) if g.degree == 0]
+
+    def test_corpus_covers_every_dimension(self):
+        assert {p.values[0].dim for p in BASE_RING_CASES} == {1, 2, 3}
+
+
 class TestHilbertFunction:
     def test_unit_interval(self):
         for r in range(6):
