@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 
 from .errors import AllZero, NonSpanning, NotInSemigroup, NotSimple, TorsionQuotient
 from .lattice import IntMatrix, _as_ints, _left_kernel, as_int, invariant_factors_from, snf
-from .polyhedra import Polyhedron, _face_generators, f_vector, polyhedron
+from .polyhedra import Polyhedron, _face_generators, _tight_generators, f_vector, polyhedron
 from .semigroups import graded_generators
 
 Support = tuple[int, ...]
@@ -165,8 +165,8 @@ def is_semistable(action: LinearizedAction, support: Iterable[int]) -> bool:
     are semistable: true iff the corresponding face of the polyhedron
     is nonempty, which is when -W alpha, with W the weight matrix, lies
     in the cone of the columns of W off the support. Only the face's
-    emptiness is computed."""
-    return _face_generators(delta(action), support) is not None
+    emptiness is read, by tight mask, from the polyhedron's cached pass."""
+    return _tight_generators(delta(action), support) is not None
 
 
 def minimal_unstable_supports(action: LinearizedAction) -> list[Support]:

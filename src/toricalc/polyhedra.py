@@ -13,9 +13,9 @@ face counts once, on first use, outside its fields. ``vrep``,
 ``is_bounded``, ``is_empty``, ``f_vector``, the triangulation behind
 ``semigroups.hilbert_basis`` and the scan of r * p behind
 ``lattice_points`` and ``semigroups.hilbert_function`` read that pass;
-an exception is raised again on every call. Only a face query (``face``,
-and the semistability tests of ``actions``) runs a pass of its own,
-holding the face's inequalities as equalities.
+an exception is raised again on every call. So do ``face`` and the
+semistability test of ``actions``, by tight mask; only its walk over the
+unstable supports runs a pass per support, holding those rows equal.
 
 Everything is deterministic: inequalities are inserted in the order
 given, generated rays are reduced to primitive integer vectors, and all
@@ -158,13 +158,13 @@ def _dd_pair(constraints, ambient: int, equal: int = 0):
     (modulo lineality) and a lineality basis. Returns (rays, lineality)
     where rays are _Ray records with primitive integer vectors.
 
-    The constraints whose bits are set in the mask ``equal`` are held as
-    equalities, which gives the face of the cone they cut out: when such
-    a constraint is inserted, only the rays tight on it survive, with the
-    new adjacent combinations. A ray with c . x > 0 never has a
-    descendant tight on c, and the adjacency test of two rays tight on c
-    only consults rays tight on c, so the result is exactly the rays of
-    the full pass whose mask contains ``equal``, in the same order.
+    The constraints set in ``equal`` (by ``minimal_unstable_supports``
+    only) are held as equalities, giving the face they cut out: when one
+    is inserted, only the rays tight on it survive, with the new adjacent
+    combinations. A ray with c . x > 0 never has a descendant tight on c,
+    and the adjacency test of two rays tight on c only consults rays
+    tight on c, so the result is exactly the rays of the full pass whose
+    mask contains ``equal``, in the same order.
     """
     lin = [tuple(1 if j == i else 0 for j in range(ambient)) for i in range(ambient)]
     rays: list[_Ray] = []
@@ -376,15 +376,25 @@ def _check_indices(p: Polyhedron, s) -> frozenset[int]:
 
 
 def _face_generators(p: Polyhedron, s):
-    """(rays, lineality) of the pass of ``p`` that holds the inequalities in
-    ``s`` (1-based indices) as equalities, or None when no ray has positive
-    height, that is when the face is empty. A nonempty ``s`` runs a pass of
-    its own (see ``_dd_pair``); the empty one reads the cached pass."""
+    """(rays, lineality) of the pass of ``p`` holding the inequalities in
+    ``s`` (1-based) as equalities, or None when the face is empty: no ray
+    has positive height. Runs a pass of its own unless ``s`` is empty; only
+    ``minimal_unstable_supports`` calls it (see ``_tight_generators``)."""
     equal = sum(1 << (i - 1) for i in _check_indices(p, s))
     rays, lin = _dd_pair(_homogenized_rows(p), p.dim + 1, equal) if equal else p._cone._pass
     if not any(r.vec[-1] > 0 for r in rays):
         return None
     return rays, lin
+
+
+def _tight_generators(p: Polyhedron, s):
+    """``_face_generators`` read off the cached pass, with no pass of its
+    own: the rays whose tight mask contains ``s``, in pass order, and the
+    pass's lineality; None when no kept ray has positive height."""
+    equal = sum(1 << (i - 1) for i in _check_indices(p, s))
+    rays, lin = p._cone._pass
+    kept = [r for r in rays if r.tight & equal == equal]
+    return (kept, lin) if any(r.vec[-1] > 0 for r in kept) else None
 
 
 def face(p: Polyhedron, s) -> Face | None:
@@ -394,13 +404,13 @@ def face(p: Polyhedron, s) -> Face | None:
     is empty. The returned active set is closed: it lists every inequality
     tight on the whole face, not only those in ``s``.
 
-    The face's generators come from one double description pass of ``p``
-    that holds the inequalities in ``s`` as equalities, so they are the
-    generators of the full pass whose tight mask contains ``s``. The face
-    is empty when none of them has positive height. The witness is the
-    mean of the face's vertices plus the sum of its rays.
+    The face's generators are those of the cached pass of ``p`` whose
+    tight mask contains ``s`` (``_tight_generators``), so no pass is run
+    on a polyhedron already queried. The face is empty when none of them
+    has positive height. The witness is the mean of the face's vertices
+    plus the sum of its rays.
     """
-    generators = _face_generators(p, s)
+    generators = _tight_generators(p, s)
     if generators is None:
         return None
     rays, lin = generators

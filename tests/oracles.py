@@ -5,8 +5,10 @@
 ``fractions.Fraction``: a rank and a linear solve that do not go through
 the Smith form.  ``proj_equal_bezout`` decides projective equality of
 evaluation vectors through one Bezout combination of the degrees.
-``face_from_full_pass`` answers a face query by the double description
-pass of the whole polyhedron, filtered by tight mask afterwards.
+``face_from_full_pass`` answers a face query by a double description
+pass of the whole polyhedron of its own, filtered by tight mask
+afterwards; it stands in for the held-equality pass of
+``minimal_unstable_supports``.
 ``f_vector_by_frozensets`` counts faces by the walk ``f_vector`` replaced:
 faces as frozensets of generator indices, from a pass of its own.
 ``extreme_rays`` lists the extreme rays and lineality of a cone from
@@ -176,10 +178,12 @@ def _bezout(nums) -> tuple[int, list[int]]:
 
 
 def face_from_full_pass(p, s):
-    """``toricalc.polyhedra.face`` by the route it replaced: the full double
-    description pass of ``p``, then only the generators whose tight mask
-    contains ``s``; witness, dimension and active set as ``face`` takes
-    them."""
+    """``toricalc.polyhedra.face`` from a fresh full double description
+    pass of ``p``, never the cached one, then only the generators whose
+    tight mask contains ``s``; witness, dimension and active set as
+    ``face`` takes them. ``face`` filters the cached pass the same way;
+    ``minimal_unstable_supports`` instead runs a pass per support that
+    holds ``s`` as equalities, and this is its reference route."""
     s = _check_indices(p, s)
     want = sum(1 << (i - 1) for i in s)
     rays, lin = _dd_pair(_homogenized_rows(p), p.dim + 1)

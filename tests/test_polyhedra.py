@@ -16,7 +16,7 @@ from itertools import combinations, product as iproduct
 import pytest
 
 from toricalc import polyhedra
-from toricalc.actions import betti, delta, linearized_action, orbit_census
+from toricalc.actions import betti, delta, is_semistable, linearized_action, orbit_census
 from toricalc.cli import execute
 from toricalc.errors import EmptyPolyhedron, LinealityPresent, NotPointed, Unbounded
 from toricalc.lattice import primitive
@@ -692,6 +692,8 @@ class TestPassCache:
         "hilbert_function 0": lambda p: hilbert_function(p, 0),
         "hilbert_function 1": lambda p: hilbert_function(p, 1),
         "hilbert_function 3": lambda p: hilbert_function(p, 3),
+        "face {1}": lambda p: face(p, {1}),
+        "face {1, 4}": lambda p: face(p, {1, 4}),
     }
 
     def test_one_pass_across_every_query(self, passes):
@@ -748,14 +750,23 @@ class TestPassCache:
         assert hilbert_function(p, r) == first
         assert len(passes) == 1
 
-    def test_face_query_runs_its_own_pass(self, passes):
+    def test_face_queries_read_the_cached_pass(self, passes):
+        # A face's generators are the cached pass's rays whose tight mask
+        # holds the support, so a warm polyhedron runs no pass for any
+        # support, empty or not.
         p = prism()
-        f_vector(p)
-        assert face(p, {1}).dim == 2
-        assert face(p, ()).dim == 3
-        # The held-equality pass of {1} runs; the empty support reads the
-        # cached pass.
-        assert len(passes) == 2
+        vrep(p)
+        supports = [s for k in range(3) for s in combinations(range(1, p.n_inequalities + 1), k)]
+        faces = {s: face(p, s) for s in supports}
+        assert passes == [tuple(polyhedra._homogenized_rows(p))]
+        assert [faces[s].dim for s in ((), (1,), (1, 4))] == [3, 2, 1]
+        assert faces[(4, 5)] is None
+
+    def test_semistability_runs_one_pass(self, passes):
+        act = linearized_action([[1, 1, 0, 0], [0, 0, 1, 1]], (-1, 0, -1, 0))
+        p = delta(act)
+        assert [is_semistable(act, s) for s in ((), (1,), (1, 2), (1, 3))] == [True, True, False, True]
+        assert passes == [tuple(polyhedra._homogenized_rows(p))]
 
     def test_nothing_computed_at_construction(self, passes):
         p = prism()

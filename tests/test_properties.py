@@ -60,6 +60,7 @@ from oracles import (
     scan_invariant_count,
     semistable_by_weight_cone,
 )
+from test_polyhedra import HELD_CORPUS, held_corpus_polyhedron, reference_face
 from test_semigroups import TRIANGULATION_CONES
 
 lax = settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -498,6 +499,42 @@ class TestWeightConeOracle:
         assert any(max(act.alpha, default=0) == 1 for act in WEIGHT_CONE_CORPUS)
         assert any(is_empty(delta(act)) for act in WEIGHT_CONE_CORPUS)
         assert any(not is_empty(delta(act)) and minimal_unstable_supports(act) for act in WEIGHT_CONE_CORPUS)
+
+
+class TestSharedPassRecords:
+    """``face`` and ``is_semistable`` keep the rays of the cached pass
+    whose tight mask holds the support. Those ray records are shared, so a
+    sweep over every support must leave their vectors, their masks and the
+    lineality as they were, and the faces read afterwards must match a
+    fresh copy's and the Fourier-Motzkin route's."""
+
+    @staticmethod
+    def sweep(p, query):
+        rays, lin = p._cone._pass
+        before = [(r.vec, r.tight) for r in rays], lin
+        supports = [s for k in range(p.n_inequalities + 1) for s in combinations(range(1, p.n_inequalities + 1), k)]
+        for s in supports:
+            query(s)
+        rays, lin = p._cone._pass
+        assert ([(r.vec, r.tight) for r in rays], lin) == before
+        for s in supports:
+            fresh = Polyhedron(p.dim, p.inequalities)
+            assert face(p, s) == face(fresh, s) == reference_face(p, set(s)), s
+
+    @pytest.mark.parametrize("kind, seed", HELD_CORPUS)
+    def test_held_corpus(self, kind, seed):
+        p = held_corpus_polyhedron(kind, seed)
+        self.sweep(p, lambda s: face(p, s))
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_seeded_actions(self, seed):
+        act = seeded_action(seed)
+        p = delta(act)
+
+        def query(s):
+            assert is_semistable(act, s) == (face(p, s) is not None), s
+
+        self.sweep(p, query)
 
 
 # The named polyhedra of the other test files: cubes, simplices,
