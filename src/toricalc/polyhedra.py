@@ -434,23 +434,32 @@ def face(p: Polyhedron, s) -> Face | None:
 
 
 def _rank(vectors) -> int:
-    """Rank of integer vectors, by fraction-free (Bareiss) elimination.
-    The dimension of a face is the rank of its homogenized generators
-    (vertices at positive height, rays and lineality at height 0) less one."""
+    """Rank of integer vectors. A face's dimension is the rank of its
+    homogenized generators (lineality included) less one."""
+    return _bareiss(vectors)[0]
+
+
+def _det(vectors) -> int:
+    """|det| of n integer vectors in Z^n, 0 when they are dependent."""
+    rank, pivot = _bareiss(vectors)
+    return abs(pivot) if rank == len(vectors) else 0
+
+
+def _bareiss(vectors) -> tuple[int, int]:
+    """Rank and last pivot of a fraction-free (Bareiss) elimination. The
+    pivots are minors, so the last of n independent vectors is +-det."""
     rows = [list(g) for g in vectors if any(g)]
-    rank = 0
-    prev = 1
+    rank, prev = 0, 1
     for c in range(len(rows[0]) if rows else 0):
         piv = next((r for r in rows if r[c]), None)
         if piv is None:
             continue
         rows.remove(piv)
-        pc = piv[c]
-        rows = [[(pc * x - r[c] * y) // prev for x, y in zip(r, piv)] for r in rows]
+        rows = [[(piv[c] * x - r[c] * y) // prev for x, y in zip(r, piv)] for r in rows]
         rows = [r for r in rows if any(r)]
-        prev = pc
+        prev = piv[c]
         rank += 1
-    return rank
+    return rank, prev
 
 
 def f_vector(p: Polyhedron) -> tuple[tuple[int, ...], bool]:

@@ -17,8 +17,10 @@ pass, so ``vrep``, ``is_bounded`` and ``hilbert_function``, which scans
 r * P over r times its vertices, reuse it.
 It lists the lattice points of the half-open fundamental parallelepiped
 of each simplicial piece as the finite group read off the Smith form of
-its ray matrix. The candidates are then taken in order of a positive
-grading, and each is kept unless it lies above an element already kept.
+its ray matrix, or just the origin when that matrix is unimodular. The
+candidates are then taken in order of a positive grading, and each is
+kept unless its values under the inequality rows are at least those of
+an element already kept. Each cone keeps its basis for later calls.
 Relations among the generators are counted from the fibers of the
 monomials over their images, without a second lattice point count.
 """
@@ -27,10 +29,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iproduct
+from operator import ge
 
 from .errors import Unbounded
 from .lattice import IntMatrix, as_int, invariant_factors_from, snf
-from .polyhedra import Cone, Polyhedron, _dilated_points, _triangulation, homogenize, is_bounded
+from .polyhedra import Cone, Polyhedron, _det, _dilated_points, _dot, _triangulation, homogenize, is_bounded
 
 Vector = tuple[int, ...]
 
@@ -66,9 +69,12 @@ def _parallelepiped_points(rays: list[Vector]) -> list[Vector]:
     (1/d_i) Z. One point per c in prod [0, d_i), taking s_i = c_i / d_i
     and t modulo 1, so there are prod d_i points. With n = d_k, every
     t_j is a multiple of 1/n and the points come out in integers. The
-    rays may span a proper subspace of the ambient space.
+    rays may span a proper subspace of the ambient space. A square R with
+    determinant +-1 gives only the origin, with no Smith form.
     """
     k, ambient = len(rays), len(rays[0])
+    if k == ambient and _det(rays) == 1:
+        return [(0,) * ambient]
     nf = snf(IntMatrix.from_rows(rays))
     factors = invariant_factors_from(nf)
     n = factors[-1]
@@ -85,27 +91,27 @@ def hilbert_basis(c: Cone) -> list[Vector]:
     pointed cone, sorted lexicographically.
 
     The candidates are the extreme rays and the parallelepiped points of
-    a triangulation. They are taken in increasing order of the grading
-    x -> sum of the inequality rows applied to x, which is positive on
-    the cone minus 0 because a pointed cone's inequality matrix has
-    trivial kernel. A candidate g is kept unless g - h lies in the cone
-    for an h kept before it (Bruns and Ichim, J. Algebra 324 (2010)).
-    ``NotPointed`` is raised when the cone contains a line.
+    a triangulation, each with its values under the inequality rows, in
+    increasing order of their sum: positive on the cone minus 0, since a
+    pointed cone's inequality matrix has trivial kernel. A candidate g is
+    kept unless g - h lies in the cone (g's values are at least h's) for
+    an h kept before it (Bruns and Ichim, J. Algebra 324 (2010)). The
+    basis is kept with the cone; ``NotPointed`` is raised on every call.
     """
-    rays, simplices = _triangulation(c)
-    candidates = set(rays)
-    for simplex in simplices:
-        candidates.update(_parallelepiped_points([rays[i] for i in simplex]))
-    zero = tuple(0 for _ in range(c.ambient))
-    candidates.discard(zero)
-    grading = [sum(col) for col in zip(*c.inequalities)]
-    ordered = sorted(candidates, key=lambda x: (sum(w * v for w, v in zip(grading, x)), x))
-    basis: list[Vector] = []
-    for g in ordered:
-        if not any(c.contains(tuple(a - b for a, b in zip(g, h))) for h in basis):
-            basis.append(g)
-    basis.sort()
-    return basis
+    if "_hilbert_basis" not in vars(c):
+        rays, simplices = _triangulation(c)
+        candidates = set(rays)
+        for simplex in simplices:
+            candidates.update(_parallelepiped_points([rays[i] for i in simplex]))
+        candidates.discard(tuple(0 for _ in range(c.ambient)))
+        values = {x: tuple(_dot(row, x) for row in c.inequalities) for x in candidates}
+        basis: list[Vector] = []
+        for g in sorted(candidates, key=lambda x: (sum(values[x]), x)):
+            vg = values[g]
+            if not any(all(map(ge, vg, values[h])) for h in basis):
+                basis.append(g)
+        vars(c)["_hilbert_basis"] = tuple(sorted(basis))
+    return list(vars(c)["_hilbert_basis"])
 
 
 def graded_generators(p: Polyhedron) -> list[GradedPoint]:

@@ -1,6 +1,8 @@
 """Reference routines shared by the tests, kept out of the library.
 
 ``det`` checks that the transforms of the normal forms are unimodular.
+``rational_det`` is a determinant by Gaussian elimination over
+``fractions.Fraction``, the reference for the Bareiss one of ``polyhedra``.
 ``rational_rank`` and ``solve_rational`` are Gaussian elimination over
 ``fractions.Fraction``: a rank and a linear solve that do not go through
 the Smith form.  ``proj_equal_bezout`` decides projective equality of
@@ -13,6 +15,9 @@ afterwards; it stands in for the held-equality pass of
 faces as frozensets of generator indices, from a pass of its own.
 ``extreme_rays`` lists the extreme rays and lineality of a cone from
 that pass, sorted, as the order ``hilbert_basis`` numbers the rays in.
+``hilbert_basis_by_differences`` reduces the Hilbert basis candidates by
+testing each difference against the cone, as ``hilbert_basis`` did
+before it compared the candidates' values under the inequality rows.
 ``hilbert_function_by_dilation`` counts the lattice points of r * p over a
 box that Fourier-Motzkin elimination reads from the inequalities alone.
 ``scan_invariant_count`` counts invariant monomials of bounded exponents
@@ -39,9 +44,11 @@ from toricalc.polyhedra import (
     _homogenized_rows,
     _rank,
     _sign_normalize,
+    _triangulation,
     lattice_points,
     polyhedron,
 )
+from toricalc.semigroups import _parallelepiped_points
 
 
 def det(m) -> int:
@@ -68,6 +75,25 @@ def det(m) -> int:
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def rational_det(vectors) -> Fraction:
+    """Determinant of n rational vectors in Q^n, by Gaussian elimination
+    over ``fractions.Fraction``."""
+    rows = [[Fraction(x) for x in v] for v in vectors]
+    out = Fraction(1)
+    for c in range(len(rows)):
+        piv = next((i for i in range(c, len(rows)) if rows[i][c] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            rows[c], rows[piv] = rows[piv], rows[c]
+            out = -out
+        out *= rows[c][c]
+        for i in range(c + 1, len(rows)):
+            f = rows[i][c] / rows[c][c]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    return out
 
 
 def _row_reduce(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -341,6 +367,24 @@ def extreme_rays(c):
     lineality vectors have their first nonzero coordinate positive."""
     rays, lin = _dd_pair(c.inequalities, c.ambient)
     return tuple(sorted({r.vec for r in rays})), tuple(sorted({_sign_normalize(l) for l in lin}))
+
+
+def hilbert_basis_by_differences(c):
+    """``toricalc.semigroups.hilbert_basis`` with the reduction rule it
+    replaced: from the same candidates, in the same grading order, g is
+    kept unless the difference g - h lies in the cone (``Cone.contains``)
+    for an h kept before it. Nothing is cached."""
+    rays, simplices = _triangulation(c)
+    candidates = set(rays)
+    for simplex in simplices:
+        candidates.update(_parallelepiped_points([rays[i] for i in simplex]))
+    candidates.discard(tuple(0 for _ in range(c.ambient)))
+    grading = [sum(col) for col in zip(*c.inequalities)]
+    basis = []
+    for g in sorted(candidates, key=lambda x: (sum(w * v for w, v in zip(grading, x)), x)):
+        if not any(c.contains(tuple(a - b for a, b in zip(g, h))) for h in basis):
+            basis.append(g)
+    return sorted(basis)
 
 
 def f_vector_by_frozensets(p):

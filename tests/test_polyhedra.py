@@ -15,8 +15,16 @@ from itertools import combinations, product as iproduct
 
 import pytest
 
-from toricalc import polyhedra
-from toricalc.actions import betti, delta, is_semistable, linearized_action, orbit_census
+from toricalc import polyhedra, semigroups
+from toricalc.actions import (
+    betti,
+    delta,
+    evaluate_invariants,
+    is_semistable,
+    linearized_action,
+    orbit_census,
+    proj_equal,
+)
 from toricalc.cli import execute
 from toricalc.errors import EmptyPolyhedron, LinealityPresent, NotPointed, Unbounded
 from toricalc.lattice import primitive
@@ -26,6 +34,7 @@ from toricalc.polyhedra import (
     Polyhedron,
     VRepresentation,
     _dd_pair,
+    _det,
     _homogenized_rows,
     _rank,
     _split_generators,
@@ -46,7 +55,7 @@ from toricalc.polyhedra import (
 )
 from toricalc.semigroups import graded_generators, hilbert_basis, hilbert_function, relation_space
 
-from oracles import face_from_full_pass, rational_rank
+from oracles import face_from_full_pass, rational_det, rational_rank
 
 SQUARE = unit_cube(2)
 
@@ -412,6 +421,43 @@ class TestRank:
         assert kinds == {"zero row", "proper subspace"}
 
 
+def seeded_square(seed):
+    """A seeded n x n integer matrix, n = 1-5. Seeds 1 mod 4 give a product
+    of elementary row operations (determinant +-1); seeds 3 mod 4 make the
+    last row a combination of the others, so the matrix is singular."""
+    rng = random.Random(seed)
+    n = 1 + seed % 5
+    rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+    if seed % 4 == 1:
+        rows = [[int(i == j) for j in range(n)] for i in range(n)]
+        for _ in range(2 * n if n > 1 else 0):
+            i, j = rng.sample(range(n), 2)
+            rows[i] = [a + rng.choice([-1, 1]) * b for a, b in zip(rows[i], rows[j])]
+    elif seed % 4 == 3:
+        coeffs = [rng.randint(-2, 2) for _ in range(n - 1)]
+        rows[-1] = [sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(n)]
+    return [tuple(r) for r in rows]
+
+
+class TestDet:
+    # _det shares _rank's Bareiss elimination; the reference is Gaussian
+    # elimination over Fraction.
+    def test_matches_rational_det(self):
+        kinds = set()
+        for seed in range(300):
+            rows = seeded_square(seed)
+            det = _det(rows)
+            assert det == abs(rational_det(rows)), rows
+            kinds.add((len(rows), "singular" if det == 0 else "unimodular" if det == 1 else "other"))
+        assert {k for _, k in kinds} == {"singular", "unimodular", "other"}
+        assert {n for n, k in kinds if k == "singular"} == {1, 2, 3, 4, 5}
+
+    def test_empty_and_zero_rows(self):
+        assert _det([]) == 1
+        assert _det([(0, 0), (1, 2)]) == 0
+        assert _det([(2, 0), (0, 3)]) == 6
+
+
 class TestFVector:
     def test_square(self):
         f, simple = f_vector(SQUARE)
@@ -728,6 +774,25 @@ class TestPassCache:
         assert f_vector(p) == ((6, 9, 5, 1), True)
         assert counted == [p]
 
+    def test_hilbert_basis_kept(self, monkeypatch):
+        # Two evaluations on one action, then the relations and generators
+        # of its delta, triangulate and reduce the cone over delta once.
+        act = linearized_action([[1, 1, 0, 0], [0, 0, 1, 1]], (-1, 0, -1, 0))
+        built = []
+        triangulate = semigroups._triangulation
+
+        def counting(c):
+            built.append(c)
+            return triangulate(c)
+
+        monkeypatch.setattr(semigroups, "_triangulation", counting)
+        v = evaluate_invariants(act, (1, 2, 3, 4), 1)
+        w = evaluate_invariants(act, (2, 4, 3, 4), 1)
+        assert proj_equal(v, w)
+        assert relation_space(delta(act), 2).relations_by_degree[2].kernel_dim == 1
+        assert len(graded_generators(delta(act))) == 4
+        assert len(built) == 1 and built[0] is homogenize(delta(act))
+
     def test_cli_betti_runs_one_pass(self, passes):
         poly = {"dim": 2, "inequalities": [{"a": a, "b": b} for a, b in unit_cube(2).inequalities]}
         code, out, err = execute(["betti", "--polytope", "-"], stdin=json.dumps(poly))
@@ -774,12 +839,16 @@ class TestPassCache:
         product(p, p)
         assert passes == []
         assert not {"_cone", "_f_vector"} & set(vars(p))
+        assert "_hilbert_basis" not in vars(homogenize(p))
+        assert "_hilbert_basis" not in vars(Cone(2, ((1, 0), (0, 1))))
+        assert passes == []
 
     def test_cache_is_not_a_field(self):
         warm, fresh = prism(), prism()
         f_vector(warm)
+        graded_generators(warm)
         assert {"_cone", "_f_vector"} <= set(vars(warm))
-        assert "_pass" in vars(homogenize(warm))
+        assert {"_pass", "_hilbert_basis"} <= set(vars(homogenize(warm)))
         assert warm == fresh and hash(warm) == hash(fresh) and repr(warm) == repr(fresh)
         assert homogenize(warm) is homogenize(warm)
         assert homogenize(warm) == homogenize(fresh)
@@ -840,4 +909,5 @@ class TestPassCache:
                 with pytest.raises(error):
                     query(p)
         assert "_f_vector" not in vars(p)
+        assert "_hilbert_basis" not in vars(homogenize(p))
         assert len(passes) == 1

@@ -7,6 +7,7 @@ on awkward inputs, not stress testing.
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -31,9 +32,12 @@ from toricalc.lattice import (
     snf,
 )
 from toricalc.polyhedra import (
+    Cone,
     Polyhedron,
+    _det,
     _facets,
     _tight_sets,
+    _triangulation,
     dilate,
     f_vector,
     face,
@@ -49,11 +53,13 @@ from toricalc.polyhedra import (
     unit_cube,
     vrep,
 )
-from toricalc.semigroups import graded_generators, hilbert_function, relation_space
+from toricalc.semigroups import graded_generators, hilbert_basis, hilbert_function, relation_space
 
 from oracles import (
     det,
+    extreme_rays,
     f_vector_by_frozensets,
+    hilbert_basis_by_differences,
     hilbert_function_by_dilation,
     polytope_invariant_count,
     rational_rank,
@@ -61,7 +67,8 @@ from oracles import (
     semistable_by_weight_cone,
 )
 from test_polyhedra import HELD_CORPUS, held_corpus_polyhedron, reference_face
-from test_semigroups import TRIANGULATION_CONES
+from test_acceptance import HILBERT_CONES
+from test_semigroups import EXTREME_RAY_CONES, TRIANGULATION_CONES
 
 lax = settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 geometry = settings(
@@ -629,6 +636,89 @@ class TestFacetRule:
                 break
             faces = more
         assert reached == faces
+
+
+# Pointed cones for the reduction rule: the acceptance cones, the pointed
+# cones of the extreme-ray corpus (the zero cone among them) and the cones
+# over the seeded polytopes.
+REDUCTION_CASES = (
+    [pytest.param(c, id=f"hilbert{i}") for i, c in enumerate(HILBERT_CONES)]
+    + [pytest.param(c, id=f"extreme{i}") for i, c in enumerate(EXTREME_RAY_CONES) if not extreme_rays(c)[1]]
+    + [pytest.param(homogenize(seeded_polytope(seed)), id=f"seed{seed}") for seed in POLYTOPE_SEEDS]
+)
+
+
+class TestReductionOracle:
+    # hilbert_basis compares the candidates' values under the inequality
+    # rows; the oracle tests each difference against the cone instead.
+    @pytest.mark.parametrize("c", REDUCTION_CASES)
+    def test_matches_difference_rule(self, c):
+        fresh = Cone(c.ambient, c.inequalities)
+        assert hilbert_basis(fresh) == hilbert_basis_by_differences(c)
+        assert hilbert_basis(c) == hilbert_basis(fresh)
+
+    def test_corpus_covers_both_parallelepiped_routes(self):
+        kinds = set()
+        for case in REDUCTION_CASES:
+            c = case.values[0]
+            rays, simplices = _triangulation(c)
+            for s in simplices:
+                if len(s) < c.ambient:
+                    kinds.add("proper subspace")
+                else:
+                    kinds.add("unimodular" if _det([rays[i] for i in s]) == 1 else "index > 1")
+            if not rays:
+                kinds.add("zero cone")
+        assert kinds == {"proper subspace", "unimodular", "index > 1", "zero cone"}
+
+
+def full_lattice_polytope(p):
+    """Whether p is a nonempty bounded polyhedron of full dimension whose
+    vertices are integral."""
+    v = vrep(p)
+    return (
+        not v.is_empty
+        and v.is_bounded
+        and all(x.denominator == 1 for vt in v.vertices for x in vt)
+        and rational_rank([vt + (1,) for vt in v.vertices]) == p.dim + 1
+    )
+
+
+VOLUME_CASES = [
+    pytest.param(p, id=name)
+    for name, p in (
+        [(f"seed{seed}", seeded_polytope(seed)) for seed in POLYTOPE_SEEDS]
+        + list(HILBERT_FIXTURES.items())
+        + [(f"face_counts{i}", p) for i, p in enumerate(FACE_COUNT_FIXTURES)]
+    )
+    if full_lattice_polytope(p)
+]
+
+
+class TestNormalizedVolume:
+    # A simplex of the cone over a d-dimensional lattice polytope, spanned
+    # by vertices at height 1, has |det| = d! times its volume. So the
+    # determinants of the pulling triangulation sum to d! vol(p), the d-th
+    # finite difference of the Ehrhart polynomial, here read off
+    # hilbert_function's box scan at r = 0..d.
+    @pytest.mark.parametrize("p", VOLUME_CASES)
+    def test_determinants_sum_to_the_ehrhart_difference(self, p):
+        rays, simplices = _triangulation(homogenize(p))
+        d = p.dim
+        volume = sum(_det([rays[i] for i in s]) for s in simplices)
+        assert volume == sum((-1) ** (d - k) * comb(d, k) * hilbert_function(p, k) for k in range(d + 1))
+
+    def test_corpus_covers_dimensions_and_large_simplices(self):
+        dims = set()
+        large = False
+        for case in VOLUME_CASES:
+            p = case.values[0]
+            dims.add(p.dim)
+            rays, simplices = _triangulation(homogenize(p))
+            large = large or any(_det([rays[i] for i in s]) > 1 for s in simplices)
+        assert dims == {0, 1, 2, 3, 4}
+        assert large
+        assert len(VOLUME_CASES) >= 30
 
 
 class TestActionProperties:
