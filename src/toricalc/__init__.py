@@ -35,7 +35,7 @@ from .errors import (
     ToricalcError,
     Unbounded,
 )
-from .lattice import IntMatrix, NormalForm, hnf, integer_kernel_basis, snf
+from .lattice import IntMatrix, NormalForm, snf
 from .polyhedra import (
     Cone,
     Face,
@@ -50,7 +50,6 @@ from .polyhedra import (
     is_empty,
     lattice_points,
     polyhedron,
-    positive_orthant,
     product,
     standard_simplex,
     unit_cube,

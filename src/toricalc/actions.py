@@ -252,13 +252,16 @@ def proj_equal(
 
     True iff some nonzero rational s has w_j = s^(deg_j) * v_j for all
     j.  Raises AllZero when either side has no nonzero positive-degree
-    value (the point is unstable and has no image).  Scalars that
-    exist only over an extension field are reported as unequal.
+    value (the point is unstable and has no image), and ValueError when
+    a degree is not a nonnegative integer.  Scalars that exist only over
+    an extension field are reported as unequal.
     """
     left = [(Fraction(val), as_int(d)) for val, d in v]
     right = [(Fraction(val), as_int(d)) for val, d in w]
     if [d for _, d in left] != [d for _, d in right]:
         raise ValueError("evaluations must come from the same generator list")
+    if any(d < 0 for _, d in left):
+        raise ValueError("degrees must be nonnegative")
     pos_left = [(val, d) for val, d in left if d > 0]
     pos_right = [(val, d) for val, d in right if d > 0]
     if all(val == 0 for val, _ in pos_left) or all(val == 0 for val, _ in pos_right):

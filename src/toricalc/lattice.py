@@ -1,21 +1,21 @@
 """Exact integer linear algebra.
 
-Row-style Hermite and Smith normal forms with unimodular transforms and
-saturated integer kernels. All arithmetic is exact; matrices are
-immutable tuples of tuples of Python ints.
+Row-style Hermite and Smith normal forms with unimodular transforms. All
+arithmetic is exact; matrices are immutable tuples of tuples of Python
+ints.
 
 Conventions:
-  * ``hnf(M)`` returns ``U`` with ``U @ M == D``, pivots positive and
-    entries above each pivot reduced into ``[0, pivot)``. Pivot choice is
+  * ``_hnf(M)`` returns ``U`` with U M = D, pivots positive and entries
+    above each pivot reduced into ``[0, pivot)``. Pivot choice is
     leftmost column, then smallest absolute value, then lowest row index.
-  * ``snf(M)`` returns ``U, V`` with ``U @ M @ V == D`` diagonal,
-    ``d_i >= 0`` and ``d_i | d_{i+1}``. Each step takes the entry of least
-    absolute value, first in row-major order, as its pivot. A pivot of
-    +-1 divides everything, so its column and its row are each cleared in
-    one pass with no divisibility scan; these operations commute, so D, U
-    and V equal those of the Euclid loop that every other pivot runs.
-  * Kernel bases are saturated and returned in Hermite form, so they are
-    canonical for the kernel lattice.
+    D depends only on the row lattice of M, so the saturated left kernel
+    basis of ``_left_kernel``, returned in this form, is canonical.
+  * ``snf(M)`` returns ``U, V`` with U M V = D diagonal, ``d_i >= 0`` and
+    ``d_i | d_{i+1}``. Each step takes the entry of least absolute value,
+    first in row-major order, as its pivot. A pivot of +-1 divides
+    everything, so its column and its row are each cleared in one pass
+    with no divisibility scan; these operations commute, so D, U and V
+    equal those of the Euclid loop that every other pivot runs.
 
 ``as_int`` is the package's only rule for integer input: the value types
 and the entries that take integers directly pass through it, and nothing
@@ -85,39 +85,16 @@ class IntMatrix:
     def from_rows(cls, rows, ncols: int | None = None) -> "IntMatrix":
         return cls(tuple(rows), -1 if ncols is None else ncols)
 
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        n = _as_dim(n)
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), n)
-
     def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i]
-
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(r[j] for r in self.entries)
-
-    def transpose(self) -> "IntMatrix":
-        if not self.entries:
-            return IntMatrix(tuple(() for _ in range(self.ncols)), 0)
-        return IntMatrix(tuple(zip(*self.entries)), self.nrows)
-
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch in matrix product")
-        ocols = other.ncols
-        rows = tuple(
-            tuple(sum(a * other.entries[k][j] for k, a in enumerate(row)) for j in range(ocols))
-            for row in self.entries
-        )
-        return IntMatrix(rows, ocols)
 
 
 @dataclass(frozen=True)
 class NormalForm:
     """A normal form D of M together with the unimodular transforms.
 
-    Hermite: ``U @ M == D`` and ``V is None``.
-    Smith:   ``U @ M @ V == D``.
+    Hermite: U M = D and ``V is None``.
+    Smith:   U M V = D.
     """
 
     D: IntMatrix
@@ -138,8 +115,8 @@ def _row_sub(rows, i, q, j):
     rows[i] = [a - q * b for a, b in zip(rows[i], rows[j])]
 
 
-def hnf(m: IntMatrix) -> NormalForm:
-    """Row Hermite normal form with transform: U @ M == D."""
+def _hnf(m: IntMatrix) -> NormalForm:
+    """Row Hermite normal form with transform: U M = D."""
     nr, nc = m.nrows, m.ncols
     d = [list(r) for r in m.entries]
     u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
@@ -195,7 +172,7 @@ def _smith_pivot(d, t):
 
 
 def snf(m: IntMatrix) -> NormalForm:
-    """Smith normal form with transforms: U @ M @ V == D."""
+    """Smith normal form with transforms: U M V = D."""
     nr, nc = m.nrows, m.ncols
     d = [list(r) for r in m.entries]
     u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
@@ -272,16 +249,6 @@ def snf(m: IntMatrix) -> NormalForm:
     return NormalForm(IntMatrix(d, nc), IntMatrix(u, nr), IntMatrix(v, nc))
 
 
-def invariant_factors(m: IntMatrix) -> tuple[int, ...]:
-    """Nonzero diagonal of the Smith form, in divisibility order."""
-    return invariant_factors_from(snf(m))
-
-
-def integer_kernel_basis(m: IntMatrix) -> IntMatrix:
-    """Basis of the saturated lattice {v : M v = 0}, rows in Hermite form."""
-    return _left_kernel(m.transpose())[1]
-
-
 def _left_kernel(m: IntMatrix) -> tuple[tuple[int, ...], IntMatrix]:
     """The invariant factors of M and a basis of the saturated lattice
     {w : w M = 0}, rows in Hermite form, from one Smith form U M V = D.
@@ -289,7 +256,7 @@ def _left_kernel(m: IntMatrix) -> tuple[tuple[int, ...], IntMatrix]:
     rows of U past the rank are a basis of that lattice."""
     nf = snf(m)
     factors = invariant_factors_from(nf)
-    return factors, hnf(IntMatrix.from_rows(nf.U.entries[len(factors):], m.nrows)).D
+    return factors, _hnf(IntMatrix.from_rows(nf.U.entries[len(factors):], m.nrows)).D
 
 
 def invariant_factors_from(nf: NormalForm) -> tuple[int, ...]:

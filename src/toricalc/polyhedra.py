@@ -58,13 +58,16 @@ class Polyhedron:
 
     @cached_property
     def _cone(self) -> Cone:
-        """The homogenization cone, built on first use and kept in the
-        instance ``__dict__``; it carries the polyhedron's one double
-        description pass. With n inequalities, a ray's tight mask has bit
-        i - 1 for inequality i and bit n for the height row, and its
-        vector has the height last; the lineality vectors have height 0
-        and are tight everywhere."""
-        return Cone(self.dim + 1, tuple(_homogenized_rows(self)))
+        """The homogenization cone, with rows (a, -b) for each inequality
+        (a, b) in order, then the height row. Built on first use and kept
+        in the instance ``__dict__``; it carries the polyhedron's one
+        double description pass. With n inequalities, a ray's tight mask
+        has bit i - 1 for inequality i and bit n for the height row, and
+        its vector has the height last; the lineality vectors have height
+        0 and are tight everywhere."""
+        rows = [a + (-b,) for a, b in self.inequalities]
+        rows.append((0,) * self.dim + (1,))
+        return Cone(self.dim + 1, tuple(rows))
 
     @cached_property
     def _f_vector(self) -> tuple[tuple[int, ...], bool]:
@@ -81,11 +84,6 @@ def polyhedron(dim: int, inequalities) -> Polyhedron:
 def interval(lo: int, hi: int) -> Polyhedron:
     """The segment [lo, hi] on the line: {p >= lo, -p >= -hi}."""
     return polyhedron(1, [((1,), lo), ((-1,), -hi)])
-
-
-def positive_orthant(dim: int) -> Polyhedron:
-    dim = _as_dim(dim)
-    return polyhedron(dim, [(tuple(1 if j == i else 0 for j in range(dim)), 0) for i in range(dim)])
 
 
 def standard_simplex(dim: int) -> Polyhedron:
@@ -116,14 +114,6 @@ class VRepresentation:
     vertices: tuple[tuple[Fraction, ...], ...]
     rays: tuple[Vector, ...]
     lineality: tuple[Vector, ...]
-
-    @property
-    def is_empty(self) -> bool:
-        return not (self.vertices or self.rays or self.lineality)
-
-    @property
-    def is_bounded(self) -> bool:
-        return not (self.rays or self.lineality)
 
 
 @dataclass(frozen=True)
@@ -254,14 +244,6 @@ class Cone:
         return tuple(rays), tuple(lin)
 
 
-def _homogenized_rows(p: Polyhedron) -> list[Vector]:
-    """Rows of the cone over ``p``: (a, -b) for each inequality in order,
-    then the height row."""
-    rows = [a + (-b,) for a, b in p.inequalities]
-    rows.append(tuple(0 for _ in range(p.dim)) + (1,))
-    return rows
-
-
 def homogenize(p: Polyhedron) -> Cone:
     """The cone over ``p``: each (a, b) becomes (a, -b), plus height >= 0.
     It is built once per polyhedron and returned to every call."""
@@ -381,7 +363,8 @@ def _face_generators(p: Polyhedron, s):
     has positive height. Runs a pass of its own unless ``s`` is empty; only
     ``minimal_unstable_supports`` calls it (see ``_tight_generators``)."""
     equal = sum(1 << (i - 1) for i in _check_indices(p, s))
-    rays, lin = _dd_pair(_homogenized_rows(p), p.dim + 1, equal) if equal else p._cone._pass
+    c = p._cone
+    rays, lin = _dd_pair(c.inequalities, c.ambient, equal) if equal else c._pass
     if not any(r.vec[-1] > 0 for r in rays):
         return None
     return rays, lin

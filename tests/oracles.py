@@ -28,6 +28,11 @@ through the action's projection.
 every pivot, units included.  ``semistable_by_weight_cone`` decides
 semistability from the weights by Fourier-Motzkin elimination, without
 the polyhedron.
+``matmul``, ``transpose`` and ``identity`` are the matrix algebra the
+normal form and kernel tests check against; the library computes none of
+them. ``positive_orthant`` and ``homogenized_rows`` build the orthant and
+the rows of the cone over a polyhedron (each inequality (a, b) as
+(a, -b), then the height row) from their definitions.
 """
 
 import math
@@ -41,7 +46,6 @@ from toricalc.polyhedra import (
     Face,
     _check_indices,
     _dd_pair,
-    _homogenized_rows,
     _rank,
     _sign_normalize,
     _triangulation,
@@ -49,6 +53,36 @@ from toricalc.polyhedra import (
     polyhedron,
 )
 from toricalc.semigroups import _parallelepiped_points
+
+
+def matmul(a, b):
+    """The product of two IntMatrix values."""
+    if a.ncols != b.nrows:
+        raise ValueError("shape mismatch in matrix product")
+    cols = transpose(b).entries
+    rows = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a.entries]
+    return IntMatrix.from_rows(rows, b.ncols)
+
+
+def transpose(m):
+    """The transpose of an IntMatrix, zero-row and zero-column shapes kept."""
+    return IntMatrix(tuple(zip(*m.entries)) if m.entries else ((),) * m.ncols, m.nrows)
+
+
+def identity(n):
+    """The n x n identity IntMatrix."""
+    return IntMatrix(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), n)
+
+
+def positive_orthant(dim):
+    """The polyhedron {p in R^dim : p >= 0}, one inequality per coordinate."""
+    return polyhedron(dim, [(row, 0) for row in identity(dim).entries])
+
+
+def homogenized_rows(p):
+    """The rows of the cone over ``p``: (a, -b) for each inequality (a, b)
+    in order, then the height row."""
+    return [a + (-b,) for a, b in p.inequalities] + [(0,) * p.dim + (1,)]
 
 
 def det(m) -> int:
@@ -212,7 +246,7 @@ def face_from_full_pass(p, s):
     holds ``s`` as equalities, and this is its reference route."""
     s = _check_indices(p, s)
     want = sum(1 << (i - 1) for i in s)
-    rays, lin = _dd_pair(_homogenized_rows(p), p.dim + 1)
+    rays, lin = _dd_pair(homogenized_rows(p), p.dim + 1)
     kept = [r for r in rays if r.tight & want == want]
     heights = [r.vec[-1] for r in kept if r.vec[-1] > 0]
     if not heights:
@@ -234,7 +268,7 @@ def face_from_full_pass(p, s):
 
 
 def snf_euclid(m):
-    """Smith normal form with transforms, U @ M @ V == D, by the Euclid
+    """Smith normal form with transforms, U M V = D, by the Euclid
     loop alone: pivot on the least nonzero entry (lowest row, then column,
     among ties), reduce its column and row by division with remainder
     until both are clear, and fold in a row whose entry the pivot does not
@@ -392,7 +426,7 @@ def f_vector_by_frozensets(p):
     double description pass, then a walk over faces kept as frozensets of
     generator indices, each intersected with every inequality's tight
     set."""
-    rays, lin = _dd_pair(_homogenized_rows(p), p.dim + 1)
+    rays, lin = _dd_pair(homogenized_rows(p), p.dim + 1)
     is_vertex = [r.vec[-1] > 0 for r in rays]
     if not any(is_vertex):
         raise EmptyPolyhedron("f-vector of the empty polyhedron")

@@ -25,7 +25,6 @@ from toricalc.polyhedra import (
     f_vector,
     interval,
     polyhedron,
-    positive_orthant,
     product,
     standard_simplex,
     unit_cube,
@@ -40,7 +39,7 @@ from toricalc.semigroups import (
     relation_space,
 )
 
-from oracles import polytope_invariant_count, scan_invariant_count
+from oracles import polytope_invariant_count, positive_orthant, scan_invariant_count
 
 SQUARE_ACTION = linearized_action([[1, 1, 0, 0], [0, 0, 1, 1]], (-1, 0, -1, 0))
 

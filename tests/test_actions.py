@@ -38,20 +38,28 @@ from toricalc.errors import (
     TorsionQuotient,
 )
 from toricalc.jsonio import action_from_json
-from toricalc.lattice import IntMatrix, hnf, invariant_factors, snf
+from toricalc.lattice import IntMatrix, _hnf, invariant_factors_from, snf
 from toricalc.polyhedra import (
     interval,
     is_empty,
     lattice_points,
     polyhedron,
-    positive_orthant,
     standard_simplex,
     unit_cube,
     vrep,
 )
 from toricalc.semigroups import graded_generators, hilbert_function
 
-from oracles import face_from_full_pass, polytope_invariant_count, proj_equal_bezout, scan_invariant_count
+from oracles import (
+    face_from_full_pass,
+    identity,
+    matmul,
+    polytope_invariant_count,
+    positive_orthant,
+    proj_equal_bezout,
+    scan_invariant_count,
+    transpose,
+)
 
 # The two recurring actions: scaling on C^2 (quotient CP^1) and the
 # coordinate-pair scaling on C^4 whose polyhedron is the unit square.
@@ -79,7 +87,7 @@ class TestQuotientProjection:
         act = linearized_action([], (0, 0, 0))
         q = quotient_projection(act)
         assert q.dim == 3
-        assert q.images == IntMatrix.identity(3)
+        assert q.images == identity(3)
 
     def test_diagonal_scaling(self):
         q = quotient_projection(CP1)
@@ -89,10 +97,10 @@ class TestQuotientProjection:
     def test_exactness_and_span(self):
         for act in (CP1, SQUARE_ACTION, linearized_action([[1, 2, 3]], (0, 0, 0))):
             q = quotient_projection(act)
-            prod = act.weights @ q.images
+            prod = matmul(act.weights, q.images)
             assert all(x == 0 for row in prod.entries for x in row)
             # Rows of the image matrix span the quotient lattice.
-            reduced = hnf(q.images).D
+            reduced = _hnf(q.images).D
             nonzero = [r for r in reduced.entries if any(r)]
             assert nonzero == [
                 tuple(1 if j == i else 0 for j in range(q.dim)) for i in range(q.dim)
@@ -116,7 +124,7 @@ class TestQuotientProjection:
         q = quotient_projection(act)
         assert q.dim == 1
         assert q == quotient_projection(CP1)
-        assert all(x == 0 for row in (act.weights @ q.images).entries for x in row)
+        assert all(x == 0 for row in matmul(act.weights, q.images).entries for x in row)
         assert minimal_unstable_supports(act) == minimal_unstable_supports(CP1) == [(1, 2)]
         for r in range(4):
             assert hilbert_function(delta(act), r) == r + 1
@@ -197,10 +205,8 @@ class TestGroupFromDelta:
         assert [b for _, b in p2.inequalities] == [b for _, b in p.inequalities]
         # Same normals up to a unimodular change of ambient coordinates:
         # the rows of the transposed normal matrices span equal lattices.
-        normals = lambda q: IntMatrix.from_rows(
-            [a for a, _ in q.inequalities], q.dim
-        ).transpose()
-        assert hnf(normals(p)).D == hnf(normals(p2)).D
+        normals = lambda q: transpose(IntMatrix.from_rows([a for a, _ in q.inequalities], q.dim))
+        assert _hnf(normals(p)).D == _hnf(normals(p2)).D
         for r in range(4):
             assert hilbert_function(p, r) == hilbert_function(p2, r)
 
@@ -214,16 +220,16 @@ class TestGroupFromDelta:
         d, rows = seeded_inequalities(seed)
         p = polyhedron(d, rows)
         a = IntMatrix.from_rows([n for n, _ in rows], d)
-        factors = invariant_factors(a)
+        factors = invariant_factors_from(snf(a))
         if len(factors) < d or any(f != 1 for f in factors):
             with pytest.raises(NonSpanning):
                 group_from_delta(p)
             return
         w = group_from_delta(p).weights
-        assert all(x == 0 for row in (w @ a).entries for x in row)
+        assert all(x == 0 for row in matmul(w, a).entries for x in row)
         assert w.nrows == len(rows) - d
-        assert invariant_factors(w) == (1,) * w.nrows
-        assert hnf(w).D == w
+        assert invariant_factors_from(snf(w)) == (1,) * w.nrows
+        assert _hnf(w).D == w
 
     def test_kernel_corpus_covers_both_outcomes(self):
         spanning = 0
@@ -534,6 +540,12 @@ class TestIntegerRule:
             with pytest.raises(ValueError):
                 call()
                 pytest.fail(name)
+
+    def test_negative_degree_rejected(self):
+        # Both degree filters used to skip a negative degree, so these two
+        # vectors compared equal.
+        with pytest.raises(ValueError):
+            proj_equal([(1, -1), (1, 1)], [(5, -1), (1, 1)])
 
     def test_integral_values_accepted(self):
         # Compared by repr, so that a float result equal to an int fails.

@@ -6,20 +6,31 @@ import pytest
 
 from toricalc.lattice import (
     IntMatrix,
+    _hnf,
+    _left_kernel,
     as_int,
-    hnf,
-    integer_kernel_basis,
-    invariant_factors,
+    invariant_factors_from,
     primitive,
     snf,
 )
 from fractions import Fraction
 
-from oracles import det, rational_rank, snf_euclid, solve_rational
+from oracles import det, identity, matmul, rational_rank, snf_euclid, solve_rational, transpose
 
 
 def M(*rows, ncols=None):
     return IntMatrix.from_rows(rows, ncols=ncols)
+
+
+def factors(m):
+    """The invariant factors of m, from its Smith form."""
+    return invariant_factors_from(snf(m))
+
+
+def kernel(m):
+    """Basis of the saturated lattice {v : M v = 0}: the left kernel of the
+    transpose, as ``group_from_delta`` computes it."""
+    return _left_kernel(transpose(m))[1]
 
 
 def snf_corpus(count=400, seed=10):
@@ -68,15 +79,15 @@ class TestHermite:
     def test_worked_example(self):
         # Oracle: by hand, [[2,4],[1,3]] row-reduces to [[1,1],[0,2]] with
         # positive pivots and the entry above the second pivot in [0, 2).
-        nf = hnf(M([2, 4], [1, 3]))
+        nf = _hnf(M([2, 4], [1, 3]))
         assert nf.D.entries == ((1, 1), (0, 2))
-        assert nf.U @ M([2, 4], [1, 3]) == nf.D
+        assert matmul(nf.U, M([2, 4], [1, 3])) == nf.D
         assert is_unimodular(nf.U)
 
     def test_permutation(self):
-        nf = hnf(M([0, 1], [1, 0]))
+        nf = _hnf(M([0, 1], [1, 0]))
         assert nf.D.entries == ((1, 0), (0, 1))
-        assert nf.U @ M([0, 1], [1, 0]) == nf.D
+        assert matmul(nf.U, M([0, 1], [1, 0])) == nf.D
 
     @pytest.mark.parametrize(
         "rows",
@@ -93,8 +104,8 @@ class TestHermite:
     )
     def test_factorization_and_shape(self, rows):
         m = M(*rows)
-        nf = hnf(m)
-        assert nf.U @ m == nf.D
+        nf = _hnf(m)
+        assert matmul(nf.U, m) == nf.D
         assert is_unimodular(nf.U)
         # Echelon shape with positive pivots, entries above reduced.
         last_col = -1
@@ -113,30 +124,30 @@ class TestHermite:
                 assert 0 <= nf.D.entries[above][p] < nf.D.entries[i][p]
 
     def test_zero_rows_sink(self):
-        nf = hnf(M([2, 2], [1, 1]))
+        nf = _hnf(M([2, 2], [1, 1]))
         assert nf.D.entries == ((1, 1), (0, 0))
 
     def test_canonical_for_row_lattice(self):
         # Same row lattice, different presentation: identical Hermite D.
-        a = hnf(M([1, 1, 0], [0, 2, 4])).D
-        b = hnf(M([1, 3, 4], [0, 2, 4], [1, 1, 0])).D
+        a = _hnf(M([1, 1, 0], [0, 2, 4])).D
+        b = _hnf(M([1, 3, 4], [0, 2, 4], [1, 1, 0])).D
         assert a.entries == tuple(r for r in b.entries if any(r))
 
     def test_deterministic(self):
         m = M([6, 10, 15], [10, 15, 6], [15, 6, 10])
-        assert hnf(m) == hnf(m)
+        assert _hnf(m) == _hnf(m)
 
 
 class TestSmith:
     def test_diag_2_3(self):
         nf = snf(M([2, 0], [0, 3]))
         assert nf.D.entries == ((1, 0), (0, 6))
-        assert nf.U @ M([2, 0], [0, 3]) @ nf.V == nf.D
+        assert matmul(matmul(nf.U, M([2, 0], [0, 3])), nf.V) == nf.D
 
     def test_single_row(self):
         nf = snf(M([1, 1]))
         assert nf.D.entries == ((1, 0),)
-        assert invariant_factors(M([1, 1])) == (1,)
+        assert factors(M([1, 1])) == (1,)
 
     @pytest.mark.parametrize(
         "rows",
@@ -153,7 +164,7 @@ class TestSmith:
     def test_factorization_divisibility(self, rows):
         m = M(*rows)
         nf = snf(m)
-        assert nf.U @ m @ nf.V == nf.D
+        assert matmul(matmul(nf.U, m), nf.V) == nf.D
         assert is_unimodular(nf.U)
         assert is_unimodular(nf.V)
         n, c = nf.D.nrows, nf.D.ncols
@@ -174,7 +185,7 @@ class TestSmith:
         # gcd of entries = 2, gcd of 2x2 minors = 12, |det| = 144,
         # so the invariant factors are (2, 12/2, 144/12) = (2, 6, 12).
         m = M([2, 4, 4], [-6, 6, 12], [10, -4, -16])
-        assert invariant_factors(m) == (2, 6, 12)
+        assert factors(m) == (2, 6, 12)
 
     def test_deterministic(self):
         m = M([3, 1, -4], [2, -3, 1])
@@ -197,28 +208,28 @@ class TestSmith:
         assert any(m.ncols == 0 and m.nrows for m in SNF_CORPUS)
         assert any(m.nrows > m.ncols > 0 for m in SNF_CORPUS)
         assert any(m.nrows > 1 and not any(m.row(i)) for m in SNF_CORPUS for i in range(m.nrows))
-        assert any(m.nrows > 1 and not any(m.column(j)) for m in SNF_CORPUS for j in range(m.ncols))
-        assert any(invariant_factors(m) == (1,) * m.nrows and m.ncols > m.nrows > 1 for m in SNF_CORPUS)
+        assert any(m.nrows > 1 and not any(transpose(m).row(j)) for m in SNF_CORPUS for j in range(m.ncols))
+        assert any(factors(m) == (1,) * m.nrows and m.ncols > m.nrows > 1 for m in SNF_CORPUS)
 
 
 class TestKernel:
     def test_sum_zero(self):
-        k = integer_kernel_basis(M([1, 1]))
+        k = kernel(M([1, 1]))
         assert k.entries == ((1, -1),)
 
     def test_identity_has_trivial_kernel(self):
-        k = integer_kernel_basis(IntMatrix.identity(2))
+        k = kernel(identity(2))
         assert k.nrows == 0 and k.ncols == 2
 
     def test_square_difference_pairs(self):
-        k = integer_kernel_basis(M([1, -1, 0, 0], [0, 0, 1, -1]))
+        k = kernel(M([1, -1, 0, 0], [0, 0, 1, -1]))
         assert k.entries == ((1, 1, 0, 0), (0, 0, 1, 1))
 
     def test_saturated(self):
         # Kernel of [[2, 4]] is spanned by (2, -1), not (4, -2).
-        k = integer_kernel_basis(M([2, 4]))
+        k = kernel(M([2, 4]))
         assert k.entries == ((2, -1),)
-        assert invariant_factors(k) == (1,)
+        assert factors(k) == (1,)
 
     @pytest.mark.parametrize(
         "rows",
@@ -232,17 +243,17 @@ class TestKernel:
     )
     def test_kernel_properties(self, rows):
         m = M(*rows)
-        k = integer_kernel_basis(m)
+        k = kernel(m)
         assert k.ncols == m.ncols
         for v in k.entries:
-            assert all(x == 0 for x in (m @ IntMatrix.from_rows([v]).transpose()).column(0))
+            assert all(x == 0 for row in matmul(m, transpose(M(v))).entries for x in row)
         assert k.nrows == m.ncols - rational_rank(m.entries)
         if k.nrows:
-            assert invariant_factors(k) == (1,) * k.nrows
+            assert factors(k) == (1,) * k.nrows
 
     def test_zero_row_matrix(self):
-        k = integer_kernel_basis(IntMatrix((), 3))
-        assert k.entries == IntMatrix.identity(3).entries
+        k = kernel(IntMatrix((), 3))
+        assert k.entries == identity(3).entries
 
 
 class TestIntegerRule:
@@ -258,8 +269,6 @@ class TestIntegerRule:
             "entry": lambda: IntMatrix(((1, 0.5),)),
             "zero-row ncols": lambda: IntMatrix((), 2.5),
             "from_rows ncols": lambda: IntMatrix.from_rows([(1, 2)], 3),
-            "identity": lambda: IntMatrix.identity(1.5),
-            "negative identity": lambda: IntMatrix.identity(-1),
         }
         for name, call in cases.items():
             with pytest.raises(ValueError):
@@ -272,8 +281,6 @@ class TestIntegerRule:
         m = IntMatrix.from_rows([(2.0, Fraction(-4, 2))])
         assert m == M([2, -2]) and all(type(x) is int for x in m.row(0))
         assert IntMatrix((), 3.0) == IntMatrix((), 3)
-        assert IntMatrix.identity(2.0) == IntMatrix.identity(2)
-        assert IntMatrix.identity(0) == IntMatrix((), 0)
         assert IntMatrix.from_rows([(1, 2)], 2.0).ncols == 2
 
 
@@ -281,7 +288,7 @@ class TestHelpers:
     def test_det(self):
         assert det(M([2, 4], [1, 3])) == 2
         assert det(M([1, 2], [2, 4])) == 0
-        assert det(IntMatrix.identity(4)) == 1
+        assert det(identity(4)) == 1
         assert det(M([0, 1], [1, 0])) == -1
 
     def test_primitive(self):
@@ -298,11 +305,3 @@ class TestHelpers:
     def test_rational_rank_and_kernel(self):
         assert rational_rank([(1, 2), (2, 4)]) == 1
         assert rational_rank([]) == 0
-
-    def test_transpose_shapes(self):
-        m = M([1, 2, 3])
-        assert m.transpose().entries == ((1,), (2,), (3,))
-        z = IntMatrix((), 3)
-        assert z.transpose().ncols == 0
-        assert z.transpose().nrows == 3
-        assert z.transpose().transpose() == z

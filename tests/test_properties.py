@@ -26,9 +26,9 @@ from toricalc.actions import (
 from toricalc.errors import EmptyPolyhedron, LinealityPresent, Unbounded
 from toricalc.lattice import (
     IntMatrix,
-    hnf,
-    integer_kernel_basis,
-    invariant_factors,
+    _hnf,
+    _left_kernel,
+    invariant_factors_from,
     snf,
 )
 from toricalc.polyhedra import (
@@ -47,7 +47,6 @@ from toricalc.polyhedra import (
     is_empty,
     lattice_points,
     polyhedron,
-    positive_orthant,
     product,
     standard_simplex,
     unit_cube,
@@ -61,10 +60,13 @@ from oracles import (
     f_vector_by_frozensets,
     hilbert_basis_by_differences,
     hilbert_function_by_dilation,
+    matmul,
     polytope_invariant_count,
+    positive_orthant,
     rational_rank,
     scan_invariant_count,
     semistable_by_weight_cone,
+    transpose,
 )
 from test_polyhedra import HELD_CORPUS, held_corpus_polyhedron, reference_face
 from test_acceptance import HILBERT_CONES
@@ -139,37 +141,38 @@ class TestNormalFormProperties:
     @given(matrices())
     @lax
     def test_hermite_factorization(self, m):
-        nf = hnf(m)
-        assert nf.U @ m == nf.D
+        nf = _hnf(m)
+        assert matmul(nf.U, m) == nf.D
         assert det(nf.U) in (1, -1)
 
     @given(matrices(max_dim=3, span=6), st.data())
     @lax
     def test_hermite_canonical_for_row_lattice(self, m, data):
         u, _ = data.draw(unimodular_pairs(m.nrows))
-        assert hnf(u @ m).D == hnf(m).D
+        assert _hnf(matmul(u, m)).D == _hnf(m).D
 
     @given(matrices())
     @lax
     def test_smith_factorization_and_divisibility(self, m):
         nf = snf(m)
-        assert nf.U @ m @ nf.V == nf.D
+        assert matmul(matmul(nf.U, m), nf.V) == nf.D
         assert det(nf.U) in (1, -1)
         assert det(nf.V) in (1, -1)
-        factors = invariant_factors(m)
+        factors = invariant_factors_from(nf)
         assert all(f > 0 for f in factors)
         assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
 
     @given(matrices())
     @lax
     def test_kernel_is_saturated_and_complete(self, m):
-        k = integer_kernel_basis(m)
+        # The kernel {v : M v = 0} as group_from_delta reads it: the left
+        # kernel of the transpose.
+        k = _left_kernel(transpose(m))[1]
         assert k.nrows == m.ncols - rational_rank(m.entries)
-        for row in k.entries:
-            image = m @ IntMatrix.from_rows([row], m.ncols).transpose()
-            assert all(x == 0 for col in image.entries for x in col)
+        image = matmul(m, transpose(k))
+        assert all(x == 0 for col in image.entries for x in col)
         if k.nrows:
-            assert all(f == 1 for f in invariant_factors(k))
+            assert all(f == 1 for f in invariant_factors_from(snf(k)))
 
 
 class TestPolyhedraProperties:
@@ -341,8 +344,9 @@ class TestRingProperties:
     def test_polytope_corpus_covers_empty_and_fractional(self):
         kinds = set()
         for seed in POLYTOPE_SEEDS:
-            v = vrep(seeded_polytope(seed))
-            if v.is_empty:
+            p = seeded_polytope(seed)
+            v = vrep(p)
+            if is_empty(p):
                 kinds.add("empty")
             elif all(x.denominator == 1 for vt in v.vertices for x in vt):
                 kinds.add("lattice")
@@ -586,7 +590,7 @@ class TestFaceCountOracle:
         outcomes = {face_counts_or_error(f_vector, p) for p in FACE_COUNT_FIXTURES}
         assert {EmptyPolyhedron, LinealityPresent} <= outcomes
         assert {o[1] for o in outcomes if isinstance(o, tuple)} == {True, False}
-        assert any(not is_empty(p) and not vrep(p).is_bounded for p in FACE_COUNT_FIXTURES)
+        assert any(not is_empty(p) and not is_bounded(p) for p in FACE_COUNT_FIXTURES)
 
 
 # Pointed cones: those the triangulation tests use, the cones over the
@@ -677,8 +681,8 @@ def full_lattice_polytope(p):
     vertices are integral."""
     v = vrep(p)
     return (
-        not v.is_empty
-        and v.is_bounded
+        not is_empty(p)
+        and is_bounded(p)
         and all(x.denominator == 1 for vt in v.vertices for x in vt)
         and rational_rank([vt + (1,) for vt in v.vertices]) == p.dim + 1
     )
@@ -738,7 +742,7 @@ class TestActionProperties:
     @geometry
     def test_projection_exactness(self, act):
         q = quotient_projection(act)
-        prod = act.weights @ q.images
+        prod = matmul(act.weights, q.images)
         assert all(x == 0 for row in prod.entries for x in row)
         assert q.dim == act.n - act.weights.nrows
         p = delta(act)

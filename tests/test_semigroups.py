@@ -13,23 +13,18 @@ from math import factorial, prod
 import pytest
 
 from toricalc.errors import NotPointed, Unbounded
-from toricalc.lattice import (
-    IntMatrix,
-    integer_kernel_basis,
-    invariant_factors,
-)
+from toricalc.lattice import IntMatrix, _left_kernel, invariant_factors_from, snf
 from toricalc.polyhedra import (
     Polyhedron,
     dilate,
     interval,
     lattice_points,
     polyhedron,
-    positive_orthant,
     product,
     standard_simplex,
     unit_cube,
 )
-from toricalc.polyhedra import _triangulation, vrep
+from toricalc.polyhedra import _triangulation, is_empty, vrep
 from toricalc.semigroups import (
     Cone,
     GradedPoint,
@@ -41,7 +36,7 @@ from toricalc.semigroups import (
     relation_space,
 )
 
-from oracles import extreme_rays, rational_rank, solve_rational
+from oracles import extreme_rays, positive_orthant, rational_rank, solve_rational, transpose
 from test_acceptance import HILBERT_CONES
 
 SQUARE = unit_cube(2)
@@ -98,7 +93,7 @@ def unimodular_rays(seed, dim):
 
 
 def index(rays):
-    return prod(invariant_factors(IntMatrix.from_rows(rays)))
+    return prod(invariant_factors_from(snf(IntMatrix.from_rows(rays))))
 
 
 def det2(rays):
@@ -200,7 +195,7 @@ def facet_normal(facet_rays, span_basis, inside_ray):
     products <b_t, f>, oriented so ``inside_ray`` is on its positive side."""
     k = len(span_basis)
     rows = [[sum(b * f for b, f in zip(basis_vec, fr)) for basis_vec in span_basis] for fr in facet_rays]
-    z = integer_kernel_basis(IntMatrix.from_rows(rows, k)).row(0)
+    z = _left_kernel(transpose(IntMatrix.from_rows(rows, k)))[1].row(0)
     normal = tuple(sum(z[t] * span_basis[t][j] for t in range(k)) for j in range(len(inside_ray)))
     side = sum(n * x for n, x in zip(normal, inside_ray))
     assert side != 0, "degenerate simplex"
@@ -483,7 +478,7 @@ def seeded_unbounded_polyhedra(count):
         rows = [(tuple(rng.randint(-3, 3) for _ in range(d)), rng.randint(-3, 3)) for _ in range(rng.randint(1, 5))]
         p = polyhedron(d, rows)
         v = vrep(p)
-        if not v.is_empty and v.rays and not v.lineality:
+        if not is_empty(p) and v.rays and not v.lineality:
             out.append(p)
     return out
 
@@ -629,7 +624,7 @@ class TestRelationSpace:
     def test_empty_with_line_in_cone_not_pointed(self):
         # Delta is empty, and the cone {a . x >= 0} holds the line x_1 = 0.
         p = polyhedron(2, [((1, 0), 1), ((-1, 0), 0)])
-        assert vrep(p).is_empty
+        assert is_empty(p)
         for bound in (1, 2):
             with pytest.raises(NotPointed):
                 relation_space(p, bound)

@@ -11,16 +11,32 @@ goes through ``lattice._as_ints``, which skips the call for an exact
 ``int``, not through ``map(as_int, ...)``. The
 package exports each public name it imports, and no submodule. Every
 other module uses each name it imports, so no import outlives the code
-that needed it.
+that needed it. Every public function, class and method of the library,
+the scripts and the benchmark harness has a reference outside its own
+definition there, tests aside, or is one of the few names the README
+keeps without a caller and says why.
 """
 
 import ast
+import re
 from pathlib import Path
 from types import ModuleType
 
 import toricalc
 
 SOURCES = sorted(Path(toricalc.__file__).parent.glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+# The code that may call the library: the library itself (its re-exports
+# in __init__ aside), the scripts and the benchmark harness.
+CALLER_SOURCES = (
+    [p for p in SOURCES if p.name != "__init__.py"]
+    + sorted((ROOT / "scripts").glob("*.py"))
+    + sorted((ROOT / "perfbench").glob("*.py"))
+)
+# Public names with no caller in CALLER_SOURCES, each kept for the reason
+# the README's list gives.
+JUSTIFIED = {"is_empty", "lattice_points"}
+README_LIST = "### Public names kept without a library caller"
 
 
 def assertion_sites(path):
@@ -104,6 +120,50 @@ def unused_imports(path):
     return sorted((line, name) for name, line in imported if name not in used)
 
 
+def public_definitions(tree):
+    """(name, node) of each public top-level function or class of a
+    module, and of each public method of such a class as "Class.method"."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        yield f"{node.name}.{item.name}", item
+
+
+def uncalled_names(paths):
+    """Public names defined in ``paths`` that no node of ``paths`` outside
+    their own definition refers to: as a name, as an attribute, or as a
+    string equal to the name (``vars(cls)["method"]``). A method counts as
+    referred to when any attribute has its name, whatever the object."""
+    trees = [ast.parse(path.read_text(), filename=str(path)) for path in paths]
+    refs = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                refs.setdefault(node.id, []).append(node)
+            elif isinstance(node, ast.Attribute):
+                refs.setdefault(node.attr, []).append(node)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                refs.setdefault(node.value, []).append(node)
+    found = []
+    for tree in trees:
+        for name, node in public_definitions(tree):
+            own = {id(n) for n in ast.walk(node)}
+            if all(id(r) in own for r in refs.get(name.rpartition(".")[2], ())):
+                found.append(name)
+    return sorted(found)
+
+
+def readme_justified_names():
+    """The names in backticks in the README's list of public names kept
+    without a library caller."""
+    text = (ROOT / "README.md").read_text()
+    section = text.split(README_LIST, 1)[1].split("\n#", 1)[0]
+    return set(re.findall(r"`([A-Za-z_][\w.]*)`", section))
+
+
 # The package's public API.
 PUBLIC_NAMES = {
     "AllZero", "Cone", "EmptyPolyhedron", "Face", "GradedPoint", "InputError",
@@ -112,12 +172,11 @@ PUBLIC_NAMES = {
     "QuotientData", "RingPresentation", "TorsionQuotient", "ToricalcError",
     "Unbounded", "VRepresentation", "betti", "delta", "dilate",
     "evaluate_invariants", "f_vector", "face", "graded_generators",
-    "group_from_delta", "hilbert_basis", "hilbert_function", "hnf", "homogenize",
-    "integer_kernel_basis", "interval", "invariant_monomial", "is_bounded",
-    "is_empty", "is_semistable", "lattice_points", "linearized_action",
-    "minimal_unstable_supports", "orbit_census", "polyhedron", "positive_orthant",
-    "product", "proj_equal", "quotient_projection", "relation_space", "snf",
-    "standard_simplex", "unit_cube", "vrep",
+    "group_from_delta", "hilbert_basis", "hilbert_function", "homogenize",
+    "interval", "invariant_monomial", "is_bounded", "is_empty", "is_semistable",
+    "lattice_points", "linearized_action", "minimal_unstable_supports",
+    "orbit_census", "polyhedron", "product", "proj_equal", "quotient_projection",
+    "relation_space", "snf", "standard_simplex", "unit_cube", "vrep",
 }
 
 
@@ -180,3 +239,27 @@ def test_exports_every_public_name():
     assert set(toricalc.__all__) == PUBLIC_NAMES
     for name in toricalc.__all__:
         assert not isinstance(getattr(toricalc, name), ModuleType), name
+
+
+def test_every_public_name_has_a_caller():
+    assert {p.parent.name for p in CALLER_SOURCES} == {"toricalc", "scripts", "perfbench"}
+    assert uncalled_names(CALLER_SOURCES) == sorted(JUSTIFIED)
+    assert JUSTIFIED <= readme_justified_names()
+
+
+def test_caller_check_sees_unreferenced_names(tmp_path):
+    lib = tmp_path / "lib.py"
+    lib.write_text(
+        "def used():\n    return 1\n\n"
+        "def recursive(n):\n    return recursive(n - 1)\n\n"
+        "def _private():\n    pass\n\n"
+        "class Box:\n"
+        "    def kept(self):\n        return used()\n\n"
+        "    def looked_up(self):\n        pass\n\n"
+        "    def dropped(self):\n        return self.dropped\n\n"
+        "    def __len__(self):\n        return 0\n\n"
+        "class Unused:\n    pass\n"
+    )
+    user = tmp_path / "user.py"
+    user.write_text("import lib\n\nlib.Box().kept()\nhook = vars(lib.Box)['looked_up']\n")
+    assert uncalled_names([lib, user]) == ["Box.dropped", "Unused", "recursive"]
