@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import comb
+from math import comb, prod
 from typing import Iterable, Sequence
 
 from .errors import AllZero, NonSpanning, NotInSemigroup, NotSimple, TorsionQuotient
@@ -233,15 +233,14 @@ def evaluate_invariants(
     coords = tuple(Fraction(c) for c in point)
     if len(coords) != action.n:
         raise ValueError(f"point has length {len(coords)}, expected {action.n}")
+    nums, dens = [c.numerator for c in coords], [c.denominator for c in coords]
     q, p = action._quotient
     out = []
     for g in graded_generators(p):
         if g.degree > bound:
             continue
-        value = Fraction(1)
-        for c, e in zip(coords, _exponents(action, q, g.point, g.degree)):
-            value *= c**e
-        out.append((value, g.degree))
+        e = _exponents(action, q, g.point, g.degree)
+        out.append((Fraction(prod(map(pow, nums, e)), prod(map(pow, dens, e))), g.degree))
     return out
 
 

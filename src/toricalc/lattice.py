@@ -271,11 +271,10 @@ def invariant_factors_from(nf: NormalForm) -> tuple[int, ...]:
 
 
 def primitive(v) -> tuple[int, ...]:
-    """Divide an integer vector by the gcd of its entries. Zero stays zero."""
+    """Divide an integer vector by the gcd of its entries. Zero and ()
+    stay unchanged: ``gcd()`` of no or only zero arguments is 0."""
     v = tuple(v)
-    g = 0
-    for x in v:
-        g = gcd(g, x)
+    g = gcd(*v)
     if g <= 1:
         return v
     return tuple(x // g for x in v)

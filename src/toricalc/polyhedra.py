@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product as iproduct
+from operator import mul
 
 from .errors import EmptyPolyhedron, LinealityPresent, NotPointed, Unbounded
 from .lattice import _as_dim, _as_ints, as_int, primitive
@@ -127,7 +128,7 @@ class Face:
 
 
 def _dot(a, b) -> int:
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 class _Ray:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iproduct
-from operator import ge
+from operator import ge, mul
 
 from .errors import Unbounded
 from .lattice import IntMatrix, as_int, invariant_factors_from, snf
@@ -79,10 +79,11 @@ def _parallelepiped_points(rays: list[Vector]) -> list[Vector]:
     factors = invariant_factors_from(nf)
     n = factors[-1]
     steps = [[n // d * x % n for x in row] for d, row in zip(factors, nf.U.entries)]
+    step_columns, ray_columns = list(zip(*steps)), list(zip(*rays))
     out = []
     for c in iproduct(*(range(d) for d in factors)):
-        tn = [sum(ci * step[j] for ci, step in zip(c, steps)) % n for j in range(k)]
-        out.append(tuple(sum(t * r[i] for t, r in zip(tn, rays)) // n for i in range(ambient)))
+        tn = [sum(map(mul, c, column)) % n for column in step_columns]
+        out.append(tuple(sum(map(mul, tn, column)) // n for column in ray_columns))
     return out
 
 

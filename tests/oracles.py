@@ -24,6 +24,10 @@ box that Fourier-Motzkin elimination reads from the inequalities alone.
 by testing weight zero against the weight rows, and
 ``polytope_invariant_count`` counts the same monomials as lattice points
 through the action's projection.
+``evaluate_by_fractions`` evaluates the generating invariants by one
+``Fraction`` power and multiply per coordinate, the route
+``evaluate_invariants`` took before it multiplied numerators and
+denominators as integers.
 ``snf_euclid`` is ``toricalc.lattice.snf`` with the Euclid loop run for
 every pivot, units included.  ``semistable_by_weight_cone`` decides
 semistability from the weights by Fourier-Motzkin elimination, without
@@ -39,7 +43,7 @@ import math
 from fractions import Fraction
 from itertools import product as iproduct
 
-from toricalc.actions import _rational_root, quotient_projection
+from toricalc.actions import _rational_root, delta, quotient_projection
 from toricalc.errors import AllZero, EmptyPolyhedron, LinealityPresent, Unbounded
 from toricalc.lattice import IntMatrix, NormalForm, _negate, _row_sub, _swap
 from toricalc.polyhedra import (
@@ -52,7 +56,7 @@ from toricalc.polyhedra import (
     lattice_points,
     polyhedron,
 )
-from toricalc.semigroups import _parallelepiped_points
+from toricalc.semigroups import _parallelepiped_points, graded_generators
 
 
 def matmul(a, b):
@@ -505,3 +509,20 @@ def polytope_invariant_count(action, r, emax):
         ineqs.append((a, lo))
         ineqs.append((tuple(-x for x in a), -(lo + emax)))
     return len(lattice_points(polyhedron(q.dim, ineqs)))
+
+
+def evaluate_by_fractions(action, point, bound):
+    """(value, degree) per graded generator (p, r) of degree <= bound: the
+    product over i of point_i ** (p . a_i - r * alpha_i), with the a_i the
+    coordinate images of the action's projection, multiplied as Fractions."""
+    q = quotient_projection(action)
+    coords = [Fraction(c) for c in point]
+    out = []
+    for g in graded_generators(delta(action)):
+        if g.degree > bound:
+            continue
+        value = Fraction(1)
+        for i, c in enumerate(coords):
+            value *= c ** (sum(x * y for x, y in zip(g.point, q.images.row(i))) - g.degree * action.alpha[i])
+        out.append((value, g.degree))
+    return out

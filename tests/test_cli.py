@@ -341,6 +341,7 @@ class TestModuleEntry:
 
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+DATA = Path(__file__).resolve().parent / "data"
 
 
 class TestScripts:
@@ -356,9 +357,10 @@ class TestScripts:
         )
 
     def test_worked_examples(self):
+        # The output is deterministic, so it is pinned byte for byte.
         proc = self.run_script("worked_examples.py")
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout
+        assert proc.stdout == (DATA / "worked_examples.txt").read_text()
 
     def test_make_inputs_writes_parseable_files(self, tmp_path):
         proc = self.run_script("make_inputs.py", "--out", str(tmp_path))

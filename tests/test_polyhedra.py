@@ -8,9 +8,11 @@ literals.
 
 import copy
 import json
+import math
 import pickle
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, product as iproduct
 
 import pytest
@@ -35,6 +37,7 @@ from toricalc.polyhedra import (
     VRepresentation,
     _dd_pair,
     _det,
+    _dot,
     _rank,
     _split_generators,
     dilate,
@@ -455,6 +458,56 @@ class TestDet:
         assert _det([]) == 1
         assert _det([(0, 0), (1, 2)]) == 0
         assert _det([(2, 0), (0, 3)]) == 6
+
+
+def kernel_vectors(seed):
+    """Two seeded integer vectors of one length 0-5 for the integer
+    kernels: entries 0, small of either sign, or beyond 2^64, the first
+    scaled by a common factor (1, 6 or 2^65 + 3) so its gcd is not 1."""
+    rng = random.Random(f"kernel:{seed}")
+    n = seed % 6
+
+    def entry():
+        kind = rng.randrange(4)
+        if kind == 3:
+            return rng.choice((-1, 1)) * (2**64 + rng.randrange(2**70))
+        return 0 if kind == 0 else rng.randint(-9, 9)
+
+    scale = rng.choice((1, 6, 2**65 + 3))
+    first = tuple(scale * entry() for _ in range(n))
+    return (first if seed % 7 else (0,) * n), tuple(entry() for _ in range(n))
+
+
+KERNEL_SEEDS = range(300)
+
+
+class TestIntegerKernels:
+    # _dot and primitive run on builtins (sum over map, one gcd call);
+    # here they are checked against their definitions, written out.
+    def test_dot_is_the_sum_of_products(self):
+        for seed in KERNEL_SEEDS:
+            a, b = kernel_vectors(seed)
+            total = 0
+            for i in range(len(a)):
+                total += a[i] * b[i]
+            assert _dot(a, b) == total and type(_dot(a, b)) is int, (a, b)
+
+    def test_primitive_divides_by_the_gcd(self):
+        for seed in KERNEL_SEEDS:
+            for v in kernel_vectors(seed):
+                p = primitive(v)
+                if not any(v):
+                    assert p == v
+                    continue
+                g = next(x // y for x, y in zip(v, p) if y)
+                assert g >= 1 and v == tuple(g * y for y in p), v
+                assert reduce(math.gcd, p, 0) == 1, v
+
+    def test_corpus_covers_empty_zero_negative_and_wide(self):
+        vectors = [v for seed in KERNEL_SEEDS for v in kernel_vectors(seed)]
+        assert () in vectors and (0, 0, 0) in vectors
+        assert any(x < -(2**64) for v in vectors for x in v)
+        assert any(primitive(v) != v and max(map(abs, v)) > 2**64 for v in vectors)
 
 
 class TestFVector:

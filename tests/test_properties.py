@@ -56,6 +56,7 @@ from toricalc.semigroups import graded_generators, hilbert_basis, hilbert_functi
 
 from oracles import (
     det,
+    evaluate_by_fractions,
     extreme_rays,
     f_vector_by_frozensets,
     hilbert_basis_by_differences,
@@ -510,6 +511,38 @@ class TestWeightConeOracle:
         assert any(max(act.alpha, default=0) == 1 for act in WEIGHT_CONE_CORPUS)
         assert any(is_empty(delta(act)) for act in WEIGHT_CONE_CORPUS)
         assert any(not is_empty(delta(act)) and minimal_unstable_supports(act) for act in WEIGHT_CONE_CORPUS)
+
+
+def seeded_evaluations(seed):
+    """``seeded_action(seed)``, a point of small rationals of either sign
+    with about two coordinates in nine 0, and a degree bound in 0-3."""
+    act = seeded_action(seed)
+    rng = random.Random(f"evaluate:{seed}")
+    values = (0, 0, 1, -1, 2, Fraction(-3, 2), Fraction(2, 5), Fraction(-7, 4), Fraction(5, 3))
+    return act, tuple(rng.choice(values) for _ in range(act.n)), seed % 4
+
+
+EVALUATION_SEEDS = range(120)
+
+
+class TestEvaluationOracle:
+    # Integer numerators and denominators against one Fraction multiply
+    # per coordinate: equal values, each a Fraction, 0 ** 0 read as 1.
+    @pytest.mark.parametrize("seed", EVALUATION_SEEDS)
+    def test_matches_fraction_products(self, seed):
+        act, point, bound = seeded_evaluations(seed)
+        got = evaluate_invariants(act, point, bound)
+        assert got == evaluate_by_fractions(act, point, bound)
+        assert all(type(v) is Fraction for v, _ in got)
+
+    def test_corpus_covers_zeros_signs_and_bounds(self):
+        cases = [seeded_evaluations(seed) for seed in EVALUATION_SEEDS]
+        values = [
+            (point, v) for act, point, bound in cases for v, _ in evaluate_invariants(act, point, bound)
+        ]
+        assert {bound for _, _, bound in cases} == {0, 1, 2, 3}
+        assert any(0 in point and v != 0 for point, v in values)
+        assert any(v < 0 and v.denominator > 1 for _, v in values)
 
 
 class TestSharedPassRecords:
