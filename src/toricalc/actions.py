@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 
 from .errors import AllZero, NonSpanning, NotInSemigroup, NotSimple, TorsionQuotient
 from .lattice import IntMatrix, _as_ints, _left_kernel, as_int, invariant_factors_from, snf
-from .polyhedra import Polyhedron, _face_generators, _tight_generators, f_vector, polyhedron
+from .polyhedra import Polyhedron, _face_generators, _face_nonempty, _support_mask, f_vector, polyhedron
 from .semigroups import graded_generators
 
 Support = tuple[int, ...]
@@ -164,9 +164,12 @@ def is_semistable(action: LinearizedAction, support: Iterable[int]) -> bool:
     """Whether points vanishing exactly on the given 1-based support
     are semistable: true iff the corresponding face of the polyhedron
     is nonempty, which is when -W alpha, with W the weight matrix, lies
-    in the cone of the columns of W off the support. Only the face's
-    emptiness is read, by tight mask, from the polyhedron's cached pass."""
-    return _tight_generators(delta(action), support) is not None
+    in the cone of the columns of W off the support. The answer is one
+    scan of the polyhedron's vertex-mask index, the maximal tight masks of
+    its vertices, kept with its pass: the face is nonempty exactly when
+    one of them contains the support."""
+    p = delta(action)
+    return _face_nonempty(p, _support_mask(p, support))
 
 
 def minimal_unstable_supports(action: LinearizedAction) -> list[Support]:

@@ -14,8 +14,12 @@ face counts once, on first use, outside its fields. ``vrep``,
 ``semigroups.hilbert_basis`` and the scan of r * p behind
 ``lattice_points`` and ``semigroups.hilbert_function`` read that pass;
 an exception is raised again on every call. So do ``face`` and the
-semistability test of ``actions``, by tight mask; only its walk over the
-unstable supports runs a pass per support, holding those rows equal.
+semistability test of ``actions``: a face is nonempty exactly when one of
+the maximal tight masks of the pass's vertices contains its support, and
+the polyhedron keeps those masks, once, as its vertex-mask index. Only
+the walk over the unstable supports runs a pass per support, holding
+those rows equal; it stays the independent route the semistability test
+is checked against.
 
 Everything is deterministic: inequalities are inserted in the order
 given, generated rays are reduced to primitive integer vectors, and all
@@ -75,6 +79,17 @@ class Polyhedron:
         """``f_vector``'s answer, kept like ``_cone``. An exception is not
         kept, so it is raised again on the next call."""
         return _face_counts(self)
+
+    @cached_property
+    def _vertex_masks(self) -> tuple[int, ...]:
+        """The vertex-mask index: the tight masks of the pass's generators
+        of positive height, in pass order, kept like ``_cone``. These
+        generators are the distinct vertices of the polyhedron modulo its
+        lineality, so no mask contains another and none repeats: they are
+        already the maximal vertex masks. The face of a support is
+        nonempty exactly when one of them contains the support's mask
+        (``_face_nonempty``)."""
+        return tuple(r.tight for r in self._cone._pass[0] if r.vec[-1] > 0)
 
 
 def polyhedron(dim: int, inequalities) -> Polyhedron:
@@ -351,34 +366,48 @@ def is_bounded(p: Polyhedron) -> bool:
     return not any(heights) or (all(heights) and not lin)
 
 
-def _check_indices(p: Polyhedron, s) -> frozenset[int]:
-    s = frozenset(_as_ints(s))
-    if any(i < 1 or i > p.n_inequalities for i in s):
-        raise ValueError("inequality index out of range (indices are 1-based)")
-    return s
+def _support_mask(p: Polyhedron, s) -> int:
+    """The bitmask of the 1-based inequality indices in ``s``: bit i - 1
+    for index i. Raises ValueError when ``s`` is not iterable, when an
+    index is not an integer, or when one is out of range."""
+    try:
+        s = iter(s)
+    except TypeError:
+        raise ValueError(f"expected an iterable of inequality indices, got {s!r}") from None
+    n, mask = p.n_inequalities, 0
+    for i in _as_ints(s):
+        if i < 1 or i > n:
+            raise ValueError("inequality index out of range (indices are 1-based)")
+        mask |= 1 << (i - 1)
+    return mask
+
+
+def _face_nonempty(p: Polyhedron, want: int) -> bool:
+    """Whether the face where the inequalities in the mask ``want`` hold
+    with equality is nonempty: some generator of positive height is
+    tight on all of them, so some mask of ``_vertex_masks`` contains
+    ``want``."""
+    for m in p._vertex_masks:
+        if m & want == want:
+            return True
+    return False
 
 
 def _face_generators(p: Polyhedron, s):
     """(rays, lineality) of the pass of ``p`` holding the inequalities in
     ``s`` (1-based) as equalities, or None when the face is empty: no ray
     has positive height. Runs a pass of its own unless ``s`` is empty; only
-    ``minimal_unstable_supports`` calls it (see ``_tight_generators``)."""
-    equal = sum(1 << (i - 1) for i in _check_indices(p, s))
+    ``minimal_unstable_supports`` calls it. Its emptiness answer is the
+    one ``_face_nonempty`` reads off the vertex-mask index; the walk keeps
+    a pass per support so that it stays a route to the unstable supports
+    that does not read the index, which the tests and the benchmark check
+    ``is_semistable`` against."""
+    equal = _support_mask(p, s)
     c = p._cone
     rays, lin = _dd_pair(c.inequalities, c.ambient, equal) if equal else c._pass
     if not any(r.vec[-1] > 0 for r in rays):
         return None
     return rays, lin
-
-
-def _tight_generators(p: Polyhedron, s):
-    """``_face_generators`` read off the cached pass, with no pass of its
-    own: the rays whose tight mask contains ``s``, in pass order, and the
-    pass's lineality; None when no kept ray has positive height."""
-    equal = sum(1 << (i - 1) for i in _check_indices(p, s))
-    rays, lin = p._cone._pass
-    kept = [r for r in rays if r.tight & equal == equal]
-    return (kept, lin) if any(r.vec[-1] > 0 for r in kept) else None
 
 
 def face(p: Polyhedron, s) -> Face | None:
@@ -388,16 +417,17 @@ def face(p: Polyhedron, s) -> Face | None:
     is empty. The returned active set is closed: it lists every inequality
     tight on the whole face, not only those in ``s``.
 
-    The face's generators are those of the cached pass of ``p`` whose
-    tight mask contains ``s`` (``_tight_generators``), so no pass is run
-    on a polyhedron already queried. The face is empty when none of them
-    has positive height. The witness is the mean of the face's vertices
-    plus the sum of its rays.
+    The face is empty when no mask of the vertex-mask index of ``p``
+    contains ``s`` (``_face_nonempty``). Otherwise its generators are
+    those of the cached pass of ``p`` whose tight mask contains ``s``, so
+    no pass is run on a polyhedron already queried. The witness is the
+    mean of the face's vertices plus the sum of its rays.
     """
-    generators = _tight_generators(p, s)
-    if generators is None:
+    want = _support_mask(p, s)
+    if not _face_nonempty(p, want):
         return None
-    rays, lin = generators
+    rays, lin = p._cone._pass
+    rays = [r for r in rays if r.tight & want == want]
     heights = [r.vec[-1] for r in rays if r.vec[-1] > 0]
     common = -1
     for r in rays:

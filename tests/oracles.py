@@ -48,10 +48,10 @@ from toricalc.errors import AllZero, EmptyPolyhedron, LinealityPresent, Unbounde
 from toricalc.lattice import IntMatrix, NormalForm, _negate, _row_sub, _swap
 from toricalc.polyhedra import (
     Face,
-    _check_indices,
     _dd_pair,
     _rank,
     _sign_normalize,
+    _support_mask,
     _triangulation,
     lattice_points,
     polyhedron,
@@ -248,8 +248,7 @@ def face_from_full_pass(p, s):
     ``face`` takes them. ``face`` filters the cached pass the same way;
     ``minimal_unstable_supports`` instead runs a pass per support that
     holds ``s`` as equalities, and this is its reference route."""
-    s = _check_indices(p, s)
-    want = sum(1 << (i - 1) for i in s)
+    want = _support_mask(p, s)
     rays, lin = _dd_pair(homogenized_rows(p), p.dim + 1)
     kept = [r for r in rays if r.tight & want == want]
     heights = [r.vec[-1] for r in kept if r.vec[-1] > 0]

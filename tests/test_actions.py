@@ -535,6 +535,8 @@ class TestIntegerRule:
             "n": lambda: LinearizedAction(2.5, IntMatrix((), 2), (0, 0)),
             "bound": lambda: evaluate_invariants(CP1, (1, 1), 1.5),
             "proj degree": lambda: proj_equal([(1, 1.5)], [(1, 1.5)]),
+            "support": lambda: is_semistable(CP1, (1.5,)),
+            "bare support": lambda: is_semistable(CP1, 1),
         }
         for name, call in cases.items():
             with pytest.raises(ValueError):
@@ -555,6 +557,10 @@ class TestIntegerRule:
         assert same(invariant_monomial(CP1, (Fraction(1),), 1.0), invariant_monomial(CP1, (1,), 1))
         assert same(evaluate_invariants(CP1, (1, 2), 1.0), evaluate_invariants(CP1, (1, 2), 1))
         assert proj_equal([(1, 1.0)], [(2, True)])
+        for support in [(True,), (2.0,), (i for i in (2,)), [2, 2]]:
+            assert is_semistable(SQUARE_ACTION, support)
+        for support in [(True, 2.0), (i for i in (1, 2)), [2, 1, 2]]:
+            assert not is_semistable(SQUARE_ACTION, support)
 
 
 class TestActionValidation:

@@ -651,6 +651,7 @@ class TestIntegerRule:
             "cone row": lambda: Cone(2, [(1, 0.5)]),
             "cone ambient": lambda: Cone(2.5, []),
             "support": lambda: face(SQUARE, [1.9]),
+            "bare support": lambda: face(SQUARE, 1),
             "dilation": lambda: dilate(SQUARE, 1.5),
             "cube": lambda: unit_cube(1.5),
             "simplex": lambda: standard_simplex(1.5),
@@ -671,6 +672,10 @@ class TestIntegerRule:
         assert same(polyhedron(2.0, [((1.0, True), -1)]), polyhedron(2, [((1, 1), -1)]))
         assert same(Cone(2.0, [(1, 0.0)]), Cone(2, [(1, 0)]))
         assert same(face(SQUARE, [1.0, True]), face(SQUARE, [1]))
+        assert same(face(SQUARE, (True,)), face(SQUARE, (1,)))
+        assert same(face(SQUARE, (2.0,)), face(SQUARE, (2,)))
+        assert same(face(SQUARE, (i for i in (1, 3))), face(SQUARE, (1, 3)))
+        assert same(face(SQUARE, [3, 1, 3]), face(SQUARE, (1, 3)))
         assert same(dilate(SQUARE, 2.0), dilate(SQUARE, 2))
         assert same(unit_cube(2.0), SQUARE)
         assert same(standard_simplex(Fraction(2)), standard_simplex(2))

@@ -34,6 +34,7 @@ from toricalc.lattice import (
 from toricalc.polyhedra import (
     Cone,
     Polyhedron,
+    _dd_pair,
     _det,
     _facets,
     _tight_sets,
@@ -61,6 +62,7 @@ from oracles import (
     f_vector_by_frozensets,
     hilbert_basis_by_differences,
     hilbert_function_by_dilation,
+    homogenized_rows,
     matmul,
     polytope_invariant_count,
     positive_orthant,
@@ -546,8 +548,9 @@ class TestEvaluationOracle:
 
 
 class TestSharedPassRecords:
-    """``face`` and ``is_semistable`` keep the rays of the cached pass
-    whose tight mask holds the support. Those ray records are shared, so a
+    """``face`` keeps the rays of the cached pass whose tight mask holds
+    the support, and ``is_semistable`` reads the vertex-mask index built
+    from that pass. Those ray records are shared, so a
     sweep over every support must leave their vectors, their masks and the
     lineality as they were, and the faces read afterwards must match a
     fresh copy's and the Fourier-Motzkin route's."""
@@ -579,6 +582,74 @@ class TestSharedPassRecords:
             assert is_semistable(act, s) == (face(p, s) is not None), s
 
         self.sweep(p, query)
+
+
+def maximal_vertex_masks(p):
+    """The maximal tight masks, without repeats, of the generators of
+    positive height of a fresh double description pass of ``p``."""
+    rays, _ = _dd_pair(homogenized_rows(p), p.dim + 1)
+    masks = {r.tight for r in rays if r.vec[-1] > 0}
+    return {m for m in masks if not any(m != o and m & o == m for o in masks)}
+
+
+def minimal_transversals(edges, n):
+    """The minimal subsets of {1, ..., n} that meet every edge, an edge
+    being a bitmask with bit i - 1 for i, by trying every subset; sorted
+    by size, then entries."""
+    found, out = [], []
+    for size in range(n + 1):
+        for combo in combinations(range(1, n + 1), size):
+            s = sum(1 << (i - 1) for i in combo)
+            if all(s & e for e in edges) and not any(t & s == t for t in found):
+                found.append(s)
+                out.append(combo)
+    return out
+
+
+VERTEX_MASK_POLYHEDRA = (
+    [held_corpus_polyhedron(kind, seed) for kind, seed in HELD_CORPUS]
+    + [delta(seeded_action(seed)) for seed in range(30)]
+    + [delta(act) for act in WEIGHT_CONE_CORPUS]
+)
+TRANSVERSAL_ACTIONS = [seeded_action(seed) for seed in range(60)] + WEIGHT_CONE_CORPUS[24:]
+
+
+class TestVertexMaskIndex:
+    """``Polyhedron._vertex_masks``, the index ``face`` and
+    ``is_semistable`` read emptiness from, against a fresh pass; and the
+    identity that makes it the input of a dualization: the minimal
+    unstable supports are the minimal transversals of the complements of
+    the index."""
+
+    @pytest.mark.parametrize("p", VERTEX_MASK_POLYHEDRA)
+    def test_index_is_the_maximal_vertex_masks(self, p):
+        # Distinct vertices (modulo lineality) have incomparable masks, so
+        # every vertex mask is maximal, and minimal too; what the index
+        # must leave out are the masks of the rays of height 0.
+        index = p._vertex_masks
+        assert len(set(index)) == len(index)
+        assert set(index) == maximal_vertex_masks(p)
+        assert not any(m != o and m & o == m for m in index for o in index)
+
+    def test_corpus_covers_rays_lineality_and_empty_polyhedra(self):
+        passes = [p._cone._pass for p in VERTEX_MASK_POLYHEDRA]
+        heights = [[r.vec[-1] for r in rays] for rays, _ in passes]
+        assert any(any(hs) and not all(hs) for hs in heights)
+        assert any(hs and not any(hs) for hs in heights)
+        assert any(lin and any(hs) for hs, (_, lin) in zip(heights, passes))
+        assert any(len(p._vertex_masks) > 1 for p in VERTEX_MASK_POLYHEDRA)
+
+    @pytest.mark.parametrize("act", TRANSVERSAL_ACTIONS)
+    def test_unstable_supports_are_minimal_transversals(self, act):
+        full = (1 << act.n) - 1
+        complements = [full & ~m for m in delta(act)._vertex_masks]
+        assert minimal_unstable_supports(act) == minimal_transversals(complements, act.n)
+
+    def test_transversal_corpus_covers_every_shape(self):
+        answers = [minimal_unstable_supports(act) for act in TRANSVERSAL_ACTIONS]
+        assert max(act.n for act in TRANSVERSAL_ACTIONS) <= 8
+        assert [()] in answers and [] in answers
+        assert any(len(out) > 1 and max(map(len, out)) > 1 for out in answers)
 
 
 # The named polyhedra of the other test files: cubes, simplices,
