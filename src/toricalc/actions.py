@@ -227,8 +227,10 @@ def evaluate_invariants(
     """Evaluate the generating invariant monomials at a rational point.
 
     Returns (value, degree) per graded generator of degree <= bound,
-    in generator order, with the degree variable t set to 1.  A point
-    is semistable exactly when some positive-degree value is nonzero.
+    in generator order, with the degree variable t set to 1.  When
+    bound is at least the largest generator degree, a point is
+    semistable exactly when some positive-degree value is nonzero; a
+    smaller bound can drop every nonzero value of a semistable point.
     """
     bound = as_int(bound)
     if bound < 0:
@@ -252,11 +254,12 @@ def proj_equal(
 ) -> bool:
     """Whether two evaluation vectors give the same projective point.
 
-    True iff some nonzero rational s has w_j = s^(deg_j) * v_j for all
+    True iff some nonzero complex s has w_j = s^(deg_j) * v_j for all
     j.  Raises AllZero when either side has no nonzero positive-degree
-    value (the point is unstable and has no image), and ValueError when
-    a degree is not a nonnegative integer.  Scalars that exist only over
-    an extension field are reported as unequal.
+    value, and ValueError when a degree is not a nonnegative integer.
+    Evaluations up to the largest generator degree raise AllZero
+    exactly for unstable points; a smaller bound can raise it for a
+    semistable one.
     """
     left = [(Fraction(val), as_int(d)) for val, d in v]
     right = [(Fraction(val), as_int(d)) for val, d in w]
@@ -275,39 +278,20 @@ def proj_equal(
     for (a, _), (b, _) in zip(pos_left, pos_right):
         if (a == 0) != (b == 0):
             return False
-    # Any common scalar is a rational root of the lowest-degree ratio.
+    # With g = gcd(d_j) = sum(c_j * d_j), any scalar s has s^g = sigma =
+    # prod(rho_j^c_j). Conversely, when sigma^(d_j / g) = rho_j for every
+    # ratio rho_j, any g-th root of sigma in C is a scalar.
     pairs = [(b / a, d) for (a, d), (b, _) in zip(pos_left, pos_right) if a != 0]
-    root = _rational_root(*min(pairs, key=lambda pair: pair[1]))
-    if root is None:
-        return False
-    return any(all(s**d == ratio for ratio, d in pairs) for s in (root, -root))
-
-
-def _rational_root(t: Fraction, k: int) -> Fraction | None:
-    """The rational k-th root of t, or None when no such root exists."""
-    if k == 1:
-        return t
-    if t < 0 and k % 2 == 0:
-        return None
-    num = _perfect_root(abs(t.numerator), k)
-    den = _perfect_root(t.denominator, k)
-    if num is None or den is None:
-        return None
-    return Fraction(num if t > 0 else -num, den)
-
-
-def _perfect_root(a: int, k: int) -> int | None:
-    r = _iroot(a, k)
-    return r if r**k == a else None
-
-
-def _iroot(a: int, k: int) -> int:
-    """Floor of the k-th root of a nonnegative integer, by Newton steps."""
-    if a == 0:
-        return 0
-    x = 1 << -(-a.bit_length() // k)
-    while True:
-        y = ((k - 1) * x + a // x ** (k - 1)) // k
-        if y >= x:
-            return x
-        x = y
+    g, coeffs = 0, []
+    for _, d in pairs:
+        if g and d % g == 0:  # g already divides d, so c_j = 0
+            coeffs.append(0)
+            continue
+        # Extended Euclid: x0 * g + y0 * d = r0 = gcd(g, d).
+        r0, r1, x0, x1, y0, y1 = g, d, 1, 0, 0, 1
+        while r1:
+            q = r0 // r1
+            r0, r1, x0, x1, y0, y1 = r1, r0 - q * r1, x1, x0 - q * x1, y1, y0 - q * y1
+        g, coeffs = r0, [c * x0 for c in coeffs] + [y0]
+    sigma = prod(ratio**c for (ratio, _), c in zip(pairs, coeffs) if c)
+    return all(sigma ** (d // g) == ratio for ratio, d in pairs)

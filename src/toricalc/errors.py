@@ -43,7 +43,11 @@ class NotInSemigroup(ToricalcError):
 
 
 class AllZero(ToricalcError):
-    """All positive-degree invariant values vanish, so no projective point exists."""
+    """All positive-degree invariant values vanish, so no projective point exists.
+
+    Evaluated up to the largest generator degree, this happens exactly
+    at unstable points; a smaller bound can also drop every nonzero
+    value of a semistable point."""
 
 
 class InputError(Exception):

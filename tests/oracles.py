@@ -5,8 +5,12 @@
 ``fractions.Fraction``, the reference for the Bareiss one of ``polyhedra``.
 ``rational_rank`` and ``solve_rational`` are Gaussian elimination over
 ``fractions.Fraction``: a rank and a linear solve that do not go through
-the Smith form.  ``proj_equal_bezout`` decides projective equality of
-evaluation vectors through one Bezout combination of the degrees.
+the Smith form.  ``proj_equal_by_kernel`` decides projective equality of
+evaluation vectors over C by the lattice of relations among the degrees,
+not by ``proj_equal``'s Bezout combination.  ``same_quotient_point``
+decides whether two points give one point of the quotient by the
+paper's geometric definition, from orbit closures read off the faces of
+the polyhedron, without evaluating any invariant.
 ``face_from_full_pass`` answers a face query by a double description
 pass of the whole polyhedron of its own, filtered by tight mask
 afterwards; it stands in for the held-equality pass of
@@ -43,9 +47,9 @@ import math
 from fractions import Fraction
 from itertools import product as iproduct
 
-from toricalc.actions import _rational_root, delta, quotient_projection
+from toricalc.actions import delta, quotient_projection
 from toricalc.errors import AllZero, EmptyPolyhedron, LinealityPresent, Unbounded
-from toricalc.lattice import IntMatrix, NormalForm, _negate, _row_sub, _swap
+from toricalc.lattice import IntMatrix, NormalForm, _left_kernel, _negate, _row_sub, _swap
 from toricalc.polyhedra import (
     Face,
     _dd_pair,
@@ -53,6 +57,7 @@ from toricalc.polyhedra import (
     _sign_normalize,
     _support_mask,
     _triangulation,
+    face,
     lattice_points,
     polyhedron,
 )
@@ -193,13 +198,14 @@ def solve_rational(a_rows, rhs):
     return tuple(x)
 
 
-def proj_equal_bezout(v, w) -> bool:
-    """``toricalc.actions.proj_equal`` by the extended-gcd route.
+def proj_equal_by_kernel(v, w) -> bool:
+    """``toricalc.actions.proj_equal`` by the lattice of degree relations.
 
-    With g the gcd of the positive degrees d_j of the nonzero pairs and
-    sum(c_j * d_j) = g, the candidate t = prod(rho_j ** c_j) must satisfy
-    t ** (d_j / g) = rho_j for every ratio rho_j and have a rational
-    g-th root.
+    Some complex s has s ** d_j = rho_j for every ratio rho_j of the
+    nonzero positive-degree pairs iff prod(rho_j ** k_j) = 1 for each row
+    k of a basis of the integer vectors with sum(k_j * d_j) = 0, read
+    from ``_left_kernel`` of the degree column: the image of s -> (s ** d_j)
+    is the subtorus those characters cut out.
     """
     left = [(Fraction(val), int(d)) for val, d in v]
     right = [(Fraction(val), int(d)) for val, d in w]
@@ -216,29 +222,35 @@ def proj_equal_bezout(v, w) -> bool:
         if (a == 0) != (b == 0):
             return False
     pairs = [(b / a, d) for (a, d), (b, _) in zip(pos_left, pos_right) if a != 0]
-    g, coeffs = _bezout([d for _, d in pairs])
-    t = Fraction(1)
-    for (ratio, _), c in zip(pairs, coeffs):
-        t *= ratio**c
-    if any(t ** (d // g) != ratio for ratio, d in pairs):
+    _, kernel = _left_kernel(IntMatrix.from_rows([(d,) for _, d in pairs], 1))
+    return all(math.prod(ratio**k for (ratio, _), k in zip(pairs, row)) == 1 for row in kernel.entries)
+
+
+def same_quotient_point(action, x, y) -> bool:
+    """Whether x and y give one point of the quotient, from orbit closures.
+
+    The closed orbit in the closure of the orbit of a semistable x vanishes
+    exactly on the closed active set A(x) of ``face(delta, Z(x))``, where
+    Z(x) is the zero set of x; the face is empty, and AllZero is raised,
+    when x is unstable. Then x ~ y iff A(x) = A(y) and the coordinates
+    off A differ by an element of the group: prod((y_i / x_i) ** m_i) = 1
+    for each row m of ``_left_kernel`` of the columns of the weight matrix
+    outside A (Cox-Little-Schenck, Toric Varieties, ch. 5 and 14).
+    """
+    p = delta(action)
+    x, y = [Fraction(c) for c in x], [Fraction(c) for c in y]
+    closed = []
+    for point in (x, y):
+        f = face(p, [i + 1 for i, c in enumerate(point) if c == 0])
+        if f is None:
+            raise AllZero("unstable point has no projective image")
+        closed.append(f.active)
+    if closed[0] != closed[1]:
         return False
-    return _rational_root(t, g) is not None
-
-
-def _bezout(nums) -> tuple[int, list[int]]:
-    """gcd g of nums plus coefficients c with sum(c_i * nums_i) = g."""
-    g, coeffs = nums[0], [1]
-    for x in nums[1:]:
-        old_r, r, old_s, s, old_t, t = g, x, 1, 0, 0, 1
-        while r:
-            quot = old_r // r
-            old_r, r = r, old_r - quot * r
-            old_s, s = s, old_s - quot * s
-            old_t, t = t, old_t - quot * t
-        coeffs = [c * old_s for c in coeffs]
-        coeffs.append(old_t)
-        g = old_r
-    return g, coeffs
+    off = [i for i in range(action.n) if i + 1 not in closed[0]]
+    columns = [[row[i] for row in action.weights.entries] for i in off]
+    _, kernel = _left_kernel(IntMatrix.from_rows(columns, action.weights.nrows))
+    return all(math.prod((y[i] / x[i]) ** m for i, m in zip(off, row)) == 1 for row in kernel.entries)
 
 
 def face_from_full_pass(p, s):

@@ -56,7 +56,7 @@ from oracles import (
     matmul,
     polytope_invariant_count,
     positive_orthant,
-    proj_equal_bezout,
+    proj_equal_by_kernel,
     scan_invariant_count,
     transpose,
 )
@@ -461,8 +461,25 @@ class TestProjEqual:
         assert proj_equal([(2, 1), (4, 2)], [(4, 1), (16, 2)])
 
     def test_pure_degree_two(self):
+        # Scalars are taken over C: s = 3, s = sqrt(3) and s = i.
         assert proj_equal([(2, 2)], [(18, 2)])
-        assert not proj_equal([(2, 2)], [(6, 2)])
+        assert proj_equal([(2, 2)], [(6, 2)])
+        assert proj_equal([(2, 2)], [(-2, 2)])
+
+    def test_unequal_over_c(self):
+        # The degree-1 ratio forces s = 2, and then s^2 = 4, not 3.
+        assert not proj_equal([(1, 1), (1, 2)], [(2, 1), (3, 2)])
+
+    def test_irrational_orbit_needs_the_top_degree(self):
+        # W = [[-2, -1]], alpha = (-1, 1): the generators have degrees 1
+        # and 2, and (1, 0) is semistable, but its only nonzero value has
+        # degree 2. At bound 2 it meets (3, 0) through t = 1/sqrt(3).
+        act = linearized_action([[-2, -1]], (-1, 1))
+        assert is_semistable(act, (2,))
+        assert evaluate_invariants(act, (1, 0), 1) == [(0, 1)]
+        with pytest.raises(AllZero):
+            proj_equal(evaluate_invariants(act, (1, 0), 1), evaluate_invariants(act, (3, 0), 1))
+        assert proj_equal(evaluate_invariants(act, (1, 0), 2), evaluate_invariants(act, (3, 0), 2))
 
     def test_degree_zero_must_match(self):
         assert not proj_equal([(1, 0), (3, 1)], [(2, 0), (3, 1)])
@@ -499,7 +516,7 @@ class TestProjEqual:
         assert not proj_equal(v, w)
 
 
-    def test_agrees_with_bezout_oracle(self):
+    def test_agrees_with_kernel_oracle(self):
         # Degrees 0-4 mix degree-0 entries with even and odd degrees; a
         # negative scalar or a sign flip gives negative ratios, and a
         # perturbed entry breaks an otherwise exact scaling.
@@ -515,7 +532,7 @@ class TestProjEqual:
                 factor = rng.choice([-1, 2, 4, Fraction(1, 9)])
                 w[j] = (w[j][0] * factor + rng.choice([0, 0, 1]), w[j][1])
             try:
-                expected = proj_equal_bezout(v, w)
+                expected = proj_equal_by_kernel(v, w)
             except AllZero:
                 with pytest.raises(AllZero):
                     proj_equal(v, w)

@@ -23,7 +23,7 @@ from toricalc.actions import (
     proj_equal,
     quotient_projection,
 )
-from toricalc.errors import EmptyPolyhedron, LinealityPresent, Unbounded
+from toricalc.errors import AllZero, EmptyPolyhedron, LinealityPresent, Unbounded
 from toricalc.lattice import (
     IntMatrix,
     _hnf,
@@ -67,6 +67,7 @@ from oracles import (
     polytope_invariant_count,
     positive_orthant,
     rational_rank,
+    same_quotient_point,
     scan_invariant_count,
     semistable_by_weight_cone,
     transpose,
@@ -545,6 +546,103 @@ class TestEvaluationOracle:
         assert {bound for _, _, bound in cases} == {0, 1, 2, 3}
         assert any(0 in point and v != 0 for point, v in values)
         assert any(v < 0 and v.denominator > 1 for _, v in values)
+
+
+def bounded_seeded_actions(count):
+    """The first ``count`` of ``seeded_action(0)``, ``seeded_action(1)``, ...
+    whose polyhedron is nonempty and bounded, with every exponent at a
+    vertex at most 12: the few larger ones have hundreds of generators
+    and would take most of the time."""
+    out, seed = [], 0
+    while len(out) < count:
+        act = seeded_action(seed)
+        if not is_empty(delta(act)) and is_bounded(delta(act)) and top_exponent(act) <= 12:
+            out.append(act)
+        seed += 1
+    return out
+
+
+QUOTIENT_POINT_ACTIONS = bounded_seeded_actions(100)
+POINT_VALUES = (0, 1, -1, 2, 3, Fraction(-3, 2), Fraction(2, 5))
+
+
+def quotient_point_pairs(act, index):
+    """32 seeded (kind, x, y) point pairs for ``act``, eight of each kind:
+    "random" draws y on its own; "translate" moves x by a rational group
+    element; "limit" zeroes one coordinate of such a translate, which
+    keeps the quotient point when the orbit closure of x reaches it; and
+    "root" moves x by t_r = c^(1/m) on one weight row r, for m = 2 or 3,
+    after zeroing the coordinates whose weight in row r is not divisible
+    by m, so that the translate is rational while t_r need not be."""
+    rng = random.Random(f"quotient-point:{index}")
+    rows = act.weights.entries
+    out = []
+    for j in range(32):
+        kind = ("random", "translate", "limit", "root")[j % 4]
+        x = [rng.choice(POINT_VALUES) for _ in range(act.n)]
+        lam = [Fraction(1)] * act.n
+        if kind == "random":
+            out.append((kind, tuple(x), tuple(rng.choice(POINT_VALUES) for _ in range(act.n))))
+            continue
+        if kind == "root":
+            row, m = rng.choice(rows), rng.choice((2, 3))
+            c = Fraction(rng.choice((2, 3, -2, 5)), rng.choice((1, 3)))
+            for i, w in enumerate(row):
+                if w % m:
+                    x[i] = 0
+                else:
+                    lam[i] = c ** (w // m)
+        else:
+            for row in rows:
+                s = Fraction(rng.choice((1, 2, 3, -2, -1)), rng.choice((1, 2, 3)))
+                for i, w in enumerate(row):
+                    lam[i] *= s**w
+        y = [li * xi for li, xi in zip(lam, x)]
+        if kind == "limit":
+            y[rng.randrange(act.n)] = 0
+        out.append((kind, tuple(x), tuple(y)))
+    return out
+
+
+class TestQuotientPointOracle:
+    # Proj R against the orbit closures: evaluating every generator, up to
+    # the largest degree, and comparing by proj_equal must identify
+    # exactly the points whose closed orbits coincide.
+    @pytest.mark.parametrize("index", range(len(QUOTIENT_POINT_ACTIONS)))
+    def test_proj_equal_matches_orbit_closures(self, index):
+        act = QUOTIENT_POINT_ACTIONS[index]
+        bound = max(g.degree for g in graded_generators(delta(act)))
+        for kind, x, y in quotient_point_pairs(act, index):
+            try:
+                expected = same_quotient_point(act, x, y)
+            except AllZero:
+                with pytest.raises(AllZero):
+                    proj_equal(evaluate_invariants(act, x, bound), evaluate_invariants(act, y, bound))
+                continue
+            got = proj_equal(evaluate_invariants(act, x, bound), evaluate_invariants(act, y, bound))
+            assert got == expected, (kind, x, y)
+
+    def test_corpus_covers_zeros_limits_and_roots(self):
+        outcomes = {}
+        for index, act in enumerate(QUOTIENT_POINT_ACTIONS):
+            for kind, x, y in quotient_point_pairs(act, index):
+                try:
+                    key = (kind, same_quotient_point(act, x, y), 0 in x)
+                except AllZero:
+                    key = (kind, "unstable")
+                outcomes[key] = outcomes.get(key, 0) + 1
+        assert len(QUOTIENT_POINT_ACTIONS) >= 100
+        for key in [
+            ("random", False, True),
+            ("random", True, False),
+            ("translate", True, True),
+            ("translate", True, False),
+            ("limit", True, False),
+            ("limit", False, False),
+            ("root", True, True),
+            ("root", "unstable"),
+        ]:
+            assert outcomes.get(key, 0) >= 10, (key, outcomes)
 
 
 class TestSharedPassRecords:
