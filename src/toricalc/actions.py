@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 
 from .errors import AllZero, NonSpanning, NotInSemigroup, NotSimple, TorsionQuotient
 from .lattice import IntMatrix, _as_ints, _left_kernel, as_int, invariant_factors_from, snf
-from .polyhedra import Polyhedron, _face_generators, _face_nonempty, _support_mask, f_vector, polyhedron
+from .polyhedra import Polyhedron, _dot, _face_generators, _face_nonempty, _support_mask, f_vector, polyhedron
 from .semigroups import graded_generators
 
 Support = tuple[int, ...]
@@ -134,30 +134,35 @@ def group_from_delta(p: Polyhedron) -> LinearizedAction:
 def invariant_monomial(action: LinearizedAction, p: Sequence[int], r: int) -> tuple[int, ...]:
     """Exponents (r_1..r_n, r) of the invariant monomial at (p, r).
 
-    r_i = p.a_i - r*alpha_i; the map is a degree-preserving bijection
+    r_i = p.a_i - r*alpha_i, the value at (p, r) of row i of ``delta``,
+    which is (a_i, alpha_i); the map is a degree-preserving bijection
     from lattice points of the homogenization cone onto invariant
     monomials.  Raises NotInSemigroup when some r_i is negative.
     """
     r = as_int(r)
     if r < 0:
         raise ValueError("degree must be nonnegative")
-    q = action._quotient[0]
+    d = delta(action)
     p = _as_ints(p)
-    if len(p) != q.dim:
-        raise ValueError(f"point has length {len(p)}, expected {q.dim}")
-    exps = _exponents(action, q, p, r)
+    if len(p) != d.dim:
+        raise ValueError(f"point has length {len(p)}, expected {d.dim}")
+    exps = tuple(_dot(a, p) - r * b for a, b in d.inequalities)
     for i, ri in enumerate(exps, 1):
         if ri < 0:
             raise NotInSemigroup(f"coordinate {i} gets exponent {ri}")
     return exps + (r,)
 
 
-def _exponents(action: LinearizedAction, q: QuotientData, p, r: int) -> tuple[int, ...]:
-    """The exponents r_i = p.a_i - r*alpha_i of the monomial at (p, r)."""
-    return tuple(
-        sum(pj * aj for pj, aj in zip(p, q.images.row(i))) - r * alpha_i
-        for i, alpha_i in enumerate(action.alpha)
-    )
+def _as_rational(x) -> Fraction:
+    """``Fraction(x)`` when that equals ``x``; ValueError otherwise, so text,
+    None, inf and nan are rejected (``lattice.as_int`` for rationals)."""
+    try:
+        q = Fraction(x)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"expected a rational number, got {x!r}") from None
+    if q != x:
+        raise ValueError(f"expected a rational number, got {x!r}")
+    return q
 
 
 def is_semistable(action: LinearizedAction, support: Iterable[int]) -> bool:
@@ -227,7 +232,9 @@ def evaluate_invariants(
     """Evaluate the generating invariant monomials at a rational point.
 
     Returns (value, degree) per graded generator of degree <= bound,
-    in generator order, with the degree variable t set to 1.  When
+    in generator order, with the degree variable t set to 1; the
+    exponents of a generator are its values under the rows of
+    ``delta``, as in ``invariant_monomial``.  When
     bound is at least the largest generator degree, a point is
     semistable exactly when some positive-degree value is nonzero; a
     smaller bound can drop every nonzero value of a semistable point.
@@ -235,16 +242,19 @@ def evaluate_invariants(
     bound = as_int(bound)
     if bound < 0:
         raise ValueError("degree bound must be nonnegative")
-    coords = tuple(Fraction(c) for c in point)
+    try:
+        coords = tuple(map(_as_rational, point))
+    except TypeError:
+        raise ValueError(f"expected a sequence of coordinates, got {point!r}") from None
     if len(coords) != action.n:
         raise ValueError(f"point has length {len(coords)}, expected {action.n}")
     nums, dens = [c.numerator for c in coords], [c.denominator for c in coords]
-    q, p = action._quotient
+    p = delta(action)
     out = []
     for g in graded_generators(p):
         if g.degree > bound:
             continue
-        e = _exponents(action, q, g.point, g.degree)
+        e = [_dot(a, g.point) - g.degree * b for a, b in p.inequalities]
         out.append((Fraction(prod(map(pow, nums, e)), prod(map(pow, dens, e))), g.degree))
     return out
 
@@ -261,8 +271,11 @@ def proj_equal(
     exactly for unstable points; a smaller bound can raise it for a
     semistable one.
     """
-    left = [(Fraction(val), as_int(d)) for val, d in v]
-    right = [(Fraction(val), as_int(d)) for val, d in w]
+    try:
+        left = [(_as_rational(val), as_int(d)) for val, d in v]
+        right = [(_as_rational(val), as_int(d)) for val, d in w]
+    except TypeError:
+        raise ValueError("expected two sequences of (value, degree) pairs") from None
     if [d for _, d in left] != [d for _, d in right]:
         raise ValueError("evaluations must come from the same generator list")
     if any(d < 0 for _, d in left):

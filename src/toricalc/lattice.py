@@ -43,7 +43,12 @@ def as_int(x) -> int:
 
 
 def _as_ints(row) -> tuple[int, ...]:
-    """``as_int`` of each entry of ``row``; an exact ``int`` passes as it is."""
+    """``as_int`` of each entry of ``row``; an exact ``int`` passes as it is.
+    ValueError when ``row`` is not iterable."""
+    try:
+        row = iter(row)
+    except TypeError:
+        raise ValueError(f"expected a row of integers, got {row!r}") from None
     return tuple(x if type(x) is int else as_int(x) for x in row)
 
 

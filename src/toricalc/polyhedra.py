@@ -9,17 +9,19 @@ face lattice down from that pass's tight masks by one facet rule,
 ``_facets``; it is graded, so no face below the top is ranked.
 
 A polyhedron computes its homogenization cone, that cone's pass and its
-face counts once, on first use, outside its fields. ``vrep``,
-``is_bounded``, ``is_empty``, ``f_vector``, the triangulation behind
+face counts once, on first use, outside its fields. ``vrep`` (each
+generator by its height), ``f_vector``, the triangulation behind
 ``semigroups.hilbert_basis`` and the scan of r * p behind
 ``lattice_points`` and ``semigroups.hilbert_function`` read that pass;
-an exception is raised again on every call. So do ``face`` and the
-semistability test of ``actions``: a face is nonempty exactly when one of
-the maximal tight masks of the pass's vertices contains its support, and
-the polyhedron keeps those masks, once, as its vertex-mask index. Only
-the walk over the unstable supports runs a pass per support, holding
-those rows equal; it stays the independent route the semistability test
-is checked against.
+an exception is raised again on every call. The polyhedron also keeps,
+once, the maximal tight masks of the pass's vertices as its vertex-mask
+index. ``is_empty`` and ``is_bounded`` compare its length with the
+pass's, and ``face`` and the semistability test of ``actions`` read it:
+a face is nonempty exactly when one of its masks contains the support.
+Only the walk over the unstable supports runs a pass per support,
+holding those rows equal; it stays the independent route the
+semistability test is checked against. Only this module reads a
+polyhedron's cone, pass and index.
 
 Everything is deterministic: inequalities are inserted in the order
 given, generated rays are reduced to primitive integer vectors, and all
@@ -28,7 +30,6 @@ reported sets are sorted. No floating point is used anywhere.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -325,55 +326,42 @@ def _triangulation(c: Cone) -> tuple[tuple[Vector, ...], list[tuple[int, ...]]]:
     return vecs, pull((1 << len(vecs)) - 1, _rank(vecs))
 
 
-def _split_generators(rays, lin):
-    """Split homogenization-cone generators at height 1 / height 0."""
-    vertices = []
-    rec_rays = []
-    for r in rays:
-        h = r.vec[-1]
-        if h > 0:
-            vertices.append(tuple(Fraction(x, h) for x in r.vec[:-1]))
-        else:
-            rec_rays.append(primitive(r.vec[:-1]))
-    lineality = [_sign_normalize(primitive(l[:-1])) for l in lin]
-    return vertices, rec_rays, lineality
-
-
 def vrep(p: Polyhedron) -> VRepresentation:
-    """Vertex, ray, and lineality description of ``p``.
+    """Vertex, ray, and lineality description of ``p``, read off the pass
+    of its homogenization cone: a generator x of height h > 0 gives the
+    vertex x / h, one of height 0 the ray x, and each lineality vector
+    drops its height coordinate.
 
     Returns the empty representation when the polyhedron is empty.
     """
-    vertices, rec_rays, lineality = _split_generators(*p._cone._pass)
-    if not vertices:
+    if is_empty(p):
         return VRepresentation((), (), ())
+    rays, lin = p._cone._pass
     return VRepresentation(
-        tuple(sorted(set(vertices))),
-        tuple(sorted(set(rec_rays))),
-        tuple(sorted(set(lineality))),
+        tuple(sorted({tuple(Fraction(x, r.vec[-1]) for x in r.vec[:-1]) for r in rays if r.vec[-1]})),
+        tuple(sorted({primitive(r.vec[:-1]) for r in rays if not r.vec[-1]})),
+        tuple(sorted({_sign_normalize(primitive(l[:-1])) for l in lin})),
     )
 
 
 def is_empty(p: Polyhedron) -> bool:
-    return not any(r.vec[-1] > 0 for r in p._cone._pass[0])
+    """Whether ``p`` has no point: its vertex-mask index is empty."""
+    return not p._vertex_masks
 
 
 def is_bounded(p: Polyhedron) -> bool:
-    """Whether ``p`` has no ray and no line; the empty polyhedron is
+    """Whether ``p`` has no ray and no line: there is no lineality and
+    every generator of the pass has positive height, so the vertex-mask
+    index is as long as the pass's rays. The empty polyhedron is
     bounded."""
     rays, lin = p._cone._pass
-    heights = [r.vec[-1] for r in rays]
-    return not any(heights) or (all(heights) and not lin)
+    return is_empty(p) or (len(p._vertex_masks) == len(rays) and not lin)
 
 
 def _support_mask(p: Polyhedron, s) -> int:
     """The bitmask of the 1-based inequality indices in ``s``: bit i - 1
-    for index i. Raises ValueError when ``s`` is not iterable, when an
-    index is not an integer, or when one is out of range."""
-    try:
-        s = iter(s)
-    except TypeError:
-        raise ValueError(f"expected an iterable of inequality indices, got {s!r}") from None
+    for index i. Raises ValueError (``_as_ints``) when ``s`` is not
+    iterable or an index is not an integer, and when one is out of range."""
     n, mask = p.n_inequalities, 0
     for i in _as_ints(s):
         if i < 1 or i > n:
@@ -421,29 +409,21 @@ def face(p: Polyhedron, s) -> Face | None:
     contains ``s`` (``_face_nonempty``). Otherwise its generators are
     those of the cached pass of ``p`` whose tight mask contains ``s``, so
     no pass is run on a polyhedron already queried. The witness is the
-    mean of the face's vertices plus the sum of its rays.
+    mean of the face's vertices x / h plus the sum of its rays x.
     """
     want = _support_mask(p, s)
     if not _face_nonempty(p, want):
         return None
     rays, lin = p._cone._pass
     rays = [r for r in rays if r.tight & want == want]
-    heights = [r.vec[-1] for r in rays if r.vec[-1] > 0]
     common = -1
     for r in rays:
         common &= r.tight
     active = frozenset(i + 1 for i in range(p.n_inequalities) if common >> i & 1)
-    # Over the common denominator n * scale, the mean of the vertices x/h
-    # takes x * scale/h from each, and the sum of the rays x * n * scale.
-    n = len(heights)
-    scale = math.lcm(*heights)
-    sums = [0] * p.dim
-    for r in rays:
-        h = r.vec[-1]
-        weight = scale // h if h else n * scale
-        for j in range(p.dim):
-            sums[j] += weight * r.vec[j]
-    witness = tuple(Fraction(x, n * scale) for x in sums)
+    n = sum(1 for r in rays if r.vec[-1])
+    witness = tuple(
+        sum(Fraction(r.vec[j], n * r.vec[-1]) if r.vec[-1] else r.vec[j] for r in rays) for j in range(p.dim)
+    )
     return Face(active, _rank([r.vec for r in rays] + list(lin)) - 1, witness)
 
 

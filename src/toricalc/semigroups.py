@@ -13,8 +13,8 @@ algorithms for affine monoids and rational cones", J. Algebra 324
 the cone is triangulated by pulling its extreme rays in sorted order,
 read from the tight masks of its one double description pass
 (``polyhedra._triangulation``). The cone over a polyhedron keeps that
-pass, so ``vrep``, ``is_bounded`` and ``hilbert_function``, which scans
-r * P over r times its vertices, reuse it.
+pass, so ``vrep``, ``hilbert_function``, which scans r * P over r times
+its vertices, and ``is_bounded``, through the vertex-mask index, reuse it.
 It lists the lattice points of the half-open fundamental parallelepiped
 of each simplicial piece as the finite group read off the Smith form of
 its ray matrix, or just the origin when that matrix is unimodular. The

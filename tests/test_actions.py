@@ -60,6 +60,7 @@ from oracles import (
     scan_invariant_count,
     transpose,
 )
+from test_properties import seeded_action, with_dependent_row
 
 # The two recurring actions: scaling on C^2 (quotient CP^1) and the
 # coordinate-pair scaling on C^4 whose polyhedron is the unit square.
@@ -258,11 +259,24 @@ class TestInvariantMonomial:
         assert e == (1, 1, 1, 1, 2)
 
     def test_invariance_against_weights(self):
-        for pt in lattice_points(delta(SQUARE_ACTION)):
-            e = invariant_monomial(SQUARE_ACTION, pt, 1)
-            v = [ei + ai for ei, ai in zip(e[:-1], SQUARE_ACTION.alpha)]
-            for row in SQUARE_ACTION.weights.entries:
-                assert sum(wi * vi for wi, vi in zip(row, v)) == 0
+        # Every graded generator of degree <= 2 maps to exponents e >= 0
+        # with W(e + r alpha) = 0, read from W and alpha alone, on seeded
+        # actions (empty, bounded and unbounded delta) and on the same
+        # actions with a dependent weight row put in.
+        acts = [SQUARE_ACTION] + [seeded_action(seed) for seed in range(40)]
+        acts += [with_dependent_row(seeded_action(seed), seed) for seed in range(40)]
+        checked = 0
+        for act in acts:
+            for g in graded_generators(delta(act)):
+                if g.degree > 2:
+                    continue
+                e = invariant_monomial(act, g.point, g.degree)
+                assert e[-1] == g.degree and min(e) >= 0, (act, g)
+                v = [ei + g.degree * ai for ei, ai in zip(e[:-1], act.alpha)]
+                for row in act.weights.entries:
+                    assert sum(wi * vi for wi, vi in zip(row, v)) == 0, (act, g)
+                checked += 1
+        assert checked >= 600
 
     def test_outside_semigroup(self):
         with pytest.raises(NotInSemigroup):
@@ -554,6 +568,14 @@ class TestIntegerRule:
             "proj degree": lambda: proj_equal([(1, 1.5)], [(1, 1.5)]),
             "support": lambda: is_semistable(CP1, (1.5,)),
             "bare support": lambda: is_semistable(CP1, 1),
+            # These raised TypeError or OverflowError, or accepted text.
+            "none coordinate": lambda: evaluate_invariants(CP1, (None, 1), 1),
+            "inf coordinate": lambda: evaluate_invariants(CP1, (float("inf"), 1), 1),
+            "bare point": lambda: evaluate_invariants(CP1, 5, 1),
+            "text coordinate": lambda: evaluate_invariants(CP1, ("1/2", 1), 1),
+            "none value": lambda: proj_equal([(None, 1)], [(1, 1)]),
+            "bare evaluation": lambda: proj_equal([1], [1]),
+            "bare monomial point": lambda: invariant_monomial(CP1, 5, 1),
         }
         for name, call in cases.items():
             with pytest.raises(ValueError):

@@ -267,6 +267,7 @@ class TestIntegerRule:
             "inf": lambda: as_int(float("inf")),
             "none": lambda: as_int(None),
             "entry": lambda: IntMatrix(((1, 0.5),)),
+            "bare row": lambda: IntMatrix((5,)),
             "zero-row ncols": lambda: IntMatrix((), 2.5),
             "from_rows ncols": lambda: IntMatrix.from_rows([(1, 2)], 3),
         }

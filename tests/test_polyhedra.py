@@ -39,7 +39,6 @@ from toricalc.polyhedra import (
     _det,
     _dot,
     _rank,
-    _split_generators,
     dilate,
     f_vector,
     face,
@@ -149,14 +148,21 @@ def reference_face(p, s):
 
 def reference_vrep(p):
     """The V-representation by the earlier route: the double description
-    pass takes the height row first, then the rows (a, -b)."""
+    pass takes the height row first, then the rows (a, -b). A generator x
+    of height h > 0 gives the vertex x / h, one of height 0 the ray x, and
+    a lineality vector its first coordinates, scaled so that the first
+    nonzero one is positive."""
     rows = [tuple(0 for _ in range(p.dim)) + (1,)] + [a + (-b,) for a, b in p.inequalities]
-    vertices, rays, lineality = _split_generators(*_dd_pair(rows, p.dim + 1))
+    gens, lin = _dd_pair(rows, p.dim + 1)
+    vertices = {tuple(Fraction(x, g.vec[-1]) for x in g.vec[:-1]) for g in gens if g.vec[-1] > 0}
     if not vertices:
         return VRepresentation((), (), ())
-    return VRepresentation(
-        tuple(sorted(set(vertices))), tuple(sorted(set(rays))), tuple(sorted(set(lineality)))
-    )
+    rays = {primitive(g.vec[:-1]) for g in gens if g.vec[-1] == 0}
+    lineality = set()
+    for l in lin:
+        v = primitive(l[:-1])
+        lineality.add(v if next(x for x in v if x) > 0 else tuple(-x for x in v))
+    return VRepresentation(tuple(sorted(vertices)), tuple(sorted(rays)), tuple(sorted(lineality)))
 
 
 def seeded_polyhedron(seed):
@@ -649,6 +655,7 @@ class TestIntegerRule:
             "normal": lambda: polyhedron(1, [((Fraction(1, 2),), 0)]),
             "dim": lambda: polyhedron(1.5, []),
             "cone row": lambda: Cone(2, [(1, 0.5)]),
+            "bare cone row": lambda: Cone(2, (5,)),
             "cone ambient": lambda: Cone(2.5, []),
             "support": lambda: face(SQUARE, [1.9]),
             "bare support": lambda: face(SQUARE, 1),

@@ -729,9 +729,21 @@ class TestVertexMaskIndex:
         assert set(index) == maximal_vertex_masks(p)
         assert not any(m != o and m & o == m for m in index for o in index)
 
+    @pytest.mark.parametrize("p", VERTEX_MASK_POLYHEDRA)
+    def test_emptiness_and_boundedness_by_heights(self, p):
+        # ``is_empty`` and ``is_bounded`` read the index; here they are read
+        # off the heights of a fresh pass instead. Empty: no generator has
+        # positive height. Bounded: empty, or every generator has positive
+        # height and there is no lineality.
+        rays, lin = _dd_pair(homogenized_rows(p), p.dim + 1)
+        heights = [r.vec[-1] for r in rays]
+        assert is_empty(p) == (not any(heights))
+        assert is_bounded(p) == (not any(heights) or (all(heights) and not lin))
+
     def test_corpus_covers_rays_lineality_and_empty_polyhedra(self):
         passes = [p._cone._pass for p in VERTEX_MASK_POLYHEDRA]
         heights = [[r.vec[-1] for r in rays] for rays, _ in passes]
+        assert any(hs and all(hs) and not lin for hs, (_, lin) in zip(heights, passes))
         assert any(any(hs) and not all(hs) for hs in heights)
         assert any(hs and not any(hs) for hs in heights)
         assert any(lin and any(hs) for hs, (_, lin) in zip(heights, passes))

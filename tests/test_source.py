@@ -14,7 +14,9 @@ other module uses each name it imports, so no import outlives the code
 that needed it. Every public function, class and method of the library,
 the scripts and the benchmark harness has a reference outside its own
 definition there, tests aside, or is one of the few names the README
-keeps without a caller and says why.
+keeps without a caller and says why. Only ``polyhedra`` reads a
+polyhedron's homogenization cone, its pass, its vertex-mask index and its
+face counts, so their layout stays that module's decision.
 """
 
 import ast
@@ -35,8 +37,11 @@ CALLER_SOURCES = (
 )
 # Public names with no caller in CALLER_SOURCES, each kept for the reason
 # the README's list gives.
-JUSTIFIED = {"is_empty", "lattice_points"}
+JUSTIFIED = {"lattice_points"}
 README_LIST = "### Public names kept without a library caller"
+# The private attributes of a polyhedron and its cone that only
+# polyhedra.py may read.
+PASS_ATTRIBUTES = {"_cone", "_pass", "_vertex_masks", "_f_vector"}
 
 
 def assertion_sites(path):
@@ -104,6 +109,19 @@ def int_call_sites(path):
             if is_int(node.func) or any(is_int(a) for a in passed):
                 lines.append(node.lineno)
     return sorted(lines)
+
+
+def pass_attribute_sites(path):
+    """(line, name) of each read of an attribute in ``PASS_ATTRIBUTES``,
+    as ``x._pass`` or as a string equal to the name (``getattr(x, "_pass")``)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in PASS_ATTRIBUTES:
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.Constant) and node.value in PASS_ATTRIBUTES:
+            found.append((node.lineno, node.value))
+    return sorted(found)
 
 
 def unused_imports(path):
@@ -217,6 +235,20 @@ def test_map_check_sees_calls_outside_as_ints(tmp_path):
         "y = tuple(map(as_int, (1,)))\nz = set(map(abs, (1,)))\n"
     )
     assert map_as_int_sites(path) == [4]
+
+
+def test_only_polyhedra_reads_the_pass():
+    found = {p.name: pass_attribute_sites(p) for p in SOURCES if p.name != "polyhedra.py"}
+    assert {name: sites for name, sites in found.items() if sites} == {}
+
+
+def test_pass_check_sees_attributes_and_names(tmp_path):
+    path = tmp_path / "actions.py"
+    path.write_text(
+        "rays, lin = delta(a)._cone._pass\nmasks = getattr(p, '_vertex_masks')\n"
+        "counts = p._f_vector\ncone = p.cone\n"
+    )
+    assert pass_attribute_sites(path) == [(1, "_cone"), (1, "_pass"), (2, "_vertex_masks"), (3, "_f_vector")]
 
 
 def test_submodules_use_every_import():
