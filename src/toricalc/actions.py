@@ -25,8 +25,8 @@ from math import comb, prod
 from typing import Iterable, Sequence
 
 from .errors import AllZero, NonSpanning, NotInSemigroup, NotSimple, TorsionQuotient
-from .lattice import IntMatrix, _as_ints, _left_kernel, as_int, invariant_factors_from, snf
-from .polyhedra import Polyhedron, _dot, _face_generators, _face_nonempty, _support_mask, f_vector, polyhedron
+from .lattice import IntMatrix, _as_ints, _iter, _left_kernel, as_int, invariant_factors_from, snf
+from .polyhedra import Polyhedron, _dot, _face_nonempty, _held_face_nonempty, _support_mask, f_vector, polyhedron
 from .semigroups import graded_generators
 
 Support = tuple[int, ...]
@@ -86,7 +86,7 @@ class QuotientData:
 
 def linearized_action(weight_rows: Iterable[Sequence[int]], alpha: Sequence[int]) -> LinearizedAction:
     """Build an action from weight rows and a linearization vector."""
-    alpha = tuple(alpha)
+    alpha = _as_ints(alpha)
     return LinearizedAction(len(alpha), IntMatrix.from_rows(weight_rows, len(alpha)), alpha)
 
 
@@ -182,20 +182,19 @@ def minimal_unstable_supports(action: LinearizedAction) -> list[Support]:
 
     The unstable locus is the union of the coordinate subspaces
     determined by these supports; monotonicity prunes every superset
-    of a support already found.
+    of a support already found. Supports are walked as masks, bit i - 1
+    for coordinate i, and each face is tested by a pass of its own
+    (``_held_face_nonempty``), not by the vertex-mask index.
     """
     p = delta(action)
-    found: list[frozenset[int]] = []
-    out: list[Support] = []
+    bits = [1 << i for i in range(action.n)]
+    found: list[int] = []
     for size in range(action.n + 1):
-        for combo in combinations(range(1, action.n + 1), size):
-            s = frozenset(combo)
-            if any(s >= m for m in found):
-                continue
-            if _face_generators(p, combo) is None:
+        for combo in combinations(bits, size):
+            s = sum(combo)
+            if not any(m & s == m for m in found) and not _held_face_nonempty(p, s):
                 found.append(s)
-                out.append(combo)
-    return out
+    return [tuple(i + 1 for i in range(action.n) if m >> i & 1) for m in found]
 
 
 def betti(p: Polyhedron) -> tuple[int, ...]:
@@ -242,10 +241,7 @@ def evaluate_invariants(
     bound = as_int(bound)
     if bound < 0:
         raise ValueError("degree bound must be nonnegative")
-    try:
-        coords = tuple(map(_as_rational, point))
-    except TypeError:
-        raise ValueError(f"expected a sequence of coordinates, got {point!r}") from None
+    coords = tuple(map(_as_rational, _iter(point, "a sequence of coordinates")))
     if len(coords) != action.n:
         raise ValueError(f"point has length {len(coords)}, expected {action.n}")
     nums, dens = [c.numerator for c in coords], [c.denominator for c in coords]

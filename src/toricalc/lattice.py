@@ -22,7 +22,9 @@ and the entries that take integers directly pass through it, and nothing
 below them converts again. ``_as_ints`` applies it to a row and lets an
 exact ``int`` through unchecked, so a matrix computed here is not
 re-checked entry by entry. ``_as_dim`` adds the one further rule for a
-dimension: it may not be negative.
+dimension: it may not be negative. ``_iter`` is the one rule for a
+container (a row, the rows of a matrix, an inequality list or one
+inequality pair): one that is not iterable raises ValueError.
 """
 
 from __future__ import annotations
@@ -42,14 +44,18 @@ def as_int(x) -> int:
     return n
 
 
+def _iter(xs, what: str):
+    """``iter(xs)``; ValueError naming ``what`` when ``xs`` is not iterable."""
+    try:
+        return iter(xs)
+    except TypeError:
+        raise ValueError(f"expected {what}, got {xs!r}") from None
+
+
 def _as_ints(row) -> tuple[int, ...]:
     """``as_int`` of each entry of ``row``; an exact ``int`` passes as it is.
     ValueError when ``row`` is not iterable."""
-    try:
-        row = iter(row)
-    except TypeError:
-        raise ValueError(f"expected a row of integers, got {row!r}") from None
-    return tuple(x if type(x) is int else as_int(x) for x in row)
+    return tuple(x if type(x) is int else as_int(x) for x in _iter(row, "a row of integers"))
 
 
 def _as_dim(x) -> int:
@@ -71,7 +77,7 @@ class IntMatrix:
     ncols: int = -1
 
     def __post_init__(self):
-        rows = tuple(_as_ints(row) for row in self.entries)
+        rows = tuple(_as_ints(row) for row in _iter(self.entries, "a sequence of rows"))
         width = len(rows[0]) if rows else as_int(self.ncols)
         if width < 0:
             raise ValueError("zero-row matrix needs an explicit ncols")
@@ -88,7 +94,7 @@ class IntMatrix:
 
     @classmethod
     def from_rows(cls, rows, ncols: int | None = None) -> "IntMatrix":
-        return cls(tuple(rows), -1 if ncols is None else ncols)
+        return cls(tuple(_iter(rows, "a sequence of rows")), -1 if ncols is None else ncols)
 
     def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i]

@@ -18,10 +18,10 @@ once, the maximal tight masks of the pass's vertices as its vertex-mask
 index. ``is_empty`` and ``is_bounded`` compare its length with the
 pass's, and ``face`` and the semistability test of ``actions`` read it:
 a face is nonempty exactly when one of its masks contains the support.
-Only the walk over the unstable supports runs a pass per support,
-holding those rows equal; it stays the independent route the
-semistability test is checked against. Only this module reads a
-polyhedron's cone, pass and index.
+Only ``_held_face_nonempty``, which the walk over the unstable supports
+asks of each support's mask, runs a pass of its own, holding those rows
+equal; it stays the independent route the semistability test is checked
+against. Only this module reads a polyhedron's cone, pass and index.
 
 Everything is deterministic: inequalities are inserted in the order
 given, generated rays are reduced to primitive integer vectors, and all
@@ -37,7 +37,7 @@ from itertools import product as iproduct
 from operator import mul
 
 from .errors import EmptyPolyhedron, LinealityPresent, NotPointed, Unbounded
-from .lattice import _as_dim, _as_ints, as_int, primitive
+from .lattice import _as_dim, _as_ints, _iter, as_int, primitive
 
 Vector = tuple[int, ...]
 Inequality = tuple[Vector, int]
@@ -52,7 +52,7 @@ class Polyhedron:
 
     def __post_init__(self):
         dim = _as_dim(self.dim)
-        rows = tuple((_as_ints(a), as_int(b)) for a, b in self.inequalities)
+        rows = tuple(_inequality(ineq) for ineq in _iter(self.inequalities, "a sequence of inequalities"))
         if any(len(a) != dim for a, _ in rows):
             raise ValueError("inequality normal has wrong length")
         object.__setattr__(self, "dim", dim)
@@ -93,9 +93,16 @@ class Polyhedron:
         return tuple(r.tight for r in self._cone._pass[0] if r.vec[-1] > 0)
 
 
+def _inequality(ineq) -> Inequality:
+    """An (a, b) pair checked by the integer rule; ValueError when ``ineq``
+    is not a pair."""
+    a, b = _iter(ineq, "an inequality (a, b)")
+    return _as_ints(a), as_int(b)
+
+
 def polyhedron(dim: int, inequalities) -> Polyhedron:
     """Build a Polyhedron from any nested iterable of (a, b) pairs."""
-    return Polyhedron(dim, tuple(inequalities))
+    return Polyhedron(dim, inequalities)
 
 
 def interval(lo: int, hi: int) -> Polyhedron:
@@ -165,9 +172,9 @@ def _dd_pair(constraints, ambient: int, equal: int = 0):
     (modulo lineality) and a lineality basis. Returns (rays, lineality)
     where rays are _Ray records with primitive integer vectors.
 
-    The constraints set in ``equal`` (by ``minimal_unstable_supports``
-    only) are held as equalities, giving the face they cut out: when one
-    is inserted, only the rays tight on it survive, with the new adjacent
+    The constraints set in ``equal`` (by ``_held_face_nonempty`` only)
+    are held as equalities, giving the face they cut out: when one is
+    inserted, only the rays tight on it survive, with the new adjacent
     combinations. A ray with c . x > 0 never has a descendant tight on c,
     and the adjacency test of two rays tight on c only consults rays
     tight on c, so the result is exactly the rays of the full pass whose
@@ -241,7 +248,7 @@ class Cone:
 
     def __post_init__(self):
         ambient = _as_dim(self.ambient)
-        rows = tuple(_as_ints(c) for c in self.inequalities)
+        rows = tuple(_as_ints(c) for c in _iter(self.inequalities, "a sequence of cone rows"))
         if any(len(c) != ambient for c in rows):
             raise ValueError("cone inequality has wrong length")
         object.__setattr__(self, "ambient", ambient)
@@ -381,21 +388,16 @@ def _face_nonempty(p: Polyhedron, want: int) -> bool:
     return False
 
 
-def _face_generators(p: Polyhedron, s):
-    """(rays, lineality) of the pass of ``p`` holding the inequalities in
-    ``s`` (1-based) as equalities, or None when the face is empty: no ray
-    has positive height. Runs a pass of its own unless ``s`` is empty; only
-    ``minimal_unstable_supports`` calls it. Its emptiness answer is the
-    one ``_face_nonempty`` reads off the vertex-mask index; the walk keeps
-    a pass per support so that it stays a route to the unstable supports
-    that does not read the index, which the tests and the benchmark check
-    ``is_semistable`` against."""
-    equal = _support_mask(p, s)
+def _held_face_nonempty(p: Polyhedron, want: int) -> bool:
+    """``_face_nonempty`` from a pass of its own that holds the
+    inequalities in the mask ``want`` as equalities (the cached pass when
+    ``want`` is 0): whether some ray has positive height. Only
+    ``minimal_unstable_supports`` calls it, so that it stays a route to the
+    unstable supports that does not read the index, which the tests and
+    the benchmark check ``is_semistable`` against."""
     c = p._cone
-    rays, lin = _dd_pair(c.inequalities, c.ambient, equal) if equal else c._pass
-    if not any(r.vec[-1] > 0 for r in rays):
-        return None
-    return rays, lin
+    rays, _ = _dd_pair(c.inequalities, c.ambient, want) if want else c._pass
+    return any(r.vec[-1] > 0 for r in rays)
 
 
 def face(p: Polyhedron, s) -> Face | None:

@@ -188,8 +188,7 @@ def relation_space(p: Polyhedron, bound: int) -> RingPresentation:
             fibers.setdefault(image, []).append(e)
         kernel_dim = len(monomials) - len(fibers)
         binomials = []
-        for key in sorted(fibers):
-            members = fibers[key]
+        for members in fibers.values():
             ref = members[0]
             binomials.extend((ref, other) for other in members[1:])
         binomials.sort()

@@ -13,8 +13,8 @@ paper's geometric definition, from orbit closures read off the faces of
 the polyhedron, without evaluating any invariant.
 ``face_from_full_pass`` answers a face query by a double description
 pass of the whole polyhedron of its own, filtered by tight mask
-afterwards; it stands in for the held-equality pass of
-``minimal_unstable_supports``.
+afterwards; ``face_nonempty_from_full_pass`` asks it of a mask and stands
+in for the held-equality pass of ``minimal_unstable_supports``.
 ``f_vector_by_frozensets`` counts faces by the walk ``f_vector`` replaced:
 faces as frozensets of generator indices, from a pass of its own.
 ``extreme_rays`` lists the extreme rays and lineality of a cone from
@@ -280,6 +280,13 @@ def face_from_full_pass(p, s):
             sums[j] += weight * r.vec[j]
     witness = tuple(Fraction(x, n * scale) for x in sums)
     return Face(active, _rank([r.vec for r in kept] + lin) - 1, witness)
+
+
+def face_nonempty_from_full_pass(p, want):
+    """``polyhedra._held_face_nonempty`` by ``face_from_full_pass``: whether
+    the face of the inequalities in the mask ``want``, bit i - 1 for
+    inequality i, is nonempty."""
+    return face_from_full_pass(p, [i + 1 for i in range(p.n_inequalities) if want >> i & 1]) is not None
 
 
 def snf_euclid(m):

@@ -51,7 +51,7 @@ from toricalc.polyhedra import (
 from toricalc.semigroups import graded_generators, hilbert_function
 
 from oracles import (
-    face_from_full_pass,
+    face_nonempty_from_full_pass,
     identity,
     matmul,
     polytope_invariant_count,
@@ -350,7 +350,7 @@ class TestSemistability:
         act = group_from_delta(unit_cube(6))
         out = minimal_unstable_supports(act)
         assert out == [(1, 2), (3, 4), (5, 6), (7, 8), (9, 10), (11, 12)]
-        monkeypatch.setattr(actions, "_face_generators", face_from_full_pass)
+        monkeypatch.setattr(actions, "_held_face_nonempty", face_nonempty_from_full_pass)
         assert minimal_unstable_supports(act) == out
 
     def test_minimal_unstable_scaling(self):
@@ -576,6 +576,10 @@ class TestIntegerRule:
             "none value": lambda: proj_equal([(None, 1)], [(1, 1)]),
             "bare evaluation": lambda: proj_equal([1], [1]),
             "bare monomial point": lambda: invariant_monomial(CP1, 5, 1),
+            # These raised a bare TypeError.
+            "none weight rows": lambda: linearized_action(None, (0,)),
+            "none linearization": lambda: linearized_action([[1]], None),
+            "bare weights": lambda: LinearizedAction(2, 5, (0, 0)),
         }
         for name, call in cases.items():
             with pytest.raises(ValueError):

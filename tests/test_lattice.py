@@ -270,6 +270,9 @@ class TestIntegerRule:
             "bare row": lambda: IntMatrix((5,)),
             "zero-row ncols": lambda: IntMatrix((), 2.5),
             "from_rows ncols": lambda: IntMatrix.from_rows([(1, 2)], 3),
+            # These raised a bare TypeError.
+            "none rows": lambda: IntMatrix(None),
+            "none from_rows": lambda: IntMatrix.from_rows(None),
         }
         for name, call in cases.items():
             with pytest.raises(ValueError):

@@ -38,6 +38,8 @@ from toricalc.polyhedra import (
     _dd_pair,
     _det,
     _dot,
+    _face_nonempty,
+    _held_face_nonempty,
     _rank,
     dilate,
     f_vector,
@@ -347,7 +349,8 @@ class TestFace:
     def test_held_equalities_match_full_pass(self, kind, seed):
         # Holding rows as equalities during the pass must give exactly the
         # rays of the full pass whose mask contains them: the same
-        # vectors, the same masks, in the same order.
+        # vectors, the same masks, in the same order. So the held
+        # predicate answers as the vertex-mask index does.
         p = held_corpus_polyhedron(kind, seed)
         m = p.n_inequalities
         rows, ambient = homogenized_rows(p), p.dim + 1
@@ -357,6 +360,7 @@ class TestFace:
             assert lin == full_lin
             expected = [(r.vec, r.tight) for r in full if r.tight & mask == mask]
             assert [(r.vec, r.tight) for r in rays] == expected, mask
+            assert _held_face_nonempty(p, mask) == _face_nonempty(p, mask), mask
         for k in range(m + 1):
             for s in combinations(range(1, m + 1), k):
                 assert face(p, s) == face_from_full_pass(p, s), s
@@ -666,6 +670,11 @@ class TestIntegerRule:
             "negative cone ambient": lambda: Cone(-1, ()),
             "negative cube": lambda: unit_cube(-2),
             "negative simplex": lambda: standard_simplex(-1),
+            # These raised a bare TypeError.
+            "none inequalities": lambda: polyhedron(1, None),
+            "bare inequality": lambda: polyhedron(1, [5]),
+            "none Polyhedron inequalities": lambda: Polyhedron(1, None),
+            "none cone rows": lambda: Cone(1, None),
         }
         for name, call in cases.items():
             with pytest.raises(ValueError):
