@@ -19,7 +19,6 @@ from toricalc import (
     minimal_unstable_supports,
     orbit_census,
     proj_equal,
-    quotient_projection,
     relation_space,
     vrep,
 )
@@ -29,10 +28,9 @@ def show_action(title, action):
     print(f"\n=== {title} ===")
     print(f"weights: {[list(r) for r in action.weights.entries]}  "
           f"linearization: {list(action.alpha)}")
-    q = quotient_projection(action)
-    print(f"quotient lattice dimension: {q.dim}; "
-          f"coordinate images: {[q.images.row(i) for i in range(action.n)]}")
     p = delta(action)
+    print(f"quotient lattice dimension: {p.dim}; "
+          f"coordinate images: {[a for a, _ in p.inequalities]}")
     rep = vrep(p)
     print(f"polyhedron vertices: {[tuple(map(str, v)) for v in rep.vertices]}"
           + (f", rays: {list(rep.rays)}" if rep.rays else ""))

@@ -9,7 +9,6 @@ from types import ModuleType as _ModuleType
 
 from .actions import (
     LinearizedAction,
-    QuotientData,
     betti,
     delta,
     evaluate_invariants,
@@ -20,7 +19,6 @@ from .actions import (
     minimal_unstable_supports,
     orbit_census,
     proj_equal,
-    quotient_projection,
 )
 from .errors import (
     AllZero,

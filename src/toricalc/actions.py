@@ -1,4 +1,4 @@
-"""Linearized subtorus actions on affine space and their quotient data.
+"""Linearized subtorus actions on affine space and their polyhedra.
 
 A diagonal action of a subtorus G of the coordinate torus on C^n is
 recorded by an integer weight matrix whose rows are one-parameter
@@ -11,7 +11,9 @@ action: invariant monomials correspond bijectively to lattice points
 of its homogenization cone, a coordinate support is semistable exactly
 when the matching face is nonempty, and for simple polytopes the even
 Betti numbers of the quotient are a binomial transform of the face
-counts.
+counts. The polyhedron is the action's one record of the quotient:
+its normals are the images of the coordinate characters, read from
+one Smith form of the weight matrix on the first query.
 
 Supports and inequality indices are 1-based throughout; all
 arithmetic is exact.
@@ -38,7 +40,7 @@ class LinearizedAction:
 
     ``weights`` has one row per generating one-parameter subgroup; its
     column i is the weight on the i-th coordinate. Rows given as plain
-    sequences are checked by ``IntMatrix.from_rows``.  ``alpha`` gives the
+    sequences are checked by ``IntMatrix``.  ``alpha`` gives the
     character by which the degree variable t transforms.
     """
 
@@ -50,67 +52,46 @@ class LinearizedAction:
         object.__setattr__(self, "n", as_int(self.n))
         object.__setattr__(self, "alpha", _as_ints(self.alpha))
         if not isinstance(self.weights, IntMatrix):
-            object.__setattr__(self, "weights", IntMatrix.from_rows(self.weights, self.n))
+            object.__setattr__(self, "weights", IntMatrix(self.weights, self.n))
         if len(self.alpha) != self.n:
             raise ValueError("linearization length must equal n")
         if self.weights.ncols != self.n:
             raise ValueError("weight matrix must have n columns")
 
     @cached_property
-    def _quotient(self) -> tuple["QuotientData", Polyhedron]:
-        """The projection and the polyhedron of the action, computed on the
-        first query and kept in the instance ``__dict__``. It is not a
-        field, so ``==``, ``hash`` and ``repr`` ignore it; an exception is
-        not kept, so it is raised again on the next query."""
+    def _delta(self) -> Polyhedron:
+        """The polyhedron of the action, computed on the first query and
+        kept in the instance ``__dict__``. It is not a field, so ``==``,
+        ``hash`` and ``repr`` ignore it; an exception is not kept, so it is
+        raised again on the next query."""
         nf = snf(self.weights)
         factors = invariant_factors_from(nf)
         if any(f != 1 for f in factors):
             raise TorsionQuotient(f"weight lattice has invariant factors {factors}")
         # Dependent rows still generate a torus, of dimension k = rank W.
-        n, k = self.n, len(factors)
-        q = QuotientData(IntMatrix.from_rows([nf.V.entries[i][k:] for i in range(n)], n - k), n - k)
-        return q, polyhedron(q.dim, [(q.images.row(i), self.alpha[i]) for i in range(n)])
-
-
-@dataclass(frozen=True)
-class QuotientData:
-    """Images of the coordinate characters in the quotient lattice.
-
-    Row i of ``images`` is the image of the i-th standard character
-    under a fixed isomorphism of the character quotient with Z^dim.
-    """
-
-    images: IntMatrix
-    dim: int
+        k = len(factors)
+        return polyhedron(self.n - k, [(row[k:], b) for row, b in zip(nf.V.entries, self.alpha)])
 
 
 def linearized_action(weight_rows: Iterable[Sequence[int]], alpha: Sequence[int]) -> LinearizedAction:
     """Build an action from weight rows and a linearization vector."""
     alpha = _as_ints(alpha)
-    return LinearizedAction(len(alpha), IntMatrix.from_rows(weight_rows, len(alpha)), alpha)
-
-
-def quotient_projection(action: LinearizedAction) -> QuotientData:
-    """Project the coordinate characters to the quotient-torus lattice.
-
-    The isomorphism with Z^dim is the one determined by the Smith
-    decomposition of the weight matrix. It is computed once per action
-    and the same object is returned to every later call. The weight
-    rows may be linearly dependent: the quotient then has dimension n
-    less the rank of the weight matrix. Raises TorsionQuotient when an
-    invariant factor of the weight matrix is not 1.
-    """
-    return action._quotient[0]
+    return LinearizedAction(len(alpha), IntMatrix(weight_rows, len(alpha)), alpha)
 
 
 def delta(action: LinearizedAction) -> Polyhedron:
     """The polyhedron of the action: points p with p.a_i >= alpha_i.
 
     Inequality i is exactly (a_i, alpha_i), so supports index straight
-    into the coordinates of C^n. Built with the projection, once per
-    action, and shared by every later call.
+    into the coordinates of C^n. The normal a_i is the image of the i-th
+    standard character in the quotient lattice, under the isomorphism
+    with Z^dim that the Smith decomposition of the weight matrix fixes.
+    The weight rows may be linearly dependent: dim is then n less the
+    rank of the weight matrix. Raises TorsionQuotient when an invariant
+    factor of the weight matrix is not 1. Computed once per action and
+    shared by every later call.
     """
-    return action._quotient[1]
+    return action._delta
 
 
 def group_from_delta(p: Polyhedron) -> LinearizedAction:
@@ -123,7 +104,7 @@ def group_from_delta(p: Polyhedron) -> LinearizedAction:
     of coordinates. One Smith form of the normal matrix gives both the
     test and the kernel.
     """
-    a = IntMatrix.from_rows([ineq[0] for ineq in p.inequalities], p.dim)
+    a = IntMatrix([ineq[0] for ineq in p.inequalities], p.dim)
     factors, w = _left_kernel(a)
     if len(factors) < p.dim or any(f != 1 for f in factors):
         raise NonSpanning("inequality normals do not span the lattice")

@@ -12,10 +12,10 @@ Conventions:
     basis of ``_left_kernel``, returned in this form, is canonical.
   * ``snf(M)`` returns ``U, V`` with U M V = D diagonal, ``d_i >= 0`` and
     ``d_i | d_{i+1}``. Each step takes the entry of least absolute value,
-    first in row-major order, as its pivot. A pivot of +-1 divides
-    everything, so its column and its row are each cleared in one pass
-    with no divisibility scan; these operations commute, so D, U and V
-    equal those of the Euclid loop that every other pivot runs.
+    first in row-major order, as its pivot, and clears its column and row
+    by the one Euclid loop, a unit pivot included. D, U and V are pinned
+    by ``tests/data/snf_corpus.json``: the columns of V past the rank are
+    the basis of delta.
 
 ``as_int`` is the package's only rule for integer input: the value types
 and the entries that take integers directly pass through it, and nothing
@@ -70,6 +70,7 @@ def _as_dim(x) -> int:
 class IntMatrix:
     """Immutable integer matrix.
 
+    ``entries`` may be any iterable of rows, each checked by ``_as_ints``.
     ``ncols`` is stored explicitly so zero-row matrices keep their shape.
     """
 
@@ -91,13 +92,6 @@ class IntMatrix:
     @property
     def nrows(self) -> int:
         return len(self.entries)
-
-    @classmethod
-    def from_rows(cls, rows, ncols: int | None = None) -> "IntMatrix":
-        return cls(tuple(_iter(rows, "a sequence of rows")), -1 if ncols is None else ncols)
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i]
 
 
 @dataclass(frozen=True)
@@ -213,46 +207,33 @@ def snf(m: IntMatrix) -> NormalForm:
             _swap(u, pi, t)
         if pj != t:
             col_swap(pj, t)
-        p = d[t][t]
-        if p == 1 or p == -1:
-            # x // p is x * p, and every remainder is 0.
-            for i in range(t + 1, nr):
-                q = d[i][t] * p
-                if q:
-                    _row_sub(d, i, q, t)
-                    _row_sub(u, i, q, t)
-            for j in range(t + 1, nc):
-                q = d[t][j] * p
-                if q:
-                    col_sub(j, q, t)
-        else:
-            while True:
-                col_nz = [i for i in range(t + 1, nr) if d[i][t] != 0]
-                if col_nz:
-                    i = min(col_nz, key=lambda i: (abs(d[i][t]), i))
-                    q = d[i][t] // d[t][t]
-                    _row_sub(d, i, q, t)
-                    _row_sub(u, i, q, t)
-                    if d[i][t] != 0:
-                        _swap(d, i, t)
-                        _swap(u, i, t)
-                    continue
-                row_nz = [j for j in range(t + 1, nc) if d[t][j] != 0]
-                if row_nz:
-                    j = min(row_nz, key=lambda j: (abs(d[t][j]), j))
-                    q = d[t][j] // d[t][t]
-                    col_sub(j, q, t)
-                    if d[t][j] != 0:
-                        col_swap(j, t)
-                    continue
-                bad = next(
-                    ((i, j) for i in range(t + 1, nr) for j in range(t + 1, nc) if d[i][j] % d[t][t] != 0),
-                    None,
-                )
-                if bad is None:
-                    break
-                _row_sub(d, t, -1, bad[0])
-                _row_sub(u, t, -1, bad[0])
+        while True:
+            col_nz = [i for i in range(t + 1, nr) if d[i][t] != 0]
+            if col_nz:
+                i = min(col_nz, key=lambda i: (abs(d[i][t]), i))
+                q = d[i][t] // d[t][t]
+                _row_sub(d, i, q, t)
+                _row_sub(u, i, q, t)
+                if d[i][t] != 0:
+                    _swap(d, i, t)
+                    _swap(u, i, t)
+                continue
+            row_nz = [j for j in range(t + 1, nc) if d[t][j] != 0]
+            if row_nz:
+                j = min(row_nz, key=lambda j: (abs(d[t][j]), j))
+                q = d[t][j] // d[t][t]
+                col_sub(j, q, t)
+                if d[t][j] != 0:
+                    col_swap(j, t)
+                continue
+            bad = next(
+                ((i, j) for i in range(t + 1, nr) for j in range(t + 1, nc) if d[i][j] % d[t][t] != 0),
+                None,
+            )
+            if bad is None:
+                break
+            _row_sub(d, t, -1, bad[0])
+            _row_sub(u, t, -1, bad[0])
         if d[t][t] < 0:
             _negate(d, t)
             _negate(u, t)
@@ -267,7 +248,7 @@ def _left_kernel(m: IntMatrix) -> tuple[tuple[int, ...], IntMatrix]:
     rows of U past the rank are a basis of that lattice."""
     nf = snf(m)
     factors = invariant_factors_from(nf)
-    return factors, _hnf(IntMatrix.from_rows(nf.U.entries[len(factors):], m.nrows)).D
+    return factors, _hnf(IntMatrix(nf.U.entries[len(factors):], m.nrows)).D
 
 
 def invariant_factors_from(nf: NormalForm) -> tuple[int, ...]:

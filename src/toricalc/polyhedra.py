@@ -255,7 +255,11 @@ class Cone:
         object.__setattr__(self, "inequalities", rows)
 
     def contains(self, x) -> bool:
-        return all(sum(c * v for c, v in zip(row, x)) >= 0 for row in self.inequalities)
+        """Whether the point x, of length ``ambient``, satisfies every row."""
+        x = tuple(_iter(x, "a point"))
+        if len(x) != self.ambient:
+            raise ValueError(f"point has length {len(x)}, expected {self.ambient}")
+        return all(_dot(row, x) >= 0 for row in self.inequalities)
 
     @cached_property
     def _pass(self) -> tuple[tuple[_Ray, ...], tuple[Vector, ...]]:

@@ -75,7 +75,7 @@ def _parallelepiped_points(rays: list[Vector]) -> list[Vector]:
     k, ambient = len(rays), len(rays[0])
     if k == ambient and _det(rays) == 1:
         return [(0,) * ambient]
-    nf = snf(IntMatrix.from_rows(rays))
+    nf = snf(IntMatrix(rays))
     factors = invariant_factors_from(nf)
     n = factors[-1]
     steps = [[n // d * x % n for x in row] for d, row in zip(factors, nf.U.entries)]

@@ -27,18 +27,18 @@ box that Fourier-Motzkin elimination reads from the inequalities alone.
 ``scan_invariant_count`` counts invariant monomials of bounded exponents
 by testing weight zero against the weight rows, and
 ``polytope_invariant_count`` counts the same monomials as lattice points
-through the action's projection.
+through the normals of delta.
 ``evaluate_by_fractions`` evaluates the generating invariants by one
 ``Fraction`` power and multiply per coordinate, the route
 ``evaluate_invariants`` took before it multiplied numerators and
 denominators as integers.
-``snf_euclid`` is ``toricalc.lattice.snf`` with the Euclid loop run for
-every pivot, units included.  ``semistable_by_weight_cone`` decides
-semistability from the weights by Fourier-Motzkin elimination, without
-the polyhedron.
+``semistable_by_weight_cone`` decides semistability from the weights by
+Fourier-Motzkin elimination, without the polyhedron.
 ``matmul``, ``transpose`` and ``identity`` are the matrix algebra the
 normal form and kernel tests check against; the library computes none of
-them. ``positive_orthant`` and ``homogenized_rows`` build the orthant and
+them. ``normals`` is the normal matrix of a polyhedron, whose rows are
+the images of the coordinate characters when the polyhedron is
+``delta``. ``positive_orthant`` and ``homogenized_rows`` build the orthant and
 the rows of the cone over a polyhedron (each inequality (a, b) as
 (a, -b), then the height row) from their definitions.
 """
@@ -47,9 +47,9 @@ import math
 from fractions import Fraction
 from itertools import product as iproduct
 
-from toricalc.actions import delta, quotient_projection
+from toricalc.actions import delta
 from toricalc.errors import AllZero, EmptyPolyhedron, LinealityPresent, Unbounded
-from toricalc.lattice import IntMatrix, NormalForm, _left_kernel, _negate, _row_sub, _swap
+from toricalc.lattice import IntMatrix, _left_kernel
 from toricalc.polyhedra import (
     Face,
     _dd_pair,
@@ -70,7 +70,7 @@ def matmul(a, b):
         raise ValueError("shape mismatch in matrix product")
     cols = transpose(b).entries
     rows = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a.entries]
-    return IntMatrix.from_rows(rows, b.ncols)
+    return IntMatrix(rows, b.ncols)
 
 
 def transpose(m):
@@ -81,6 +81,11 @@ def transpose(m):
 def identity(n):
     """The n x n identity IntMatrix."""
     return IntMatrix(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), n)
+
+
+def normals(p):
+    """The normal matrix of a polyhedron: row i is the normal of inequality i."""
+    return IntMatrix([a for a, _ in p.inequalities], p.dim)
 
 
 def positive_orthant(dim):
@@ -222,7 +227,7 @@ def proj_equal_by_kernel(v, w) -> bool:
         if (a == 0) != (b == 0):
             return False
     pairs = [(b / a, d) for (a, d), (b, _) in zip(pos_left, pos_right) if a != 0]
-    _, kernel = _left_kernel(IntMatrix.from_rows([(d,) for _, d in pairs], 1))
+    _, kernel = _left_kernel(IntMatrix([(d,) for _, d in pairs], 1))
     return all(math.prod(ratio**k for (ratio, _), k in zip(pairs, row)) == 1 for row in kernel.entries)
 
 
@@ -249,7 +254,7 @@ def same_quotient_point(action, x, y) -> bool:
         return False
     off = [i for i in range(action.n) if i + 1 not in closed[0]]
     columns = [[row[i] for row in action.weights.entries] for i in off]
-    _, kernel = _left_kernel(IntMatrix.from_rows(columns, action.weights.nrows))
+    _, kernel = _left_kernel(IntMatrix(columns, action.weights.nrows))
     return all(math.prod((y[i] / x[i]) ** m for i, m in zip(off, row)) == 1 for row in kernel.entries)
 
 
@@ -287,75 +292,6 @@ def face_nonempty_from_full_pass(p, want):
     the face of the inequalities in the mask ``want``, bit i - 1 for
     inequality i, is nonempty."""
     return face_from_full_pass(p, [i + 1 for i in range(p.n_inequalities) if want >> i & 1]) is not None
-
-
-def snf_euclid(m):
-    """Smith normal form with transforms, U M V = D, by the Euclid
-    loop alone: pivot on the least nonzero entry (lowest row, then column,
-    among ties), reduce its column and row by division with remainder
-    until both are clear, and fold in a row whose entry the pivot does not
-    divide."""
-    nr, nc = m.nrows, m.ncols
-    d = [list(r) for r in m.entries]
-    u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
-    v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
-
-    def col_swap(i, j):
-        for row in d:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def col_sub(i, q, j):
-        """column i -= q * column j"""
-        for row in d:
-            row[i] -= q * row[j]
-        for row in v:
-            row[i] -= q * row[j]
-
-    t = 0
-    while t < min(nr, nc):
-        cand = [(abs(d[i][j]), i, j) for i in range(t, nr) for j in range(t, nc) if d[i][j] != 0]
-        if not cand:
-            break
-        _, pi, pj = min(cand)
-        if pi != t:
-            _swap(d, pi, t)
-            _swap(u, pi, t)
-        if pj != t:
-            col_swap(pj, t)
-        while True:
-            col_nz = [i for i in range(t + 1, nr) if d[i][t] != 0]
-            if col_nz:
-                i = min(col_nz, key=lambda i: (abs(d[i][t]), i))
-                q = d[i][t] // d[t][t]
-                _row_sub(d, i, q, t)
-                _row_sub(u, i, q, t)
-                if d[i][t] != 0:
-                    _swap(d, i, t)
-                    _swap(u, i, t)
-                continue
-            row_nz = [j for j in range(t + 1, nc) if d[t][j] != 0]
-            if row_nz:
-                j = min(row_nz, key=lambda j: (abs(d[t][j]), j))
-                q = d[t][j] // d[t][t]
-                col_sub(j, q, t)
-                if d[t][j] != 0:
-                    col_swap(j, t)
-                continue
-            bad = next(
-                ((i, j) for i in range(t + 1, nr) for j in range(t + 1, nc) if d[i][j] % d[t][t] != 0),
-                None,
-            )
-            if bad is None:
-                break
-            _row_sub(d, t, -1, bad[0])
-            _row_sub(u, t, -1, bad[0])
-        if d[t][t] < 0:
-            _negate(d, t)
-            _negate(u, t)
-        t += 1
-    return NormalForm(IntMatrix(d, nc), IntMatrix(u, nr), IntMatrix(v, nc))
 
 
 def semistable_by_weight_cone(action, support) -> bool:
@@ -518,22 +454,22 @@ def scan_invariant_count(action, r, emax):
 
 
 def polytope_invariant_count(action, r, emax):
-    """The same count via lattice points p with r*alpha <= A p <= r*alpha + emax."""
-    q = quotient_projection(action)
+    """The same count via lattice points p with r*alpha <= A p <= r*alpha + emax,
+    A the normal matrix of delta."""
+    a = normals(delta(action))
     ineqs = []
-    for i in range(action.n):
-        a = q.images.row(i)
-        lo = r * action.alpha[i]
-        ineqs.append((a, lo))
-        ineqs.append((tuple(-x for x in a), -(lo + emax)))
-    return len(lattice_points(polyhedron(q.dim, ineqs)))
+    for row, alpha in zip(a.entries, action.alpha):
+        lo = r * alpha
+        ineqs.append((row, lo))
+        ineqs.append((tuple(-x for x in row), -(lo + emax)))
+    return len(lattice_points(polyhedron(a.ncols, ineqs)))
 
 
 def evaluate_by_fractions(action, point, bound):
     """(value, degree) per graded generator (p, r) of degree <= bound: the
     product over i of point_i ** (p . a_i - r * alpha_i), with the a_i the
-    coordinate images of the action's projection, multiplied as Fractions."""
-    q = quotient_projection(action)
+    normals of delta, multiplied as Fractions."""
+    a = normals(delta(action))
     coords = [Fraction(c) for c in point]
     out = []
     for g in graded_generators(delta(action)):
@@ -541,6 +477,6 @@ def evaluate_by_fractions(action, point, bound):
             continue
         value = Fraction(1)
         for i, c in enumerate(coords):
-            value *= c ** (sum(x * y for x, y in zip(g.point, q.images.row(i))) - g.degree * action.alpha[i])
+            value *= c ** (sum(x * y for x, y in zip(g.point, a.entries[i])) - g.degree * action.alpha[i])
         out.append((value, g.degree))
     return out

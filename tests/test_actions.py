@@ -1,4 +1,4 @@
-"""Linearized actions: projections, polyhedra, semistability, invariants.
+"""Linearized actions: polyhedra, semistability, invariants.
 
 Oracles here never go through the polyhedral route: invariance of a
 monomial x^e t^r is tested directly as weight(e + r*alpha) = 0 against
@@ -27,7 +27,6 @@ from toricalc.actions import (
     minimal_unstable_supports,
     orbit_census,
     proj_equal,
-    quotient_projection,
 )
 from toricalc.errors import (
     AllZero,
@@ -54,6 +53,7 @@ from oracles import (
     face_nonempty_from_full_pass,
     identity,
     matmul,
+    normals,
     polytope_invariant_count,
     positive_orthant,
     proj_equal_by_kernel,
@@ -84,54 +84,55 @@ def scan_semistable(action, support, rmax=3, emax=4):
 
 
 class TestQuotientProjection:
+    # The normals of delta are the images of the coordinate characters in
+    # the quotient lattice.
     def test_trivial_group(self):
-        act = linearized_action([], (0, 0, 0))
-        q = quotient_projection(act)
-        assert q.dim == 3
-        assert q.images == identity(3)
+        p = delta(linearized_action([], (0, 0, 0)))
+        assert p.dim == 3
+        assert normals(p) == identity(3)
 
     def test_diagonal_scaling(self):
-        q = quotient_projection(CP1)
-        assert q.dim == 1
-        assert q.images.entries == ((-1,), (1,))
+        p = delta(CP1)
+        assert p.dim == 1
+        assert normals(p).entries == ((-1,), (1,))
 
     def test_exactness_and_span(self):
         for act in (CP1, SQUARE_ACTION, linearized_action([[1, 2, 3]], (0, 0, 0))):
-            q = quotient_projection(act)
-            prod = matmul(act.weights, q.images)
+            a = normals(delta(act))
+            prod = matmul(act.weights, a)
             assert all(x == 0 for row in prod.entries for x in row)
-            # Rows of the image matrix span the quotient lattice.
-            reduced = _hnf(q.images).D
+            # Rows of the normal matrix span the quotient lattice.
+            reduced = _hnf(a).D
             nonzero = [r for r in reduced.entries if any(r)]
             assert nonzero == [
-                tuple(1 if j == i else 0 for j in range(q.dim)) for i in range(q.dim)
+                tuple(1 if j == i else 0 for j in range(a.ncols)) for i in range(a.ncols)
             ]
 
     def test_full_rank_weights(self):
-        q = quotient_projection(linearized_action([[1, 0], [0, 1]], (0, 0)))
-        assert q.dim == 0
-        assert q.images.nrows == 2 and q.images.ncols == 0
+        p = delta(linearized_action([[1, 0], [0, 1]], (0, 0)))
+        assert p.dim == 0
+        assert normals(p).nrows == 2 and normals(p).ncols == 0
 
     def test_torsion_rejected(self):
         with pytest.raises(TorsionQuotient):
-            quotient_projection(linearized_action([[2]], (0,)))
+            delta(linearized_action([[2]], (0,)))
         with pytest.raises(TorsionQuotient):
-            quotient_projection(linearized_action([[2, 4]], (0, 0)))
+            delta(linearized_action([[2, 4]], (0, 0)))
 
     def test_dependent_rows_give_the_quotient_of_their_span(self):
         # The rows generate the same torus as the first one alone, so the
         # quotient has dimension n less the rank.
         act = linearized_action([[1, 1], [2, 2]], (-1, 0))
-        q = quotient_projection(act)
-        assert q.dim == 1
-        assert q == quotient_projection(CP1)
-        assert all(x == 0 for row in matmul(act.weights, q.images).entries for x in row)
+        p = delta(act)
+        assert p.dim == 1
+        assert p == delta(CP1)
+        assert all(x == 0 for row in matmul(act.weights, normals(p)).entries for x in row)
         assert minimal_unstable_supports(act) == minimal_unstable_supports(CP1) == [(1, 2)]
         for r in range(4):
             assert hilbert_function(delta(act), r) == r + 1
 
     def test_deterministic(self):
-        assert quotient_projection(SQUARE_ACTION) == quotient_projection(SQUARE_ACTION)
+        assert delta(square_action()) == delta(square_action())
 
 
 class TestDelta:
@@ -146,10 +147,11 @@ class TestDelta:
         assert sorted(vrep(p).vertices) == sorted(vrep(unit_cube(2)).vertices)
 
     def test_inequality_order_follows_coordinates(self):
+        # Normal i is row i of the Smith transform V, past the rank of W.
         p = delta(SQUARE_ACTION)
-        q = quotient_projection(SQUARE_ACTION)
+        v = snf(SQUARE_ACTION.weights).V
         for i in range(4):
-            assert p.inequalities[i] == (q.images.row(i), SQUARE_ACTION.alpha[i])
+            assert p.inequalities[i] == (v.entries[i][2:], SQUARE_ACTION.alpha[i])
 
     def test_positive_linearization_empty(self):
         assert is_empty(delta(linearized_action([[1]], (1,))))
@@ -206,8 +208,7 @@ class TestGroupFromDelta:
         assert [b for _, b in p2.inequalities] == [b for _, b in p.inequalities]
         # Same normals up to a unimodular change of ambient coordinates:
         # the rows of the transposed normal matrices span equal lattices.
-        normals = lambda q: transpose(IntMatrix.from_rows([a for a, _ in q.inequalities], q.dim))
-        assert _hnf(normals(p)).D == _hnf(normals(p2)).D
+        assert _hnf(transpose(normals(p))).D == _hnf(transpose(normals(p2))).D
         for r in range(4):
             assert hilbert_function(p, r) == hilbert_function(p2, r)
 
@@ -220,7 +221,7 @@ class TestGroupFromDelta:
         # down.
         d, rows = seeded_inequalities(seed)
         p = polyhedron(d, rows)
-        a = IntMatrix.from_rows([n for n, _ in rows], d)
+        a = IntMatrix([n for n, _ in rows], d)
         factors = invariant_factors_from(snf(a))
         if len(factors) < d or any(f != 1 for f in factors):
             with pytest.raises(NonSpanning):
@@ -609,7 +610,7 @@ class TestIntegerRule:
 class TestActionValidation:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            LinearizedAction(2, IntMatrix.from_rows([(1, 1, 1)], 3), (0, 0))
+            LinearizedAction(2, IntMatrix([(1, 1, 1)], 3), (0, 0))
         with pytest.raises(ValueError):
             linearized_action([[1, 1]], (0,))
 
@@ -633,12 +634,11 @@ class TestQuotientCache:
     def test_same_objects_every_call(self):
         a = square_action()
         assert delta(a) is delta(a)
-        assert quotient_projection(a) is quotient_projection(a)
 
     def test_cache_is_not_a_field(self):
         warm, fresh = square_action(), square_action()
         minimal_unstable_supports(warm)
-        assert "_quotient" in vars(warm) and "_quotient" not in vars(fresh)
+        assert "_delta" in vars(warm) and "_delta" not in vars(fresh)
         assert warm == fresh and hash(warm) == hash(fresh) and repr(warm) == repr(fresh)
         assert {warm: 1}[fresh] == 1
 
@@ -648,7 +648,6 @@ class TestQuotientCache:
             (linearized_action([[2, 4], [4, 8]], (0, 0)), TorsionQuotient),
         ]
         queries = [
-            quotient_projection,
             delta,
             minimal_unstable_supports,
             lambda a: is_semistable(a, ()),
@@ -660,7 +659,7 @@ class TestQuotientCache:
                 for query in queries:
                     with pytest.raises(error):
                         query(act)
-            assert "_quotient" not in vars(act)
+            assert "_delta" not in vars(act)
 
     def test_replace_gets_its_own_delta(self):
         a = square_action()
@@ -683,7 +682,6 @@ class TestQuotientCache:
             delta(a)
         b = roundtrip(a)
         assert b == a and hash(b) == hash(a)
-        assert quotient_projection(b) == quotient_projection(a)
         assert delta(b) == delta(a)
         assert minimal_unstable_supports(b) == minimal_unstable_supports(a)
         assert evaluate_invariants(b, (1, 2, 3, 5), 1) == evaluate_invariants(a, (1, 2, 3, 5), 1)
@@ -698,7 +696,7 @@ class TestQuotientCache:
         monkeypatch.setattr(actions, "snf", refuse)
         built = [
             linearized_action([[1, 1, 0, 0], [0, 0, 1, 1]], (-1, 0, -1, 0)),
-            LinearizedAction(2, IntMatrix.from_rows([[1, 1]], 2), (-1, 0)),
+            LinearizedAction(2, IntMatrix([[1, 1]], 2), (-1, 0)),
             LinearizedAction(2, [[1, 1]], (-1, 0)),
             action_from_json({"n": 2, "weights": [[1, 1]], "linearization": [-1, 0]}),
             group_from_delta(unit_cube(2)),
@@ -712,11 +710,10 @@ class TestQuotientCache:
 
         monkeypatch.setattr(actions, "snf", counting)
         for a in built:
-            assert "_quotient" not in vars(a)
+            assert "_delta" not in vars(a)
             before = len(calls)
             for _ in range(2):
                 p = delta(a)
-                quotient_projection(a)
                 is_semistable(a, (1,))
                 minimal_unstable_supports(a)
                 invariant_monomial(a, (0,) * p.dim, 0)

@@ -1,6 +1,8 @@
 """Normal forms and kernels: frozen examples plus exact factorization checks."""
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -15,11 +17,11 @@ from toricalc.lattice import (
 )
 from fractions import Fraction
 
-from oracles import det, identity, matmul, rational_rank, snf_euclid, solve_rational, transpose
+from oracles import det, identity, matmul, rational_rank, solve_rational, transpose
 
 
-def M(*rows, ncols=None):
-    return IntMatrix.from_rows(rows, ncols=ncols)
+def M(*rows, ncols=-1):
+    return IntMatrix(rows, ncols)
 
 
 def factors(m):
@@ -69,6 +71,19 @@ def snf_corpus(count=400, seed=10):
 
 
 SNF_CORPUS = snf_corpus()
+SNF_GOLDEN = Path(__file__).resolve().parent / "data" / "snf_corpus.json"
+
+
+def snf_corpus_text():
+    """``snf`` of every corpus matrix, one line of canonical JSON each: the
+    shape and rows of M, then D, U and V. V fixes the basis of delta, so
+    this text is part of the contract."""
+    lines = []
+    for m in SNF_CORPUS:
+        nf = snf(m)
+        entry = {"shape": [m.nrows, m.ncols], "M": m.entries, "D": nf.D.entries, "U": nf.U.entries, "V": nf.V.entries}
+        lines.append(json.dumps(entry, sort_keys=True, separators=(",", ":")))
+    return "[\n" + ",\n".join(lines) + "\n]\n"
 
 
 def is_unimodular(u):
@@ -191,11 +206,8 @@ class TestSmith:
         m = M([3, 1, -4], [2, -3, 1])
         assert snf(m) == snf(m)
 
-    def test_matches_euclid_loop(self):
-        # A unit pivot clears its column and row in one pass each; the
-        # transforms must still be exactly those of the Euclid loop.
-        for m in SNF_CORPUS:
-            assert snf(m) == snf_euclid(m), m
+    def test_transforms_match_golden_file(self):
+        assert snf_corpus_text() == SNF_GOLDEN.read_text()
 
     def test_corpus_coverage(self):
         def first_pivot(m):
@@ -207,8 +219,8 @@ class TestSmith:
         assert any(m.nrows == 0 and m.ncols for m in SNF_CORPUS)
         assert any(m.ncols == 0 and m.nrows for m in SNF_CORPUS)
         assert any(m.nrows > m.ncols > 0 for m in SNF_CORPUS)
-        assert any(m.nrows > 1 and not any(m.row(i)) for m in SNF_CORPUS for i in range(m.nrows))
-        assert any(m.nrows > 1 and not any(transpose(m).row(j)) for m in SNF_CORPUS for j in range(m.ncols))
+        assert any(m.nrows > 1 and not any(m.entries[i]) for m in SNF_CORPUS for i in range(m.nrows))
+        assert any(m.nrows > 1 and not any(transpose(m).entries[j]) for m in SNF_CORPUS for j in range(m.ncols))
         assert any(factors(m) == (1,) * m.nrows and m.ncols > m.nrows > 1 for m in SNF_CORPUS)
 
 
@@ -269,10 +281,10 @@ class TestIntegerRule:
             "entry": lambda: IntMatrix(((1, 0.5),)),
             "bare row": lambda: IntMatrix((5,)),
             "zero-row ncols": lambda: IntMatrix((), 2.5),
-            "from_rows ncols": lambda: IntMatrix.from_rows([(1, 2)], 3),
+            "ncols": lambda: IntMatrix([(1, 2)], 3),
             # These raised a bare TypeError.
             "none rows": lambda: IntMatrix(None),
-            "none from_rows": lambda: IntMatrix.from_rows(None),
+            "none ncols": lambda: IntMatrix([(1, 2)], None),
         }
         for name, call in cases.items():
             with pytest.raises(ValueError):
@@ -282,10 +294,10 @@ class TestIntegerRule:
     def test_integral_values_accepted(self):
         for x in (2, True, 2.0, Fraction(4, 2)):
             assert as_int(x) == x and type(as_int(x)) is int
-        m = IntMatrix.from_rows([(2.0, Fraction(-4, 2))])
-        assert m == M([2, -2]) and all(type(x) is int for x in m.row(0))
+        m = IntMatrix([(2.0, Fraction(-4, 2))])
+        assert m == M([2, -2]) and all(type(x) is int for x in m.entries[0])
         assert IntMatrix((), 3.0) == IntMatrix((), 3)
-        assert IntMatrix.from_rows([(1, 2)], 2.0).ncols == 2
+        assert IntMatrix(iter([(1, 2)]), 2.0).ncols == 2
 
 
 class TestHelpers:

@@ -698,6 +698,16 @@ class TestIntegerRule:
         assert same(unit_cube(0), Polyhedron(0, ()))
         assert same(standard_simplex(0), polyhedron(0, [((), -1)]))
 
+    def test_cone_point_must_have_the_ambient_length(self):
+        # zip used to cut a long or a short point to the ambient length.
+        c = homogenize(unit_cube(2))
+        assert c.contains((0, 0, 1)) and not c.contains((2, 0, 1))
+        assert c.contains(x for x in (1, 1, 1)) and not c.contains(x for x in (0, 2, 1))
+        for x in [(0, 0, 1, 99), (0, 0), (), 5]:
+            with pytest.raises(ValueError):
+                c.contains(x)
+                pytest.fail(repr(x))
+
 
 class TestTransforms:
     def test_dilate(self):

@@ -93,7 +93,7 @@ def unimodular_rays(seed, dim):
 
 
 def index(rays):
-    return prod(invariant_factors_from(snf(IntMatrix.from_rows(rays))))
+    return prod(invariant_factors_from(snf(IntMatrix(rays))))
 
 
 def det2(rays):
@@ -195,7 +195,7 @@ def facet_normal(facet_rays, span_basis, inside_ray):
     products <b_t, f>, oriented so ``inside_ray`` is on its positive side."""
     k = len(span_basis)
     rows = [[sum(b * f for b, f in zip(basis_vec, fr)) for basis_vec in span_basis] for fr in facet_rays]
-    z = _left_kernel(transpose(IntMatrix.from_rows(rows, k)))[1].row(0)
+    z = _left_kernel(transpose(IntMatrix(rows, k)))[1].entries[0]
     normal = tuple(sum(z[t] * span_basis[t][j] for t in range(k)) for j in range(len(inside_ray)))
     side = sum(n * x for n, x in zip(normal, inside_ray))
     assert side != 0, "degenerate simplex"

@@ -152,24 +152,27 @@ def public_definitions(tree):
 
 def uncalled_names(paths):
     """Public names defined in ``paths`` that no node of ``paths`` outside
-    their own definition refers to: as a name, as an attribute, or as a
-    string equal to the name (``vars(cls)["method"]``). A method counts as
-    referred to when any attribute has its name, whatever the object."""
+    their own definition refers to: as an attribute, as a string equal to
+    the name (``vars(cls)["method"]``) or, for a top-level name only, as a
+    bare name. A method counts as referred to when any attribute has its
+    name, whatever the object; a local variable of that name does not."""
     trees = [ast.parse(path.read_text(), filename=str(path)) for path in paths]
-    refs = {}
+    bare, members = {}, {}
     for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                refs.setdefault(node.id, []).append(node)
+                bare.setdefault(node.id, []).append(node)
             elif isinstance(node, ast.Attribute):
-                refs.setdefault(node.attr, []).append(node)
+                members.setdefault(node.attr, []).append(node)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                refs.setdefault(node.value, []).append(node)
+                members.setdefault(node.value, []).append(node)
     found = []
     for tree in trees:
         for name, node in public_definitions(tree):
+            owner, _, attr = name.rpartition(".")
+            refs = members.get(attr, []) + ([] if owner else bare.get(attr, []))
             own = {id(n) for n in ast.walk(node)}
-            if all(id(r) in own for r in refs.get(name.rpartition(".")[2], ())):
+            if all(id(r) in own for r in refs):
                 found.append(name)
     return sorted(found)
 
@@ -187,13 +190,13 @@ PUBLIC_NAMES = {
     "AllZero", "Cone", "EmptyPolyhedron", "Face", "GradedPoint", "InputError",
     "IntMatrix", "LinealityPresent", "LinearizedAction", "NonSpanning",
     "NormalForm", "NotInSemigroup", "NotPointed", "NotSimple", "Polyhedron",
-    "QuotientData", "RingPresentation", "TorsionQuotient", "ToricalcError",
+    "RingPresentation", "TorsionQuotient", "ToricalcError",
     "Unbounded", "VRepresentation", "betti", "delta", "dilate",
     "evaluate_invariants", "f_vector", "face", "graded_generators",
     "group_from_delta", "hilbert_basis", "hilbert_function", "homogenize",
     "interval", "invariant_monomial", "is_bounded", "is_empty", "is_semistable",
     "lattice_points", "linearized_action", "minimal_unstable_supports",
-    "orbit_census", "polyhedron", "product", "proj_equal", "quotient_projection",
+    "orbit_census", "polyhedron", "product", "proj_equal",
     "relation_space", "snf", "standard_simplex", "unit_cube", "vrep",
 }
 
@@ -289,9 +292,13 @@ def test_caller_check_sees_unreferenced_names(tmp_path):
         "    def kept(self):\n        return used()\n\n"
         "    def looked_up(self):\n        pass\n\n"
         "    def dropped(self):\n        return self.dropped\n\n"
+        "    def row(self):\n        pass\n\n"
         "    def __len__(self):\n        return 0\n\n"
         "class Unused:\n    pass\n"
     )
     user = tmp_path / "user.py"
-    user.write_text("import lib\n\nlib.Box().kept()\nhook = vars(lib.Box)['looked_up']\n")
-    assert uncalled_names([lib, user]) == ["Box.dropped", "Unused", "recursive"]
+    user.write_text(
+        "import lib\n\nlib.Box().kept()\nhook = vars(lib.Box)['looked_up']\n"
+        "# A loop variable named like a method does not call it.\nfor row in [()]:\n    print(row)\n"
+    )
+    assert uncalled_names([lib, user]) == ["Box.dropped", "Box.row", "Unused", "recursive"]
