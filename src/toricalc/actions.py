@@ -164,8 +164,8 @@ def minimal_unstable_supports(action: LinearizedAction) -> list[Support]:
     The unstable locus is the union of the coordinate subspaces
     determined by these supports; monotonicity prunes every superset
     of a support already found. Supports are walked as masks, bit i - 1
-    for coordinate i, and each face is tested by a pass of its own
-    (``_held_face_nonempty``), not by the vertex-mask index.
+    for coordinate i, and each face is tested by a pass over that face's
+    own system (``_held_face_nonempty``), not by the vertex-mask index.
     """
     p = delta(action)
     bits = [1 << i for i in range(action.n)]

@@ -141,8 +141,8 @@ def _load_json(path: str, stdin: str | None):
         text = stdin if stdin is not None else sys.stdin.read()
     else:
         try:
-            text = Path(path).read_text()
-        except OSError as e:
+            text = Path(path).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as e:
             raise InputError(f"cannot read {path}: {e}") from None
     try:
         return json.loads(text)

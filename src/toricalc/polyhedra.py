@@ -19,8 +19,8 @@ index. ``is_empty`` and ``is_bounded`` compare its length with the
 pass's, and ``face`` and the semistability test of ``actions`` read it:
 a face is nonempty exactly when one of its masks contains the support.
 Only ``_held_face_nonempty``, which the walk over the unstable supports
-asks of each support's mask, runs a pass of its own, holding those rows
-equal; it stays the independent route the semistability test is checked
+asks of each support's mask, runs a pass of its own on the face's
+system; it stays the independent route the semistability test is checked
 against. Only this module reads a polyhedron's cone, pass and index.
 
 Everything is deterministic: inequalities are inserted in the order
@@ -165,25 +165,16 @@ class _Ray:
         self.tight = tight
 
 
-def _dd_pair(constraints, ambient: int, equal: int = 0):
+def _dd_pair(constraints, ambient: int):
     """Double description of the cone {x : c . x >= 0 for all c}.
 
     Processes constraints in the given order, maintaining extreme rays
     (modulo lineality) and a lineality basis. Returns (rays, lineality)
     where rays are _Ray records with primitive integer vectors.
-
-    The constraints set in ``equal`` (by ``_held_face_nonempty`` only)
-    are held as equalities, giving the face they cut out: when one is
-    inserted, only the rays tight on it survive, with the new adjacent
-    combinations. A ray with c . x > 0 never has a descendant tight on c,
-    and the adjacency test of two rays tight on c only consults rays
-    tight on c, so the result is exactly the rays of the full pass whose
-    mask contains ``equal``, in the same order.
     """
     lin = [tuple(1 if j == i else 0 for j in range(ambient)) for i in range(ambient)]
     rays: list[_Ray] = []
     for k, c in enumerate(constraints):
-        held = equal >> k & 1
         lvals = [_dot(c, l) for l in lin]
         j0 = next((j for j, val in enumerate(lvals) if val != 0), None)
         if j0 is not None:
@@ -203,15 +194,14 @@ def _dd_pair(constraints, ambient: int, equal: int = 0):
                 if val:
                     r.vec = primitive(tuple(v0 * x - val * y for x, y in zip(r.vec, l0)))
                 r.tight |= 1 << k
-            if not held:
-                rays.append(_Ray(l0, (1 << k) - 1))
+            rays.append(_Ray(l0, (1 << k) - 1))
             lin = new_lin
         else:
             vals = [_dot(c, r.vec) for r in rays]
             plus = [i for i, v in enumerate(vals) if v > 0]
             zero = [i for i, v in enumerate(vals) if v == 0]
             minus = [i for i, v in enumerate(vals) if v < 0]
-            new_rays = [] if held else [rays[i] for i in plus]
+            new_rays = [rays[i] for i in plus]
             for i in zero:
                 rays[i].tight |= 1 << k
                 new_rays.append(rays[i])
@@ -263,11 +253,10 @@ class Cone:
 
     @cached_property
     def _pass(self) -> tuple[tuple[_Ray, ...], tuple[Vector, ...]]:
-        """The double description pass of the cone, no constraint held as
-        an equality: (rays, lineality) as ``_dd_pair`` returns them, in
-        tuples. Computed on first use and kept in the instance
-        ``__dict__``; the records are shared, so no caller may change
-        them."""
+        """The double description pass of the cone: (rays, lineality) as
+        ``_dd_pair`` returns them, in tuples. Computed on first use and
+        kept in the instance ``__dict__``; the records are shared, so no
+        caller may change them."""
         rays, lin = _dd_pair(self.inequalities, self.ambient)
         return tuple(rays), tuple(lin)
 
@@ -393,14 +382,18 @@ def _face_nonempty(p: Polyhedron, want: int) -> bool:
 
 
 def _held_face_nonempty(p: Polyhedron, want: int) -> bool:
-    """``_face_nonempty`` from a pass of its own that holds the
-    inequalities in the mask ``want`` as equalities (the cached pass when
-    ``want`` is 0): whether some ray has positive height. Only
+    """``_face_nonempty`` from a pass over the face's own system (the
+    cached pass when ``want`` is 0): whether some ray has positive height.
+    Each row of the cone in the mask ``want`` goes in first, as the pair
+    c, -c, and the other rows follow in order (Fukuda and Prodon, "Double
+    description method revisited", 1996). Only
     ``minimal_unstable_supports`` calls it, so that it stays a route to the
     unstable supports that does not read the index, which the tests and
     the benchmark check ``is_semistable`` against."""
     c = p._cone
-    rays, _ = _dd_pair(c.inequalities, c.ambient, want) if want else c._pass
+    pairs = [x for k, row in enumerate(c.inequalities) if want >> k & 1 for x in (row, tuple(-v for v in row))]
+    rest = [row for k, row in enumerate(c.inequalities) if not want >> k & 1]
+    rays, _ = _dd_pair(pairs + rest, c.ambient) if want else c._pass
     return any(r.vec[-1] > 0 for r in rays)
 
 

@@ -14,7 +14,7 @@ the polyhedron, without evaluating any invariant.
 ``face_from_full_pass`` answers a face query by a double description
 pass of the whole polyhedron of its own, filtered by tight mask
 afterwards; ``face_nonempty_from_full_pass`` asks it of a mask and stands
-in for the held-equality pass of ``minimal_unstable_supports``.
+in for the per-support pass of ``minimal_unstable_supports``.
 ``f_vector_by_frozensets`` counts faces by the walk ``f_vector`` replaced:
 faces as frozensets of generator indices, from a pass of its own.
 ``extreme_rays`` lists the extreme rays and lineality of a cone from
@@ -263,8 +263,8 @@ def face_from_full_pass(p, s):
     pass of ``p``, never the cached one, then only the generators whose
     tight mask contains ``s``; witness, dimension and active set as
     ``face`` takes them. ``face`` filters the cached pass the same way;
-    ``minimal_unstable_supports`` instead runs a pass per support that
-    holds ``s`` as equalities, and this is its reference route."""
+    ``minimal_unstable_supports`` instead runs a pass per support over
+    that face's own system, and this is its reference route."""
     want = _support_mask(p, s)
     rays, lin = _dd_pair(homogenized_rows(p), p.dim + 1)
     kept = [r for r in rays if r.tight & want == want]

@@ -345,9 +345,9 @@ class TestSemistability:
         assert minimal_unstable_supports(SQUARE_ACTION) == [(1, 2), (3, 4)]
 
     def test_minimal_unstable_cube6(self, monkeypatch):
-        # Each support's face holds its inequalities as equalities during
-        # the double description pass; rerunning the full pass of the cube
-        # per support made this walk about three times slower.
+        # Each support's face gets a pass over its own system; the full
+        # pass of the cube per support, filtered afterwards, agrees and is
+        # several times slower.
         act = group_from_delta(unit_cube(6))
         out = minimal_unstable_supports(act)
         assert out == [(1, 2), (3, 4), (5, 6), (7, 8), (9, 10), (11, 12)]

@@ -284,6 +284,14 @@ class TestErrorDiscipline:
         assert code == 2
         assert "broken.json" in err
 
+    def test_undecodable_file_is_input_error(self, tmp_path):
+        path = tmp_path / "latin.json"
+        path.write_bytes(b"\xff{}")
+        code, out, err = execute(["delta", "--action", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"InputError: cannot read {path}: ")
+        assert "Traceback" not in err
+
     def test_usage_errors_exit_2(self, tmp_path):
         assert execute(["frobnicate"])[0] == 2
         assert execute(["betti"])[0] == 2

@@ -57,7 +57,14 @@ from toricalc.polyhedra import (
 )
 from toricalc.semigroups import graded_generators, hilbert_basis, hilbert_function, relation_space
 
-from oracles import face_from_full_pass, homogenized_rows, positive_orthant, rational_det, rational_rank
+from oracles import (
+    face_from_full_pass,
+    face_nonempty_from_full_pass,
+    homogenized_rows,
+    positive_orthant,
+    rational_det,
+    rational_rank,
+)
 
 SQUARE = unit_cube(2)
 
@@ -347,23 +354,36 @@ class TestFace:
 
     @pytest.mark.parametrize("kind, seed", HELD_CORPUS)
     def test_held_equalities_match_full_pass(self, kind, seed):
-        # Holding rows as equalities during the pass must give exactly the
-        # rays of the full pass whose mask contains them: the same
-        # vectors, the same masks, in the same order. So the held
-        # predicate answers as the vertex-mask index does.
+        # The pass over a face's own system, its rows held as pairs of
+        # opposite inequalities, answers as the vertex-mask index does on
+        # every mask, the height row's bit included.
         p = held_corpus_polyhedron(kind, seed)
         m = p.n_inequalities
-        rows, ambient = homogenized_rows(p), p.dim + 1
-        full, full_lin = _dd_pair(rows, ambient)
         for mask in range(1 << (m + 1)):
-            rays, lin = _dd_pair(rows, ambient, equal=mask)
-            assert lin == full_lin
-            expected = [(r.vec, r.tight) for r in full if r.tight & mask == mask]
-            assert [(r.vec, r.tight) for r in rays] == expected, mask
             assert _held_face_nonempty(p, mask) == _face_nonempty(p, mask), mask
         for k in range(m + 1):
             for s in combinations(range(1, m + 1), k):
                 assert face(p, s) == face_from_full_pass(p, s), s
+
+    @pytest.mark.parametrize(
+        "p, mask, nonempty",
+        [
+            # x >= 0 twice in the unit square, both held.
+            (polyhedron(2, [((1, 0), 0), ((1, 0), 0), ((-1, 0), -1), ((0, 1), 0), ((0, -1), -1)]), 0b11, True),
+            # x >= 1 and -x >= -1 on the strip 0 <= y <= 1: one row is the
+            # other's negative, so holding either leaves the whole segment.
+            (polyhedron(2, [((1, 0), 1), ((-1, 0), -1), ((0, 1), 0), ((0, -1), -1)]), 0b01, True),
+            # x = 0 and x = 1 at once: the face is empty.
+            (SQUARE, 0b0011, False),
+            # x = 0 and x = 1 again, from two parallel rows x >= 0, x >= 1.
+            (polyhedron(2, [((1, 0), 0), ((1, 0), 1), ((0, 1), 0)]), 0b011, False),
+        ],
+    )
+    def test_held_pairs(self, p, mask, nonempty):
+        assert _held_face_nonempty(p, mask) is nonempty
+        for want in range(1 << p.n_inequalities):
+            expected = face_nonempty_from_full_pass(p, want)
+            assert _held_face_nonempty(p, want) == _face_nonempty(p, want) == expected, want
 
     def test_held_corpus_covers_empty_faces_and_cut_lineality(self):
         seen = set()
@@ -384,9 +404,8 @@ class TestFace:
                     if face(p, s) is None:
                         seen.add("empty face")
                     # A held row that cuts the lineality space after a row
-                    # that is not held, which made a ray of a lineality
-                    # vector: the held row's step projects that ray and
-                    # adds no ray of its own.
+                    # that is not held: the face's own system moves the
+                    # held row ahead of it.
                     if any(cuts[i - 1] and any(cuts[j] for j in range(i - 1) if j + 1 not in s) for i in s):
                         seen.add("held row cuts lineality")
         assert seen == {"skewed lineality", "empty face", "held row cuts lineality"}
@@ -747,9 +766,9 @@ def passes(monkeypatch):
     calls = []
     run = polyhedra._dd_pair
 
-    def counting(constraints, ambient, equal=0):
+    def counting(constraints, ambient):
         calls.append(tuple(constraints))
-        return run(constraints, ambient, equal)
+        return run(constraints, ambient)
 
     monkeypatch.setattr(polyhedra, "_dd_pair", counting)
     return calls
