@@ -8,11 +8,13 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product as iproduct
-from math import factorial, prod
+from math import factorial, gcd, prod
+from pathlib import Path
 
 import pytest
 
 from toricalc.errors import NotPointed, Unbounded
+from toricalc.jsonio import dump_canonical, generators_to_json, polyhedron_to_json, presentation_to_json
 from toricalc.lattice import IntMatrix, _left_kernel, invariant_factors_from, snf
 from toricalc.polyhedra import (
     Polyhedron,
@@ -28,6 +30,7 @@ from toricalc.polyhedra import _triangulation, is_empty, vrep
 from toricalc.semigroups import (
     Cone,
     GradedPoint,
+    _monomials,
     _parallelepiped_points,
     graded_generators,
     hilbert_basis,
@@ -628,3 +631,135 @@ class TestRelationSpace:
         for bound in (1, 2):
             with pytest.raises(NotPointed):
                 relation_space(p, bound)
+
+
+def polygon(vertices):
+    """The lattice polygon with the given vertices, listed in cyclic order:
+    one primitive inequality per edge, oriented towards the next vertex."""
+    ineqs = []
+    for i, (a, b) in enumerate(zip(vertices, vertices[1:] + vertices[:1])):
+        c = vertices[(i + 2) % len(vertices)]
+        g = gcd(a[1] - b[1], b[0] - a[0])
+        n = ((a[1] - b[1]) // g, (b[0] - a[0]) // g)
+        if n[0] * (c[0] - a[0]) + n[1] * (c[1] - a[1]) < 0:
+            n = (-n[0], -n[1])
+        ineqs.append((n, n[0] * a[0] + n[1] * a[1]))
+    return polyhedron(2, ineqs)
+
+
+def moved(p, m, t, rng=None):
+    """The image of p under x -> m^-1 x + t for unimodular m, with its
+    inequalities shuffled by ``rng`` when one is given."""
+    ineqs = []
+    for a, b in p.inequalities:
+        a = tuple(sum(m[i][j] * a[i] for i in range(p.dim)) for j in range(p.dim))
+        ineqs.append((a, b + sum(x * y for x, y in zip(a, t))))
+    if rng is not None:
+        rng.shuffle(ineqs)
+    return polyhedron(p.dim, ineqs)
+
+
+def reeve(r):
+    """The tetrahedron (0,0,0), (1,0,0), (0,1,0), (1,1,r): its cone is one
+    simplex of determinant r, with no lattice point but its vertices."""
+    return polyhedron(3, [((0, 0, 1), 0), ((0, r, -1), 0), ((r, 0, -1), 0), ((-r, -r, 1), -r)])
+
+
+SMALL_POLYGONS = [
+    unit_cube(2),
+    product(interval(0, 1), interval(0, 2)),
+    dilate(standard_simplex(2), 2),
+    dilate(standard_simplex(2), 3),
+    polygon([(0, 0), (1, 0), (2, 1), (2, 2), (1, 2), (0, 1)]),
+    polygon([(0, 0), (2, 1), (1, 2)]),
+]
+SMALL_SOLIDS = [
+    unit_cube(3),
+    product(standard_simplex(2), interval(0, 1)),
+    dilate(standard_simplex(3), 2),
+    reeve(2),
+    reeve(3),
+]
+
+
+def small_cone_corpus(seed=28):
+    """About 100 small polyhedra like those of the benchmark's ring jobs:
+    lattice triangles in [0, b]^2 for b = 2..5, unimodular images of small
+    polygons, and 3-D cubes, prisms, dilated simplices and tetrahedra with
+    a non-unimodular simplex under signed permutations of the coordinates."""
+    rng = random.Random(seed)
+    out = []
+    for b in (2, 3, 4, 5):
+        while len(out) < 12 * (b - 1):
+            v = [(rng.randint(0, b), rng.randint(0, b)) for _ in range(3)]
+            if (v[1][0] - v[0][0]) * (v[2][1] - v[0][1]) != (v[1][1] - v[0][1]) * (v[2][0] - v[0][0]):
+                out.append(polygon(v))
+    for k in range(24):
+        out.append(moved(SMALL_POLYGONS[k % len(SMALL_POLYGONS)], unimodular_rays(100 + k, 2),
+                         [rng.randint(-2, 2) for _ in range(2)], rng))
+    for k in range(30):
+        perm = rng.sample(range(3), 3)
+        m = [[rng.choice((-1, 1)) * int(perm[i] == j) for j in range(3)] for i in range(3)]
+        out.append(moved(SMALL_SOLIDS[k % len(SMALL_SOLIDS)], m, [0, 0, 0], rng))
+    return out
+
+
+SMALL_CONE_CORPUS = small_cone_corpus()
+SMALL_CONE_GOLDEN = Path(__file__).resolve().parent / "data" / "small_cone_corpus.json"
+
+
+def small_cone_corpus_text():
+    """For every corpus polyhedron p, one line of canonical JSON: p, then
+    ``graded_generators(p)`` and ``relation_space(p, 3)`` as the CLI
+    writes them."""
+    lines = []
+    for p in SMALL_CONE_CORPUS:
+        entry = {
+            "polytope": polyhedron_to_json(p),
+            "generators": generators_to_json(graded_generators(p)),
+            "relations": presentation_to_json(relation_space(p, 3)),
+        }
+        lines.append(dump_canonical(entry))
+    return "[\n" + ",\n".join(lines) + "\n]\n"
+
+
+class TestSmallConeCorpus:
+    def test_matches_golden_file(self):
+        assert small_cone_corpus_text() == SMALL_CONE_GOLDEN.read_text()
+
+    def test_corpus_coverage(self):
+        dets = []
+        for p in SMALL_CONE_CORPUS:
+            rays, simplices = _triangulation(homogenize(p))
+            dets.append(max(index([rays[i] for i in s]) for s in simplices))
+        assert 90 <= len(SMALL_CONE_CORPUS) <= 110
+        assert {p.dim for p in SMALL_CONE_CORPUS} == {2, 3}
+        assert any(d > 1 for p, d in zip(SMALL_CONE_CORPUS, dets) if p.dim == 3)
+        assert any(d == 1 for p, d in zip(SMALL_CONE_CORPUS, dets) if p.dim == 3)
+        assert any(d > 1 for p, d in zip(SMALL_CONE_CORPUS, dets) if p.dim == 2)
+        assert any(g.degree > 1 for p in SMALL_CONE_CORPUS for g in graded_generators(p))
+
+
+def brute_monomials(gens, total):
+    """Every exponent vector over ``gens`` with degree ``total``, by a
+    scan of the whole box [0, total]^n, with its image."""
+    dim = len(gens[0].point)
+    out = []
+    for e in iproduct(range(total + 1), repeat=len(gens)):
+        if sum(k * g.degree for k, g in zip(e, gens)) == total:
+            out.append((e, tuple(sum(k * g.point[j] for k, g in zip(e, gens)) for j in range(dim))))
+    return out
+
+
+class TestMonomials:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_brute_force(self, seed):
+        rng = random.Random(seed)
+        dim = rng.randint(1, 3)
+        gens = [GradedPoint(tuple(rng.randint(-3, 3) for _ in range(dim)), rng.choice((1, 1, 2, 3)))
+                for _ in range(rng.randint(1, 5))]
+        gens[rng.randrange(len(gens))] = GradedPoint(gens[0].point, 2 + seed % 2)
+        for total in range(5):
+            got = _monomials(gens, total, dim)
+            assert got == brute_monomials(gens, total)
+            assert [e for e, _ in got] == sorted({e for e, _ in got})
