@@ -30,6 +30,7 @@ inequality pair): one that is not iterable raises ValueError.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import gcd
 
 
@@ -124,7 +125,7 @@ def _hnf(m: IntMatrix) -> NormalForm:
     """Row Hermite normal form with transform: U M = D."""
     nr, nc = m.nrows, m.ncols
     d = [list(r) for r in m.entries]
-    u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
+    u = _identity(nr)
     prow = 0
     for col in range(nc):
         if prow == nr:
@@ -176,28 +177,30 @@ def _smith_pivot(d, t):
     return best and best[1:]
 
 
-def snf(m: IntMatrix) -> NormalForm:
-    """Smith normal form with transforms: U M V = D."""
-    nr, nc = m.nrows, m.ncols
-    d = [list(r) for r in m.entries]
-    u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
-    v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
+def _identity(n: int) -> list[list[int]]:
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def _smith(rows, nc: int, right: bool = True):
+    """``snf`` on plain lists: (d, u, v), lists of rows with u M v = d for
+    the matrix M with the given rows and ``nc`` columns. v is None when
+    ``right`` is false; the column operations then go unrecorded, which
+    changes neither d nor u."""
+    d = [list(r) for r in rows]
+    nr = len(d)
+    u = _identity(nr)
+    v = _identity(nc) if right else None
 
     def col_swap(i, j):
-        for row in d:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
+        for row in chain(d, v or ()):
             row[i], row[j] = row[j], row[i]
 
     def col_sub(i, q, j):
         """column i -= q * column j"""
-        for row in d:
-            row[i] -= q * row[j]
-        for row in v:
+        for row in chain(d, v or ()):
             row[i] -= q * row[j]
 
-    t = 0
-    while t < min(nr, nc):
+    for t in range(min(nr, nc)):
         piv = _smith_pivot(d, t)
         if piv is None:
             break
@@ -208,37 +211,48 @@ def snf(m: IntMatrix) -> NormalForm:
         if pj != t:
             col_swap(pj, t)
         while True:
-            col_nz = [i for i in range(t + 1, nr) if d[i][t] != 0]
-            if col_nz:
-                i = min(col_nz, key=lambda i: (abs(d[i][t]), i))
-                q = d[i][t] // d[t][t]
+            p = d[t][t]
+            unit = p == 1 or p == -1
+            col = [i for i in range(t + 1, nr) if d[i][t]]
+            if not unit and any(d[i][t] % p for i in col):
+                i = min(col, key=lambda i: (abs(d[i][t]), i))
+                q = d[i][t] // p
                 _row_sub(d, i, q, t)
                 _row_sub(u, i, q, t)
-                if d[i][t] != 0:
+                if d[i][t]:
                     _swap(d, i, t)
                     _swap(u, i, t)
                 continue
-            row_nz = [j for j in range(t + 1, nc) if d[t][j] != 0]
-            if row_nz:
-                j = min(row_nz, key=lambda j: (abs(d[t][j]), j))
-                q = d[t][j] // d[t][t]
-                col_sub(j, q, t)
-                if d[t][j] != 0:
+            for i in col:
+                q = d[i][t] // p
+                _row_sub(d, i, q, t)
+                _row_sub(u, i, q, t)
+            row = [j for j in range(t + 1, nc) if d[t][j]]
+            if not unit and any(d[t][j] % p for j in row):
+                j = min(row, key=lambda j: (abs(d[t][j]), j))
+                col_sub(j, d[t][j] // p, t)
+                if d[t][j]:
                     col_swap(j, t)
                 continue
-            bad = next(
-                ((i, j) for i in range(t + 1, nr) for j in range(t + 1, nc) if d[i][j] % d[t][t] != 0),
-                None,
-            )
+            for j in row:
+                col_sub(j, d[t][j] // p, t)
+            if unit:
+                break
+            bad = next((i for i in range(t + 1, nr) for j in range(t + 1, nc) if d[i][j] % p), None)
             if bad is None:
                 break
-            _row_sub(d, t, -1, bad[0])
-            _row_sub(u, t, -1, bad[0])
+            _row_sub(d, t, -1, bad)
+            _row_sub(u, t, -1, bad)
         if d[t][t] < 0:
             _negate(d, t)
             _negate(u, t)
-        t += 1
-    return NormalForm(IntMatrix(d, nc), IntMatrix(u, nr), IntMatrix(v, nc))
+    return d, u, v
+
+
+def snf(m: IntMatrix) -> NormalForm:
+    """Smith normal form with transforms: U M V = D."""
+    d, u, v = _smith(m.entries, m.ncols)
+    return NormalForm(IntMatrix(d, m.ncols), IntMatrix(u, m.nrows), IntMatrix(v, m.ncols))
 
 
 def _left_kernel(m: IntMatrix) -> tuple[tuple[int, ...], IntMatrix]:

@@ -29,11 +29,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iproduct
-from operator import ge, mul
+from operator import add, ge, mul
 
 from .errors import Unbounded
-from .lattice import IntMatrix, as_int, invariant_factors_from, snf
-from .polyhedra import Cone, Polyhedron, _det, _dilated_points, _dot, _triangulation, homogenize, is_bounded
+from .lattice import _smith, as_int
+from .polyhedra import Cone, Polyhedron, _dilated_points, _triangulation, homogenize, is_bounded
 
 Vector = tuple[int, ...]
 
@@ -69,21 +69,21 @@ def _parallelepiped_points(rays: list[Vector]) -> list[Vector]:
     (1/d_i) Z. One point per c in prod [0, d_i), taking s_i = c_i / d_i
     and t modulo 1, so there are prod d_i points. With n = d_k, every
     t_j is a multiple of 1/n and the points come out in integers. The
-    rays may span a proper subspace of the ambient space. A square R with
-    determinant +-1 gives only the origin, with no Smith form.
+    rays may span a proper subspace of the ambient space. One elimination
+    gives D and U; V is not needed, and a factor d_i = 1 adds nothing, so
+    a ray matrix of index 1 gives only the origin.
     """
-    k, ambient = len(rays), len(rays[0])
-    if k == ambient and _det(rays) == 1:
-        return [(0,) * ambient]
-    nf = snf(IntMatrix(rays))
-    factors = invariant_factors_from(nf)
-    n = factors[-1]
-    steps = [[n // d * x % n for x in row] for d, row in zip(factors, nf.U.entries)]
-    step_columns, ray_columns = list(zip(*steps)), list(zip(*rays))
+    d, u, _ = _smith(rays, len(rays[0]), right=False)
+    steps = [(d[i][i], row) for i, row in enumerate(u) if d[i][i] > 1]
+    if not steps:
+        return [(0,) * len(rays[0])]
+    n = steps[-1][0]
+    step_columns = list(zip(*([n // f * x % n for x in row] for f, row in steps)))
+    ray_columns = list(zip(*rays))
     out = []
-    for c in iproduct(*(range(d) for d in factors)):
+    for c in iproduct(*(range(f) for f, _ in steps)):
         tn = [sum(map(mul, c, column)) % n for column in step_columns]
-        out.append(tuple(sum(map(mul, tn, column)) // n for column in ray_columns))
+        out.append(tuple([sum(map(mul, tn, column)) // n for column in ray_columns]))
     return out
 
 
@@ -104,13 +104,16 @@ def hilbert_basis(c: Cone) -> list[Vector]:
         candidates = set(rays)
         for simplex in simplices:
             candidates.update(_parallelepiped_points([rays[i] for i in simplex]))
-        candidates.discard(tuple(0 for _ in range(c.ambient)))
-        values = {x: tuple(_dot(row, x) for row in c.inequalities) for x in candidates}
+        candidates.discard((0,) * c.ambient)
+        rows = c.inequalities
+        values = {x: tuple([sum(map(mul, row, x)) for row in rows]) for x in candidates}
         basis: list[Vector] = []
+        kept: list[Vector] = []
         for g in sorted(candidates, key=lambda x: (sum(values[x]), x)):
             vg = values[g]
-            if not any(all(map(ge, vg, values[h])) for h in basis):
+            if not any(all(map(ge, vg, vh)) for vh in kept):
                 basis.append(g)
+                kept.append(vg)
         vars(c)["_hilbert_basis"] = tuple(sorted(basis))
     return list(vars(c)["_hilbert_basis"])
 
@@ -118,10 +121,8 @@ def hilbert_basis(c: Cone) -> list[Vector]:
 def graded_generators(p: Polyhedron) -> list[GradedPoint]:
     """Hilbert basis of the cone over ``p``, tagged with degrees and sorted
     by (degree, point)."""
-    basis = hilbert_basis(homogenize(p))
-    gens = [GradedPoint(v[:-1], v[-1]) for v in basis]
-    gens.sort(key=lambda g: (g.degree, g.point))
-    return gens
+    basis = sorted(hilbert_basis(homogenize(p)), key=lambda v: (v[-1], v[:-1]))
+    return [GradedPoint(v[:-1], v[-1]) for v in basis]
 
 
 def hilbert_function(p: Polyhedron, r: int) -> int:
@@ -139,23 +140,33 @@ def hilbert_function(p: Polyhedron, r: int) -> int:
 
 def _monomials(gens: list[GradedPoint], total: int, dim: int) -> list[tuple[Vector, Vector]]:
     """Each e >= 0 with sum e_i * degree_i == total, lexicographically,
-    paired with its image sum e_i * point_i. Degrees must be positive."""
+    paired with its image sum e_i * point_i. Degrees must be positive.
+    Each exponent passes its image on for e_i = 0 and adds point_i to it
+    for each further unit; the last one is fixed by what remains."""
     out: list[tuple[Vector, Vector]] = []
     e = [0] * len(gens)
+    last = len(gens) - 1
 
     def rec(idx: int, remaining: int, image: Vector):
         if remaining == 0:
             out.append((tuple(e), image))
             return
-        if idx == len(gens):
+        point, degree = gens[idx].point, gens[idx].degree
+        if idx == last:
+            k, rest = divmod(remaining, degree)
+            if not rest:
+                e[idx] = k
+                out.append((tuple(e), tuple(x + k * y for x, y in zip(image, point))))
+                e[idx] = 0
             return
-        g = gens[idx]
-        for k in range(remaining // g.degree + 1):
+        for k in range(remaining // degree + 1):
             e[idx] = k
-            rec(idx + 1, remaining - k * g.degree, tuple(x + k * y for x, y in zip(image, g.point)))
+            rec(idx + 1, remaining - k * degree, image)
+            image = tuple(map(add, image, point))
         e[idx] = 0
 
-    rec(0, total, (0,) * dim)
+    if gens or total == 0:
+        rec(0, total, (0,) * dim)
     return out
 
 
@@ -167,7 +178,8 @@ def relation_space(p: Polyhedron, bound: int) -> RingPresentation:
     exactly the lattice points of r * p, and the kernel dimension in
     degree r is the number of monomials minus the number of fibers. The
     binomials pair each fiber's members against its lexicographically
-    first one. ``Unbounded`` is raised when p is unbounded, or when it is
+    first one, so there is one per monomial that is not first in its
+    fiber. ``Unbounded`` is raised when p is unbounded, or when it is
     empty but some generator has degree 0. ``NotPointed`` is raised when p
     is empty but the cone {a . x >= 0} of its inequality system contains a
     line, since the cone over p then has no Hilbert basis.
@@ -182,15 +194,12 @@ def relation_space(p: Polyhedron, bound: int) -> RingPresentation:
         raise Unbounded("relations need a bounded polyhedron")
     relations: dict[int, DegreeRelations] = {}
     for r in range(1, bound + 1):
-        monomials = _monomials(gens, r, p.dim)
-        fibers: dict[Vector, list[Vector]] = {}
-        for e, image in monomials:
-            fibers.setdefault(image, []).append(e)
-        kernel_dim = len(monomials) - len(fibers)
+        first: dict[Vector, Vector] = {}
         binomials = []
-        for members in fibers.values():
-            ref = members[0]
-            binomials.extend((ref, other) for other in members[1:])
+        for e, image in _monomials(gens, r, p.dim):
+            ref = first.setdefault(image, e)
+            if ref is not e:
+                binomials.append((ref, e))
         binomials.sort()
-        relations[r] = DegreeRelations(kernel_dim, tuple(binomials))
+        relations[r] = DegreeRelations(len(binomials), tuple(binomials))
     return RingPresentation(tuple(gens), relations)
