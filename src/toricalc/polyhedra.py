@@ -294,9 +294,10 @@ def _triangulation(c: Cone) -> tuple[tuple[Vector, ...], list[tuple[int, ...]]]:
     whose ray count equals its rank is a simplex. Any other face is coned
     from its first ray over the triangulations of its facets (``_facets``)
     that miss that ray (De Loera, Rambau and Santos, "Triangulations",
-    Springer 2010, section 4.3). Only the whole cone is ranked: each facet
-    has rank one less than its face. ``NotPointed`` is raised when the
-    cone contains a line.
+    Springer 2010, section 4.3). Only the whole cone is ranked, as the
+    ambient dimension less the rank of its implicit equalities, the rows
+    tight on every ray; each facet has rank one less than its face.
+    ``NotPointed`` is raised when the cone contains a line.
     """
     rays, lin = c._pass
     if lin:
@@ -323,7 +324,11 @@ def _triangulation(c: Cone) -> tuple[tuple[Vector, ...], list[tuple[int, ...]]]:
                 ]
         return memo[face]
 
-    return vecs, pull((1 << len(vecs)) - 1, _rank(vecs))
+    common = -1
+    for t in tight.values():
+        common &= t
+    equalities = [row for i, row in enumerate(c.inequalities) if common >> i & 1]
+    return vecs, pull((1 << len(vecs)) - 1, c.ambient - _rank(equalities))
 
 
 def vrep(p: Polyhedron) -> VRepresentation:
@@ -427,20 +432,9 @@ def face(p: Polyhedron, s) -> Face | None:
 
 
 def _rank(vectors) -> int:
-    """Rank of integer vectors. A face's dimension is the rank of its
-    homogenized generators (lineality included) less one."""
-    return _bareiss(vectors)[0]
-
-
-def _det(vectors) -> int:
-    """|det| of n integer vectors in Z^n, 0 when they are dependent."""
-    rank, pivot = _bareiss(vectors)
-    return abs(pivot) if rank == len(vectors) else 0
-
-
-def _bareiss(vectors) -> tuple[int, int]:
-    """Rank and last pivot of a fraction-free (Bareiss) elimination. The
-    pivots are minors, so the last of n independent vectors is +-det."""
+    """Rank of integer vectors, by fraction-free (Bareiss) elimination. A
+    face's dimension is the rank of its homogenized generators (lineality
+    included) less one."""
     rows = [list(g) for g in vectors if any(g)]
     rank, prev = 0, 1
     for c in range(len(rows[0]) if rows else 0):
@@ -452,7 +446,7 @@ def _bareiss(vectors) -> tuple[int, int]:
         rows = [r for r in rows if any(r)]
         prev = piv[c]
         rank += 1
-    return rank, prev
+    return rank
 
 
 def f_vector(p: Polyhedron) -> tuple[tuple[int, ...], bool]:

@@ -28,8 +28,8 @@ monomials over their images, without a second lattice point count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iproduct
-from operator import add, ge, mul
+from itertools import chain
+from operator import add, mul
 
 from .errors import Unbounded
 from .lattice import _smith, as_int
@@ -68,23 +68,23 @@ def _parallelepiped_points(rays: list[Vector]) -> list[Vector]:
     form, x = t R is integral exactly when t = s U with s_i in
     (1/d_i) Z. One point per c in prod [0, d_i), taking s_i = c_i / d_i
     and t modulo 1, so there are prod d_i points. With n = d_k, every
-    t_j is a multiple of 1/n and the points come out in integers. The
-    rays may span a proper subspace of the ambient space. One elimination
-    gives D and U; V is not needed, and a factor d_i = 1 adds nothing, so
-    a ray matrix of index 1 gives only the origin.
+    t_j is a multiple of 1/n, and the group of the n t is walked one
+    factor at a time by adding (n / d_i) U_i modulo n. The rays may span
+    a proper subspace of the ambient space. One elimination gives D and
+    U; V is not needed, and a factor d_i = 1 adds nothing, so a ray
+    matrix of index 1 gives only the origin.
     """
     d, u, _ = _smith(rays, len(rays[0]), right=False)
     steps = [(d[i][i], row) for i, row in enumerate(u) if d[i][i] > 1]
     if not steps:
         return [(0,) * len(rays[0])]
     n = steps[-1][0]
-    step_columns = list(zip(*([n // f * x % n for x in row] for f, row in steps)))
-    ray_columns = list(zip(*rays))
-    out = []
-    for c in iproduct(*(range(f) for f, _ in steps)):
-        tn = [sum(map(mul, c, column)) % n for column in step_columns]
-        out.append(tuple([sum(map(mul, tn, column)) // n for column in ray_columns]))
-    return out
+    group = [[0] * len(rays)]
+    for f, row in steps:
+        step = [n // f * x for x in row]
+        group = [[(a + c * b) % n for a, b in zip(tn, step)] for tn in group for c in range(f)]
+    columns = list(zip(*rays))
+    return [tuple([sum(map(mul, tn, column)) // n for column in columns]) for tn in group]
 
 
 def hilbert_basis(c: Cone) -> list[Vector]:
@@ -92,12 +92,18 @@ def hilbert_basis(c: Cone) -> list[Vector]:
     pointed cone, sorted lexicographically.
 
     The candidates are the extreme rays and the parallelepiped points of
-    a triangulation, each with its values under the inequality rows, in
-    increasing order of their sum: positive on the cone minus 0, since a
-    pointed cone's inequality matrix has trivial kernel. A candidate g is
-    kept unless g - h lies in the cone (g's values are at least h's) for
-    an h kept before it (Bruns and Ichim, J. Algebra 324 (2010)). The
-    basis is kept with the cone; ``NotPointed`` is raised on every call.
+    a triangulation. A candidate g is kept unless g - h lies in the cone
+    (g's values under the inequality rows are at least h's) for an h kept
+    before it (Bruns and Ichim, J. Algebra 324 (2010)). The values lie in
+    [0, 2^(w - 1)), w bits being enough for the largest absolute row sum
+    times the largest coordinate, and one product with the rows' columns,
+    packed alike, packs them into one integer, w bits a row. The
+    candidates are taken in increasing order of that integer, which
+    grows with each value, so a candidate comes after every h that could
+    reduce it. A guard bit on top of each row's field compares all rows
+    in one subtraction: g's packed values with the guards set, minus h's,
+    keep every guard exactly when g's values are at least h's. The basis
+    is kept with the cone; ``NotPointed`` is raised on every call.
     """
     if "_hilbert_basis" not in vars(c):
         rays, simplices = _triangulation(c)
@@ -106,12 +112,15 @@ def hilbert_basis(c: Cone) -> list[Vector]:
             candidates.update(_parallelepiped_points([rays[i] for i in simplex]))
         candidates.discard((0,) * c.ambient)
         rows = c.inequalities
-        values = {x: tuple([sum(map(mul, row, x)) for row in rows]) for x in candidates}
+        largest = max(map(abs, chain.from_iterable(candidates)), default=0)
+        w = (largest * max((sum(map(abs, row)) for row in rows), default=0)).bit_length() + 1
+        packed = [sum(a << (i * w) for i, a in enumerate(column)) for column in zip(*rows)]
+        guards = sum(1 << (i * w + w - 1) for i in range(len(rows)))
         basis: list[Vector] = []
-        kept: list[Vector] = []
-        for g in sorted(candidates, key=lambda x: (sum(values[x]), x)):
-            vg = values[g]
-            if not any(all(map(ge, vg, vh)) for vh in kept):
+        kept: list[int] = []
+        for vg, g in sorted([(sum(map(mul, packed, x)), x) for x in candidates]):
+            top = vg | guards
+            if not any((top - vh) & guards == guards for vh in kept):
                 basis.append(g)
                 kept.append(vg)
         vars(c)["_hilbert_basis"] = tuple(sorted(basis))
@@ -142,30 +151,33 @@ def _monomials(gens: list[GradedPoint], total: int, dim: int) -> list[tuple[Vect
     """Each e >= 0 with sum e_i * degree_i == total, lexicographically,
     paired with its image sum e_i * point_i. Degrees must be positive.
     Each exponent passes its image on for e_i = 0 and adds point_i to it
-    for each further unit; the last one is fixed by what remains."""
+    for each further unit; a monomial is listed as soon as nothing
+    remains, and the last exponent is fixed by what remains."""
+    if total == 0:
+        return [((0,) * len(gens), (0,) * dim)]
     out: list[tuple[Vector, Vector]] = []
     e = [0] * len(gens)
     last = len(gens) - 1
 
     def rec(idx: int, remaining: int, image: Vector):
-        if remaining == 0:
-            out.append((tuple(e), image))
-            return
         point, degree = gens[idx].point, gens[idx].degree
         if idx == last:
             k, rest = divmod(remaining, degree)
             if not rest:
                 e[idx] = k
-                out.append((tuple(e), tuple(x + k * y for x, y in zip(image, point))))
+                out.append((tuple(e), tuple([x + k * y for x, y in zip(image, point)])))
                 e[idx] = 0
             return
         for k in range(remaining // degree + 1):
             e[idx] = k
-            rec(idx + 1, remaining - k * degree, image)
+            if remaining == k * degree:
+                out.append((tuple(e), image))
+            else:
+                rec(idx + 1, remaining - k * degree, image)
             image = tuple(map(add, image, point))
         e[idx] = 0
 
-    if gens or total == 0:
+    if gens:
         rec(0, total, (0,) * dim)
     return out
 
@@ -179,7 +191,9 @@ def relation_space(p: Polyhedron, bound: int) -> RingPresentation:
     degree r is the number of monomials minus the number of fibers. The
     binomials pair each fiber's members against its lexicographically
     first one, so there is one per monomial that is not first in its
-    fiber. ``Unbounded`` is raised when p is unbounded, or when it is
+    fiber. The monomials come in lexicographic order, so the fibers are
+    met in the order of their first members and the pairs come out
+    sorted. ``Unbounded`` is raised when p is unbounded, or when it is
     empty but some generator has degree 0. ``NotPointed`` is raised when p
     is empty but the cone {a . x >= 0} of its inequality system contains a
     line, since the cone over p then has no Hilbert basis.
@@ -194,12 +208,9 @@ def relation_space(p: Polyhedron, bound: int) -> RingPresentation:
         raise Unbounded("relations need a bounded polyhedron")
     relations: dict[int, DegreeRelations] = {}
     for r in range(1, bound + 1):
-        first: dict[Vector, Vector] = {}
-        binomials = []
+        fibers: dict[Vector, list[Vector]] = {}
         for e, image in _monomials(gens, r, p.dim):
-            ref = first.setdefault(image, e)
-            if ref is not e:
-                binomials.append((ref, e))
-        binomials.sort()
-        relations[r] = DegreeRelations(len(binomials), tuple(binomials))
+            fibers.setdefault(image, []).append(e)
+        binomials = tuple((ref, e) for ref, *others in fibers.values() for e in others)
+        relations[r] = DegreeRelations(len(binomials), binomials)
     return RingPresentation(tuple(gens), relations)

@@ -36,7 +36,6 @@ from toricalc.polyhedra import (
     Polyhedron,
     VRepresentation,
     _dd_pair,
-    _det,
     _dot,
     _face_nonempty,
     _held_face_nonempty,
@@ -438,20 +437,6 @@ def seeded_vectors(seed):
     return vectors
 
 
-class TestRank:
-    def test_matches_rational_rank(self):
-        kinds = set()
-        for seed in range(400):
-            vectors = seeded_vectors(seed)
-            rank = _rank(vectors)
-            assert rank == rational_rank(vectors), vectors
-            if any(not any(v) for v in vectors):
-                kinds.add("zero row")
-            if 0 < rank < min(len(vectors), seed % 6):
-                kinds.add("proper subspace")
-        assert kinds == {"zero row", "proper subspace"}
-
-
 def seeded_square(seed):
     """A seeded n x n integer matrix, n = 1-5. Seeds 1 mod 4 give a product
     of elementary row operations (determinant +-1); seeds 3 mod 4 make the
@@ -470,23 +455,31 @@ def seeded_square(seed):
     return [tuple(r) for r in rows]
 
 
-class TestDet:
-    # _det shares _rank's Bareiss elimination; the reference is Gaussian
-    # elimination over Fraction.
-    def test_matches_rational_det(self):
+class TestRank:
+    def test_matches_rational_rank(self):
+        kinds = set()
+        for seed in range(400):
+            vectors = seeded_vectors(seed)
+            rank = _rank(vectors)
+            assert rank == rational_rank(vectors), vectors
+            if any(not any(v) for v in vectors):
+                kinds.add("zero row")
+            if 0 < rank < min(len(vectors), seed % 6):
+                kinds.add("proper subspace")
+        assert kinds == {"zero row", "proper subspace"}
+
+    def test_square_matrices_match_rational_det(self):
+        # Each Bareiss step divides exactly by the previous pivot: a square
+        # matrix, unimodular, singular or neither, has full rank exactly
+        # when its determinant over Fraction is nonzero.
         kinds = set()
         for seed in range(300):
             rows = seeded_square(seed)
-            det = _det(rows)
-            assert det == abs(rational_det(rows)), rows
+            det = abs(rational_det(rows))
+            assert (_rank(rows) == len(rows)) == (det != 0), rows
             kinds.add((len(rows), "singular" if det == 0 else "unimodular" if det == 1 else "other"))
         assert {k for _, k in kinds} == {"singular", "unimodular", "other"}
         assert {n for n, k in kinds if k == "singular"} == {1, 2, 3, 4, 5}
-
-    def test_empty_and_zero_rows(self):
-        assert _det([]) == 1
-        assert _det([(0, 0), (1, 2)]) == 0
-        assert _det([(2, 0), (0, 3)]) == 6
 
 
 def kernel_vectors(seed):
@@ -807,11 +800,18 @@ class TestGradedWalks:
         assert ranks == []
 
     def test_triangulation_ranks_the_cone_once(self, ranks):
+        # The cone's rank is its ambient dimension less the rank of its
+        # implicit equalities: none for a full-dimensional cone, and the
+        # pair y >= 0, -y >= 0 for the cone over a segment on the x-axis.
+        segment = polyhedron(2, [((1, 0), 0), ((-1, 0), -1), ((0, 1), 0), ((0, -1), 0)])
         cones = [homogenize(unit_cube(6)), homogenize(positive_orthant(3)), Cone(2, ((0, 1), (2, -1)))]
-        assert ranks == [polyhedra._triangulation(c)[0] for c in cones]
+        assert [len(polyhedra._triangulation(c)[1][0]) for c in cones] == [7, 4, 2]
+        assert ranks == [(), (), ()]
+        assert polyhedra._triangulation(homogenize(segment))[1] == [(0, 1)]
+        assert ranks[3] == ((0, 1, 0), (0, -1, 0))
         # The zero cone has no ray to rank.
         assert polyhedra._triangulation(Cone(0, ())) == ((), [])
-        assert len(ranks) == 3
+        assert len(ranks) == 4
 
     def test_graded_generators_rank_once(self, ranks):
         assert len(graded_generators(unit_cube(6))) == 64

@@ -34,7 +34,6 @@ from toricalc.polyhedra import (
     Cone,
     Polyhedron,
     _dd_pair,
-    _det,
     _facets,
     _tight_sets,
     _triangulation,
@@ -66,6 +65,7 @@ from oracles import (
     normals,
     polytope_invariant_count,
     positive_orthant,
+    rational_det,
     rational_rank,
     same_quotient_point,
     scan_invariant_count,
@@ -880,7 +880,7 @@ class TestReductionOracle:
                 if len(s) < c.ambient:
                     kinds.add("proper subspace")
                 else:
-                    kinds.add("unimodular" if _det([rays[i] for i in s]) == 1 else "index > 1")
+                    kinds.add("unimodular" if abs(rational_det([rays[i] for i in s])) == 1 else "index > 1")
             if not rays:
                 kinds.add("zero cone")
         assert kinds == {"proper subspace", "unimodular", "index > 1", "zero cone"}
@@ -919,7 +919,7 @@ class TestNormalizedVolume:
     def test_determinants_sum_to_the_ehrhart_difference(self, p):
         rays, simplices = _triangulation(homogenize(p))
         d = p.dim
-        volume = sum(_det([rays[i] for i in s]) for s in simplices)
+        volume = sum(abs(rational_det([rays[i] for i in s])) for s in simplices)
         assert volume == sum((-1) ** (d - k) * comb(d, k) * hilbert_function(p, k) for k in range(d + 1))
 
     def test_corpus_covers_dimensions_and_large_simplices(self):
@@ -929,7 +929,7 @@ class TestNormalizedVolume:
             p = case.values[0]
             dims.add(p.dim)
             rays, simplices = _triangulation(homogenize(p))
-            large = large or any(_det([rays[i] for i in s]) > 1 for s in simplices)
+            large = large or any(abs(rational_det([rays[i] for i in s])) > 1 for s in simplices)
         assert dims == {0, 1, 2, 3, 4}
         assert large
         assert len(VOLUME_CASES) >= 30
