@@ -13,9 +13,14 @@ Conventions:
   * ``snf(M)`` returns ``U, V`` with U M V = D diagonal, ``d_i >= 0`` and
     ``d_i | d_{i+1}``. Each step takes the entry of least absolute value,
     first in row-major order, as its pivot, and clears its column and row
-    by the one Euclid loop, a unit pivot included. D, U and V are pinned
-    by ``tests/data/snf_corpus.json``: the columns of V past the rank are
-    the basis of delta.
+    by Euclid steps on the least remaining entry. When the pivot divides
+    every entry of the column (or row), the steps leave the pivot's own
+    row (or column) unchanged and commute, so the column is cleared in
+    one sweep; a unit pivot divides everything, and the divisibility
+    scan of the rest of the block is skipped. D, U and V are pinned by
+    ``tests/data/snf_corpus.json``: the columns of V past the rank are
+    the basis of delta. ``snf`` wraps ``_smith``, the same elimination
+    on plain lists, which can leave the column operations unrecorded.
 
 ``as_int`` is the package's only rule for integer input: the value types
 and the entries that take integers directly pass through it, and nothing

@@ -17,10 +17,11 @@ pass, so ``vrep``, ``hilbert_function``, which scans r * P over r times
 its vertices, and ``is_bounded``, through the vertex-mask index, reuse it.
 It lists the lattice points of the half-open fundamental parallelepiped
 of each simplicial piece as the finite group read off the Smith form of
-its ray matrix, or just the origin when that matrix is unimodular. The
-candidates are then taken in order of a positive grading, and each is
-kept unless its values under the inequality rows are at least those of
-an element already kept. Each cone keeps its basis for later calls.
+its ray matrix, or just the origin when all its invariant factors are
+one. The candidates are then taken in order of a positive grading, and
+each is kept unless its values under the inequality rows are at least
+those of an element already kept. Each cone keeps its basis for later
+calls.
 Relations among the generators are counted from the fibers of the
 monomials over their images, without a second lattice point count.
 """
