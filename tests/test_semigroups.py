@@ -635,7 +635,8 @@ class TestRelationSpace:
 
 def polygon(vertices):
     """The lattice polygon with the given vertices, listed in cyclic order:
-    one primitive inequality per edge, oriented towards the next vertex."""
+    one primitive inequality per edge, oriented towards the vertex that
+    follows the edge."""
     ineqs = []
     for i, (a, b) in enumerate(zip(vertices, vertices[1:] + vertices[:1])):
         c = vertices[(i + 2) % len(vertices)]
