@@ -27,7 +27,7 @@ from math import comb, prod
 from typing import Iterable, Sequence
 
 from .errors import AllZero, NonSpanning, NotInSemigroup, NotSimple, TorsionQuotient
-from .lattice import IntMatrix, _as_ints, _iter, _left_kernel, as_int, invariant_factors_from, snf
+from .lattice import IntMatrix, _as_ints, _iter, _left_kernel, _pair, as_int, invariant_factors_from, snf
 from .polyhedra import Polyhedron, _dot, _face_nonempty, _held_face_nonempty, _support_mask, f_vector, polyhedron
 from .semigroups import graded_generators
 
@@ -236,6 +236,14 @@ def evaluate_invariants(
     return out
 
 
+def _evaluation(v) -> list[tuple[Fraction, int]]:
+    """The (value, degree) pairs of an evaluation vector, by ``_as_rational``
+    and ``as_int``. ValueError naming what was expected (``_iter``,
+    ``_pair``) when ``v`` is not iterable or an entry is not a pair."""
+    pairs = (_pair(x, "a (value, degree) pair") for x in _iter(v, "a sequence of (value, degree) pairs"))
+    return [(_as_rational(val), as_int(d)) for val, d in pairs]
+
+
 def proj_equal(
     v: Sequence[tuple[Fraction, int]], w: Sequence[tuple[Fraction, int]]
 ) -> bool:
@@ -248,11 +256,7 @@ def proj_equal(
     exactly for unstable points; a smaller bound can raise it for a
     semistable one.
     """
-    try:
-        left = [(_as_rational(val), as_int(d)) for val, d in v]
-        right = [(_as_rational(val), as_int(d)) for val, d in w]
-    except TypeError:
-        raise ValueError("expected two sequences of (value, degree) pairs") from None
+    left, right = _evaluation(v), _evaluation(w)
     if [d for _, d in left] != [d for _, d in right]:
         raise ValueError("evaluations must come from the same generator list")
     if any(d < 0 for _, d in left):

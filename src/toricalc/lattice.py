@@ -24,12 +24,21 @@ Conventions:
 
 ``as_int`` is the package's only rule for integer input: the value types
 and the entries that take integers directly pass through it, and nothing
-below them converts again. ``_as_ints`` applies it to a row and lets an
-exact ``int`` through unchecked, so a matrix computed here is not
-re-checked entry by entry. ``_as_dim`` adds the one further rule for a
-dimension: it may not be negative. ``_iter`` is the one rule for a
-container (a row, the rows of a matrix, an inequality list or one
-inequality pair): one that is not iterable raises ValueError.
+below them converts again. Both it and ``_as_ints``, which applies it to
+a row, have a fast path for values that are already exact: an ``x`` with
+``type(x) is int`` is returned after that one test, and a row with
+``type(row) is tuple`` whose entries all pass it is returned itself after
+one scan, so such a row is neither copied nor converted entry by entry.
+The test is ``type(...) is``, never ``isinstance``: a ``bool``, an
+``int`` subclass, a float, a ``Fraction``, a tuple subclass, a list or a
+generator takes the full conversion, so ``True`` still becomes ``1`` and
+a ``namedtuple`` row a plain tuple. ``_as_dim`` adds the one further
+rule for a dimension: it may not be negative. ``_iter`` is the one rule
+for a container (a row, the rows of a matrix, an inequality list or an
+evaluation vector): one that is not iterable raises ValueError.
+``_pair`` adds the one rule for a pair (an inequality (a, b) or a
+(value, degree) entry): one that does not hold exactly two entries
+raises ValueError naming what was expected, as ``_iter`` does.
 """
 
 from __future__ import annotations
@@ -40,7 +49,11 @@ from math import gcd
 
 
 def as_int(x) -> int:
-    """``int(x)`` when that equals ``x``; ValueError otherwise, never rounding."""
+    """``int(x)`` when that equals ``x``; ValueError otherwise, never rounding.
+    An exact ``int`` (``type(x) is int``, so not a ``bool`` or a subclass)
+    is returned after that one test."""
+    if type(x) is int:
+        return x
     try:
         n = int(x)
     except (TypeError, ValueError, OverflowError):
@@ -58,9 +71,27 @@ def _iter(xs, what: str):
         raise ValueError(f"expected {what}, got {xs!r}") from None
 
 
+def _pair(xs, what: str):
+    """The two entries of ``xs``; ValueError naming ``what`` when ``xs`` is
+    not iterable or does not hold exactly two."""
+    try:
+        a, b = _iter(xs, what)
+    except ValueError:
+        raise ValueError(f"expected {what}, got {xs!r}") from None
+    return a, b
+
+
 def _as_ints(row) -> tuple[int, ...]:
-    """``as_int`` of each entry of ``row``; an exact ``int`` passes as it is.
-    ValueError when ``row`` is not iterable."""
+    """``as_int`` of each entry of ``row``, as a tuple. A row that is already
+    a ``tuple`` (``type(row) is tuple``) of exact ``int``s is returned
+    itself after one scan; any other row is rebuilt, letting an exact
+    ``int`` through as it is. ValueError when ``row`` is not iterable."""
+    if type(row) is tuple:
+        for x in row:
+            if type(x) is not int:
+                break
+        else:
+            return row
     return tuple(x if type(x) is int else as_int(x) for x in _iter(row, "a row of integers"))
 
 

@@ -37,7 +37,7 @@ from itertools import product as iproduct
 from operator import mul
 
 from .errors import EmptyPolyhedron, LinealityPresent, NotPointed, Unbounded
-from .lattice import _as_dim, _as_ints, _iter, as_int, primitive
+from .lattice import _as_dim, _as_ints, _iter, _pair, as_int, primitive
 
 Vector = tuple[int, ...]
 Inequality = tuple[Vector, int]
@@ -94,9 +94,9 @@ class Polyhedron:
 
 
 def _inequality(ineq) -> Inequality:
-    """An (a, b) pair checked by the integer rule; ValueError when ``ineq``
-    is not a pair."""
-    a, b = _iter(ineq, "an inequality (a, b)")
+    """An (a, b) pair checked by the integer rule; ValueError (``_pair``)
+    when ``ineq`` is not a pair."""
+    a, b = _pair(ineq, "an inequality (a, b)")
     return _as_ints(a), as_int(b)
 
 
@@ -365,9 +365,11 @@ def is_bounded(p: Polyhedron) -> bool:
 
 def _support_mask(p: Polyhedron, s) -> int:
     """The bitmask of the 1-based inequality indices in ``s``: bit i - 1
-    for index i. Raises ValueError (``_as_ints``) when ``s`` is not
-    iterable or an index is not an integer, and when one is out of range."""
-    n, mask = p.n_inequalities, 0
+    for index i. The support is read through ``_as_ints``, so a tuple of
+    exact ints is taken after one type scan, and it raises ValueError when
+    ``s`` is not iterable or an index is not an integer; an index out of
+    range raises ValueError here."""
+    n, mask = len(p.inequalities), 0
     for i in _as_ints(s):
         if i < 1 or i > n:
             raise ValueError("inequality index out of range (indices are 1-based)")
