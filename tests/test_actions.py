@@ -10,6 +10,7 @@ import dataclasses
 import pickle
 import random
 from fractions import Fraction
+from enum import IntEnum
 from itertools import product as iproduct
 
 import pytest
@@ -39,6 +40,7 @@ from toricalc.errors import (
 from toricalc.jsonio import action_from_json
 from toricalc.lattice import IntMatrix, _hnf, invariant_factors_from, snf
 from toricalc.polyhedra import (
+    face,
     interval,
     is_empty,
     lattice_points,
@@ -581,9 +583,25 @@ class TestIntegerRule:
             "none weight rows": lambda: linearized_action(None, (0,)),
             "none linearization": lambda: linearized_action([[1]], None),
             "bare weights": lambda: LinearizedAction(2, 5, (0, 0)),
+            # A tuple takes the exact-int fast path only when every entry
+            # is an exact int; these fall back to the full rule.
+            "tuple half support": lambda: is_semistable(SQUARE_ACTION, (1, 1.5)),
+            "tuple text support": lambda: is_semistable(SQUARE_ACTION, (1, "1")),
+            "tuple none support": lambda: is_semistable(SQUARE_ACTION, (None,)),
+            "tuple list support": lambda: is_semistable(SQUARE_ACTION, (1, [1])),
+            "tuple half linearization": lambda: linearized_action([[1, 1]], (-1, 0.5)),
         }
         for name, call in cases.items():
             with pytest.raises(ValueError):
+                call()
+                pytest.fail(name)
+        # These raised ValueError with CPython's unpacking text.
+        named = {
+            "short evaluation pair": (lambda: proj_equal([(1,)], [(1,)]), r"^expected a \(value, degree\) pair, got \(1,\)$"),
+            "long evaluation pair": (lambda: proj_equal([(1, 1, 1)], [(1, 1)]), r"^expected a \(value, degree\) pair, got "),
+        }
+        for name, (call, match) in named.items():
+            with pytest.raises(ValueError, match=match):
                 call()
                 pytest.fail(name)
 
@@ -605,6 +623,17 @@ class TestIntegerRule:
             assert is_semistable(SQUARE_ACTION, support)
         for support in [(True, 2.0), (i for i in (1, 2)), [2, 1, 2]]:
             assert not is_semistable(SQUARE_ACTION, support)
+        # Tuples that fall back from the exact-int fast path answer as the
+        # exact tuples do, in the vertex-mask scan and in face.
+        p = delta(SQUARE_ACTION)
+        for support, exact in [((True, 2), (1, 2)), ((Fraction(2, 1),), (2,)), ((Small.ONE, 3), (1, 3))]:
+            assert is_semistable(SQUARE_ACTION, support) == is_semistable(SQUARE_ACTION, exact)
+            assert repr(face(p, support)) == repr(face(p, exact))
+        assert face(p, (True, 2)) is None and face(p, (Fraction(2, 1),)) is not None
+
+
+class Small(IntEnum):
+    ONE = 1
 
 
 class TestActionValidation:

@@ -2,12 +2,15 @@
 
 import json
 import random
+from collections import namedtuple
+from enum import IntEnum
 from pathlib import Path
 
 import pytest
 
 from toricalc.lattice import (
     IntMatrix,
+    _as_ints,
     _hnf,
     _left_kernel,
     as_int,
@@ -285,6 +288,13 @@ class TestIntegerRule:
             # These raised a bare TypeError.
             "none rows": lambda: IntMatrix(None),
             "none ncols": lambda: IntMatrix([(1, 2)], None),
+            # A tuple takes the exact-int fast path only when every entry
+            # is an exact int; these fall back to the full rule.
+            "tuple half": lambda: _as_ints((1, 1.5)),
+            "tuple text": lambda: _as_ints((1, "1")),
+            "tuple none": lambda: _as_ints((None, 1)),
+            "tuple list": lambda: _as_ints((1, [1])),
+            "tuple matrix row": lambda: IntMatrix(((1, 1.5),)),
         }
         for name, call in cases.items():
             with pytest.raises(ValueError):
@@ -292,12 +302,37 @@ class TestIntegerRule:
                 pytest.fail(name)
 
     def test_integral_values_accepted(self):
-        for x in (2, True, 2.0, Fraction(4, 2)):
-            assert as_int(x) == x and type(as_int(x)) is int
+        # Checked by type and by repr, so that a bool, a float or an IntEnum
+        # member passed through unconverted fails.
+        for x, want in [(2, "2"), (True, "1"), (2.0, "2"), (Fraction(4, 2), "2"), (Small.TWO, "2")]:
+            n = as_int(x)
+            assert type(n) is int and repr(n) == want
         m = IntMatrix([(2.0, Fraction(-4, 2))])
         assert m == M([2, -2]) and all(type(x) is int for x in m.entries[0])
         assert IntMatrix((), 3.0) == IntMatrix((), 3)
         assert IntMatrix(iter([(1, 2)]), 2.0).ncols == 2
+        # A tuple holding an entry equal to an int but not an exact int,
+        # or a tuple subclass, takes the full conversion: it comes back as
+        # a plain tuple of exact ints.
+        for row in [(True, 2), (1, 2.0), (Fraction(1), 2), (1, Small.TWO), Row(1, 2)]:
+            got = _as_ints(row)
+            assert type(got) is tuple and [type(x) for x in got] == [int, int] and repr(got) == "(1, 2)"
+        m = IntMatrix([(True, 2.0, Fraction(4, 2), Small.TWO), Row(1, 2) + (3, 4)])
+        assert repr(m.entries) == "((1, 2, 2, 2), (1, 2, 3, 4))"
+        assert type(IntMatrix([Row(1, 2)]).entries[0]) is tuple
+
+    def test_tuple_of_exact_ints_is_returned_itself(self):
+        t = (3, -1, 0, 10**30)
+        assert _as_ints(t) is t
+        assert _as_ints(()) == ()
+        assert _as_ints([3, -1]) == (3, -1) and type(_as_ints([3, -1])) is tuple
+
+
+class Small(IntEnum):
+    TWO = 2
+
+
+Row = namedtuple("Row", "x y")
 
 
 class TestHelpers:

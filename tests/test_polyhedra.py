@@ -692,6 +692,15 @@ class TestIntegerRule:
             with pytest.raises(ValueError):
                 call()
                 pytest.fail(name)
+        # These raised ValueError with CPython's unpacking text.
+        named = {
+            "long inequality": (lambda: polyhedron(1, [((1,), 0, 0)]), r"^expected an inequality \(a, b\), got \(\(1,\), 0, 0\)$"),
+            "short inequality": (lambda: polyhedron(1, [((1,),)]), r"^expected an inequality \(a, b\), got "),
+        }
+        for name, (call, match) in named.items():
+            with pytest.raises(ValueError, match=match):
+                call()
+                pytest.fail(name)
 
     def test_integral_values_accepted(self):
         # Compared by repr, so that a float field equal to an int fails.
