@@ -240,8 +240,11 @@ def _evaluation(v) -> list[tuple[Fraction, int]]:
     """The (value, degree) pairs of an evaluation vector, by ``_as_rational``
     and ``as_int``. ValueError naming what was expected (``_iter``,
     ``_pair``) when ``v`` is not iterable or an entry is not a pair."""
-    pairs = (_pair(x, "a (value, degree) pair") for x in _iter(v, "a sequence of (value, degree) pairs"))
-    return [(_as_rational(val), as_int(d)) for val, d in pairs]
+    out = []
+    for x in _iter(v, "a sequence of (value, degree) pairs"):
+        val, d = _pair(x, "a (value, degree) pair")
+        out.append((_as_rational(val), as_int(d)))
+    return out
 
 
 def proj_equal(

@@ -75,8 +75,8 @@ def _pair(xs, what: str):
     """The two entries of ``xs``; ValueError naming ``what`` when ``xs`` is
     not iterable or does not hold exactly two."""
     try:
-        a, b = _iter(xs, what)
-    except ValueError:
+        a, b = xs
+    except (TypeError, ValueError):
         raise ValueError(f"expected {what}, got {xs!r}") from None
     return a, b
 
