@@ -9,8 +9,8 @@ import copy
 import dataclasses
 import pickle
 import random
-from fractions import Fraction
 from enum import IntEnum
+from fractions import Fraction
 from itertools import product as iproduct
 
 import pytest
