@@ -136,7 +136,11 @@ def invariant_monomial(action: LinearizedAction, p: Sequence[int], r: int) -> tu
 
 def _as_rational(x) -> Fraction:
     """``Fraction(x)`` when that equals ``x``; ValueError otherwise, so text,
-    None, inf and nan are rejected (``lattice.as_int`` for rationals)."""
+    None, inf and nan are rejected (``lattice.as_int`` for rationals). An
+    exact ``Fraction`` (``type(x) is Fraction``, so not a subclass) is
+    returned after that one test."""
+    if type(x) is Fraction:
+        return x
     try:
         q = Fraction(x)
     except (TypeError, ValueError, OverflowError):
@@ -230,7 +234,7 @@ def evaluate_invariants(
     out = []
     for g in graded_generators(p):
         if g.degree > bound:
-            continue
+            break
         e = [_dot(a, g.point) - g.degree * b for a, b in p.inequalities]
         out.append((Fraction(prod(map(pow, nums, e)), prod(map(pow, dens, e))), g.degree))
     return out
@@ -291,4 +295,4 @@ def proj_equal(
             r0, r1, x0, x1, y0, y1 = r1, r0 - q * r1, x1, x0 - q * x1, y1, y0 - q * y1
         g, coeffs = r0, [c * x0 for c in coeffs] + [y0]
     sigma = prod(ratio**c for (ratio, _), c in zip(pairs, coeffs) if c)
-    return all(sigma ** (d // g) == ratio for ratio, d in pairs)
+    return all((sigma if d == g else sigma ** (d // g)) == ratio for ratio, d in pairs)

@@ -192,7 +192,7 @@ def _hnf(m: IntMatrix) -> NormalForm:
                 _row_sub(d, r, q, prow)
                 _row_sub(u, r, q, prow)
         prow += 1
-    return NormalForm(IntMatrix(d, nc), IntMatrix(u, nr))
+    return NormalForm(IntMatrix(_rows(d), nc), IntMatrix(_rows(u), nr))
 
 
 def _smith_pivot(d, t):
@@ -288,7 +288,12 @@ def _smith(rows, nc: int, right: bool = True):
 def snf(m: IntMatrix) -> NormalForm:
     """Smith normal form with transforms: U M V = D."""
     d, u, v = _smith(m.entries, m.ncols)
-    return NormalForm(IntMatrix(d, m.ncols), IntMatrix(u, m.nrows), IntMatrix(v, m.ncols))
+    return NormalForm(IntMatrix(_rows(d), m.ncols), IntMatrix(_rows(u), m.nrows), IntMatrix(_rows(v), m.ncols))
+
+
+def _rows(rows: list[list[int]]) -> tuple[tuple[int, ...], ...]:
+    """Working rows as tuples, which ``IntMatrix`` keeps after one scan."""
+    return tuple(map(tuple, rows))
 
 
 def _left_kernel(m: IntMatrix) -> tuple[tuple[int, ...], IntMatrix]:

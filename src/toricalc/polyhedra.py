@@ -296,8 +296,9 @@ def _triangulation(c: Cone) -> tuple[tuple[Vector, ...], list[tuple[int, ...]]]:
     that miss that ray (De Loera, Rambau and Santos, "Triangulations",
     Springer 2010, section 4.3). Only the whole cone is ranked, as the
     ambient dimension less the rank of its implicit equalities, the rows
-    tight on every ray; each facet has rank one less than its face.
-    ``NotPointed`` is raised when the cone contains a line.
+    tight on every ray; each facet has rank one less than its face. A
+    simplicial cone is its own triangulation, so its facets are never
+    listed. ``NotPointed`` is raised when the cone contains a line.
     """
     rays, lin = c._pass
     if lin:
@@ -306,6 +307,12 @@ def _triangulation(c: Cone) -> tuple[tuple[Vector, ...], list[tuple[int, ...]]]:
     vecs = tuple(sorted(tight))
     if not vecs:
         return vecs, []
+    common = -1
+    for t in tight.values():
+        common &= t
+    rank = c.ambient - _rank([row for i, row in enumerate(c.inequalities) if common >> i & 1])
+    if len(vecs) == rank:
+        return vecs, [tuple(range(rank))]
     tight_sets = _tight_sets([tight[v] for v in vecs], len(c.inequalities))
     memo: dict[int, list[tuple[int, ...]]] = {}
 
@@ -324,11 +331,7 @@ def _triangulation(c: Cone) -> tuple[tuple[Vector, ...], list[tuple[int, ...]]]:
                 ]
         return memo[face]
 
-    common = -1
-    for t in tight.values():
-        common &= t
-    equalities = [row for i, row in enumerate(c.inequalities) if common >> i & 1]
-    return vecs, pull((1 << len(vecs)) - 1, c.ambient - _rank(equalities))
+    return vecs, pull((1 << len(vecs)) - 1, rank)
 
 
 def vrep(p: Polyhedron) -> VRepresentation:

@@ -9,9 +9,11 @@ import copy
 import dataclasses
 import pickle
 import random
+from decimal import Decimal
 from enum import IntEnum
 from fractions import Fraction
 from itertools import product as iproduct
+from pathlib import Path
 
 import pytest
 
@@ -37,7 +39,7 @@ from toricalc.errors import (
     NotSimple,
     TorsionQuotient,
 )
-from toricalc.jsonio import action_from_json
+from toricalc.jsonio import action_from_json, action_to_json, dump_canonical
 from toricalc.lattice import IntMatrix, _hnf, invariant_factors_from, snf
 from toricalc.polyhedra import (
     face,
@@ -558,6 +560,105 @@ class TestProjEqual:
             outcomes[expected] += 1
         assert min(outcomes.values()) >= 300, outcomes
 
+def blocks_action(blocks, dilations, perm):
+    """The product of projective spaces P^(s-1), one per block size s, with
+    the block's simplex dilated by its factor: one weight row of ones per
+    block, coordinates reordered by ``perm``, and the block's first
+    coordinate carrying minus the dilation in the linearization."""
+    n = sum(blocks)
+    rows, alpha, start = [], [0] * n, 0
+    for size, m in zip(blocks, dilations):
+        rows.append([int(start <= perm[j] < start + size) for j in range(n)])
+        alpha[perm.index(start)] = -m
+        start += size
+    return linearized_action(rows, alpha)
+
+
+EVALUATION_SHAPES = [((2,), (1,)), ((2,), (3,)), ((3,), (1,)), ((3,), (2,)), ((2, 2), (1, 1)),
+                     ((2, 2), (1, 2)), ((2, 3), (1, 1)), ((2, 2, 2), (1, 1, 1))]
+
+
+def evaluation_corpus(count=100, seed=30):
+    """``count`` seeded (action, x, y, bound) cases like the benchmark's
+    evaluation jobs: a product of projective spaces with permuted
+    coordinates, a rational point x, and y either a translate of x by a
+    rational group element (three cases in four) or a point drawn on its
+    own. One case in ten zeroes one coordinate of x, and one in ten a
+    whole block, so that some points are unstable; bound cycles through
+    1, 1 and 2."""
+    rng = random.Random(seed)
+    out = []
+    for k in range(count):
+        blocks, dilations = EVALUATION_SHAPES[k % len(EVALUATION_SHAPES)]
+        n = sum(blocks)
+        starts = [sum(blocks[:i]) for i in range(len(blocks))]
+        perm = rng.sample(range(n), n)
+        block = [max(b for b, s in enumerate(starts) if s <= perm[j]) for j in range(n)]
+        act = blocks_action(blocks, dilations, perm)
+        rational = lambda: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 5))
+        x = [rational() for _ in range(n)]
+        if k % 5 == 4:
+            j = rng.randrange(n)
+            for i in range(n) if k % 10 == 9 else (j,):
+                if block[i] == block[j]:
+                    x[i] = Fraction(0)
+        if k % 4 == 3:
+            y = [rational() for _ in range(n)]
+        else:
+            scale = [rational() for _ in blocks]
+            y = [c * scale[block[j]] for j, c in enumerate(x)]
+        out.append((act, tuple(x), tuple(y), (1, 1, 2)[k % 3]))
+    return out
+
+
+EVALUATION_CORPUS = evaluation_corpus()
+EVALUATION_GOLDEN = Path(__file__).resolve().parent / "data" / "evaluation_corpus.json"
+
+
+def evaluation_corpus_text():
+    """For every corpus case, one line of canonical JSON: the action, both
+    points and the bound, then ``evaluate_invariants`` at each point and
+    ``proj_equal`` of the two, or the name of the error it raised. Values
+    are written as text, so a float or an int in place of a Fraction
+    shows as a different line."""
+    lines = []
+    for act, x, y, bound in EVALUATION_CORPUS:
+        v, w = evaluate_invariants(act, x, bound), evaluate_invariants(act, y, bound)
+        try:
+            equal = proj_equal(v, w)
+        except AllZero:
+            equal = "AllZero"
+        entry = {
+            "action": action_to_json(act),
+            "x": [str(c) for c in x],
+            "y": [str(c) for c in y],
+            "bound": bound,
+            "v": [[repr(val), d] for val, d in v],
+            "w": [[repr(val), d] for val, d in w],
+            "equal": equal,
+        }
+        lines.append(dump_canonical(entry))
+    return "[\n" + ",\n".join(lines) + "\n]\n"
+
+
+class TestEvaluationCorpus:
+    def test_matches_golden_file(self):
+        assert evaluation_corpus_text() == EVALUATION_GOLDEN.read_text()
+
+    def test_corpus_coverage(self):
+        outcomes = set()
+        for act, x, y, bound in EVALUATION_CORPUS:
+            try:
+                outcomes.add(proj_equal(evaluate_invariants(act, x, bound), evaluate_invariants(act, y, bound)))
+            except AllZero:
+                outcomes.add("AllZero")
+        assert 90 <= len(EVALUATION_CORPUS) <= 110
+        assert outcomes == {True, False, "AllZero"}
+        assert {act.weights.nrows for act, *_ in EVALUATION_CORPUS} == {1, 2, 3}
+        assert any(act.alpha[0] == 0 for act, *_ in EVALUATION_CORPUS)
+        assert any(c.denominator > 1 for _, x, _, _ in EVALUATION_CORPUS for c in x)
+
+
 class TestIntegerRule:
     def test_non_integers_rejected(self):
         # Each of these used to be truncated or to compute with the float.
@@ -604,6 +705,36 @@ class TestIntegerRule:
             with pytest.raises(ValueError, match=match):
                 call()
                 pytest.fail(name)
+
+    def test_rational_rule_type_table(self):
+        # An exact Fraction is returned as it is; every other type takes
+        # Fraction(x) and must compare equal to x. Each result is a plain
+        # Fraction, a subclass included, or a ValueError.
+        class Half(Fraction):
+            pass
+
+        q = Fraction(3, 4)
+        assert actions._as_rational(q) is q
+        table = [
+            (q, Fraction(3, 4)),
+            (3, Fraction(3)),
+            (True, Fraction(1)),
+            (Half(1, 2), Fraction(1, 2)),
+            (Decimal("0.5"), Fraction(1, 2)),
+            (0.5, Fraction(1, 2)),
+            ("1/2", ValueError),
+            (float("nan"), ValueError),
+            (float("inf"), ValueError),
+            (1j, ValueError),
+            (None, ValueError),
+        ]
+        for x, expected in table:
+            if expected is ValueError:
+                with pytest.raises(ValueError, match="^expected a rational number, got "):
+                    actions._as_rational(x)
+            else:
+                got = actions._as_rational(x)
+                assert type(got) is Fraction and got == expected, x
 
     def test_negative_degree_rejected(self):
         # Both degree filters used to skip a negative degree, so these two

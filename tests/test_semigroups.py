@@ -26,11 +26,14 @@ from toricalc.polyhedra import (
     standard_simplex,
     unit_cube,
 )
+from toricalc import polyhedra, semigroups
 from toricalc.polyhedra import _triangulation, is_empty, vrep
 from toricalc.semigroups import (
     Cone,
     GradedPoint,
+    _adjugate,
     _monomials,
+    _packed,
     _parallelepiped_points,
     graded_generators,
     hilbert_basis,
@@ -39,7 +42,7 @@ from toricalc.semigroups import (
     relation_space,
 )
 
-from oracles import extreme_rays, positive_orthant, rational_rank, solve_rational, transpose
+from oracles import extreme_rays, positive_orthant, rational_det, rational_rank, solve_rational, transpose
 from test_acceptance import HILBERT_CONES
 
 SQUARE = unit_cube(2)
@@ -118,6 +121,11 @@ PARALLELEPIPED_CASES = (
 )
 
 
+# Square ray matrices of size 2 to 4 with index above 1, whose points
+# come from the adjugate.
+SQUARE_CASES = [seeded_rays(40 + k, k, k, -3, 3, lambda r: index(r) > 1) for k in (2, 3, 4) for _ in range(4)]
+
+
 class TestParallelepipedPoints:
     @pytest.mark.parametrize("rays", PARALLELEPIPED_CASES)
     def test_matches_box_scan(self, rays):
@@ -125,6 +133,29 @@ class TestParallelepipedPoints:
         assert len(points) == len(set(points))
         assert sorted(points) == box_scan(rays)
         assert len(points) == index(rays)
+
+    @pytest.mark.parametrize("rays", SQUARE_CASES)
+    def test_adjugate_matches_smith_form(self, rays):
+        # A zero coordinate appended to every ray leaves the points as they
+        # are, but the matrix is no longer square, so its points come from
+        # the Smith form instead of the adjugate.
+        points = _parallelepiped_points(rays)
+        padded = _parallelepiped_points([r + (0,) for r in rays])
+        assert sorted(points) == sorted(x[:-1] for x in padded)
+        assert len(points) == len(set(points)) == index(rays)
+
+    def test_adjugate(self):
+        rng = random.Random(5)
+        for k in (2, 3, 4):
+            for _ in range(50):
+                rows = [tuple(rng.randint(-4, 4) for _ in range(k)) for _ in range(k)]
+                adj = _adjugate(rows)
+                det = rational_det(rows)
+                assert [[sum(a * b for a, b in zip(row, col)) for col in zip(*adj)] for row in rows] == [
+                    [det * (i == j) for j in range(k)] for i in range(k)
+                ]
+        for rows in ([(2,)], [(1, 2, 3), (4, 5, 6)], [(1, 0, 0, 0, 0)] * 5):
+            assert _adjugate(rows) is None
 
 
 def reference_extreme_rays(c):
@@ -333,6 +364,20 @@ class TestPullingTriangulation:
                 solve_rational([[rays[i][j] for i in s] for j in range(c.ambient)], x) for s in simplices
             )
             assert any(t is not None and min(t) >= 0 for t in solutions), x
+
+    def test_simplicial_cone_lists_no_facets(self, monkeypatch):
+        # A cone whose ray count equals its rank is its own triangulation,
+        # so its tight sets are never built.
+        calls = []
+        tight_sets = polyhedra._tight_sets
+        monkeypatch.setattr(polyhedra, "_tight_sets", lambda *a: calls.append(a) or tight_sets(*a))
+        flat_triangle = polyhedron(3, [((0, 0, 1), 0), ((0, 0, -1), 0), ((1, 0, 0), 0), ((0, 1, 0), 0), ((-1, -1, 0), -2)])
+        for p in (reeve(3), standard_simplex(3), interval(0, 4), flat_triangle):
+            rays, simplices = _triangulation(homogenize(p))
+            assert simplices == [tuple(range(len(rays)))]
+        assert calls == []
+        rays, simplices = _triangulation(homogenize(SQUARE))
+        assert len(simplices) == 2 and len(calls) == 1
 
     @pytest.mark.parametrize("k", range(1, 6))
     def test_unit_cube_unimodular(self, k):
@@ -609,6 +654,24 @@ class TestRelationSpace:
         rel = pres.relations_by_degree[2]
         assert rel.kernel_dim == len(rel.binomials) == 21 - 15
 
+    def test_degree_two_generators_with_negative_coordinates(self):
+        # The fibers are keyed by packed images, shifted by the degree times
+        # an offset: a fixed offset per generator would split fibers here,
+        # where the degrees differ and every coordinate goes negative.
+        p = moved(reeve(2), [[1, 0, 0], [0, 1, 0], [0, 0, 1]], (-3, -1, -2))
+        pres = relation_space(p, 4)
+        assert {g.degree for g in pres.generators} == {1, 2}
+        assert all(min(g.point) < 0 for g in pres.generators)
+        monomials = [1] + [0] * 4
+        for g in pres.generators:
+            for r in range(g.degree, 5):
+                monomials[r] += monomials[r - g.degree]
+        kernels = [pres.relations_by_degree[r].kernel_dim for r in range(1, 5)]
+        assert kernels == [monomials[r] - hilbert_function(p, r) for r in range(1, 5)]
+        # The one relation: the degree-2 generator squared is the product
+        # of the four vertices, two monomials of different generator degrees.
+        assert kernels == [0, 0, 0, 1]
+
     def test_unbounded_raises(self):
         with pytest.raises(Unbounded):
             relation_space(positive_orthant(2), 2)
@@ -741,6 +804,22 @@ class TestSmallConeCorpus:
         assert any(g.degree > 1 for p in SMALL_CONE_CORPUS for g in graded_generators(p))
 
 
+    def test_ray_only_basis_exactly_when_every_simplex_has_index_one(self, monkeypatch):
+        reduced = []
+        reduce = semigroups._reduced
+        monkeypatch.setattr(semigroups, "_reduced", lambda *a: reduced.append(a) or reduce(*a))
+        outcomes = set()
+        for p in SMALL_CONE_CORPUS:
+            c = homogenize(polyhedron(p.dim, p.inequalities))
+            rays, simplices = _triangulation(c)
+            unimodular = all(index([rays[i] for i in s]) == 1 for s in simplices)
+            before = len(reduced)
+            basis = hilbert_basis(c)
+            assert (len(reduced) == before) == unimodular == (basis == list(rays))
+            outcomes.add(unimodular)
+        assert outcomes == {True, False}
+
+
 def brute_monomials(gens, total):
     """Every exponent vector over ``gens`` with degree ``total``, by a
     scan of the whole box [0, total]^n, with its image."""
@@ -752,6 +831,12 @@ def brute_monomials(gens, total):
     return out
 
 
+def unpacked(image, w, offset, total):
+    """The point that ``_packed`` packs into ``image`` in degree ``total``:
+    field j, w bits wide, plus total times the offset."""
+    return tuple((image >> (j * w) & ((1 << w) - 1)) + total * o for j, o in enumerate(offset))
+
+
 class TestMonomials:
     @pytest.mark.parametrize("seed", range(40))
     def test_matches_brute_force(self, seed):
@@ -760,7 +845,8 @@ class TestMonomials:
         gens = [GradedPoint(tuple(rng.randint(-3, 3) for _ in range(dim)), rng.choice((1, 1, 2, 3)))
                 for _ in range(rng.randint(1, 5))]
         gens[rng.randrange(len(gens))] = GradedPoint(gens[0].point, 2 + seed % 2)
+        packed, w, offset = _packed(gens, 4)
         for total in range(5):
-            got = _monomials(gens, total, dim)
+            got = [(e, unpacked(image, w, offset, total)) for e, image in _monomials(packed, total)]
             assert got == brute_monomials(gens, total)
             assert [e for e, _ in got] == sorted({e for e, _ in got})
