@@ -72,13 +72,13 @@ def _parallelepiped_points(rays: list[Vector]) -> list[Vector]:
     exactly when n t, taken modulo n, lies in a group G generated by
     integer vectors modulo n, and each element of G gives one point,
     (n t) R / n. For a square R of size 2 to 4, n = |det R| and the
-    generators are the rows of its adjugate (``_adjugate``) times the
-    sign of det R, since t = x adj(R) / det R for integral x; no
-    elimination is needed. Otherwise, with U R V = D the Smith form,
-    t = s U with s_i in (1/d_i) Z, n = d_k and the generators are the
-    (n / d_i) U_i with d_i > 1; one elimination gives D and U, V is not
-    needed, and the rays may span a proper subspace of the ambient
-    space. G is walked one generator at a time, adding its multiples to
+    generators are the rows of its adjugate (``_adjugate``), since
+    t = x adj(R) / det R for integral x and a group holds the negatives
+    of its elements; no elimination is needed. Otherwise, with U R V = D
+    the Smith form, t = s U with s_i in (1/d_i) Z, n = d_k and the
+    generators are the (n / d_i) U_i with d_i > 1; one elimination gives
+    D and U, V is not needed, and the rays may span a proper subspace of
+    the ambient space. G is walked one generator at a time, adding its multiples to
     the group so far until one falls back into it. A ray matrix of index
     1 gives only the origin.
     """
@@ -86,7 +86,7 @@ def _parallelepiped_points(rays: list[Vector]) -> list[Vector]:
     if adj is not None:
         det = sum(map(mul, rays[0], [row[0] for row in adj]))
         n = abs(det)
-        steps = [tuple([det // n * x % n for x in row]) for row in adj]
+        steps = [tuple([x % n for x in row]) for row in adj]
     else:
         d, u, _ = _smith(rays, len(rays[0]), right=False)
         n = d[len(rays) - 1][len(rays) - 1]

@@ -123,7 +123,7 @@ PARALLELEPIPED_CASES = (
 
 # Square ray matrices of size 2 to 4 with index above 1, whose points
 # come from the adjugate.
-SQUARE_CASES = [seeded_rays(40 + k, k, k, -3, 3, lambda r: index(r) > 1) for k in (2, 3, 4) for _ in range(4)]
+SQUARE_CASES = [seeded_rays(40 + 4 * k + j, k, k, -3, 3, lambda r: index(r) > 1) for k in (2, 3, 4) for j in range(4)]
 
 
 class TestParallelepipedPoints:
@@ -802,7 +802,6 @@ class TestSmallConeCorpus:
         assert any(d == 1 for p, d in zip(SMALL_CONE_CORPUS, dets) if p.dim == 3)
         assert any(d > 1 for p, d in zip(SMALL_CONE_CORPUS, dets) if p.dim == 2)
         assert any(g.degree > 1 for p in SMALL_CONE_CORPUS for g in graded_generators(p))
-
 
     def test_ray_only_basis_exactly_when_every_simplex_has_index_one(self, monkeypatch):
         reduced = []
