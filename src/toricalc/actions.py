@@ -101,12 +101,13 @@ def group_from_delta(p: Polyhedron) -> LinearizedAction:
     the integers (NonSpanning otherwise); the weight rows are then the
     saturated left kernel of the normal matrix, in Hermite form, and the
     returned action's polyhedron agrees with p up to a unimodular change
-    of coordinates. One Smith form of the normal matrix gives both the
-    test and the kernel.
+    of coordinates. One Hermite form of [A | I], A the normal matrix,
+    gives both: the normals span Z^dim exactly when the first dim
+    diagonal entries of A's Hermite form are 1.
     """
     a = IntMatrix([ineq[0] for ineq in p.inequalities], p.dim)
-    factors, w = _left_kernel(a)
-    if len(factors) < p.dim or any(f != 1 for f in factors):
+    d, w = _left_kernel(a)
+    if d.nrows < p.dim or any(d.entries[i][i] != 1 for i in range(p.dim)):
         raise NonSpanning("inequality normals do not span the lattice")
     alpha = tuple(b for _, b in p.inequalities)
     return LinearizedAction(p.n_inequalities, w, alpha)

@@ -1,15 +1,19 @@
 """Exact integer linear algebra.
 
-Row-style Hermite and Smith normal forms with unimodular transforms. All
-arithmetic is exact; matrices are immutable tuples of tuples of Python
-ints.
+Two eliminations: a row Hermite normal form, and a Smith normal form with
+its unimodular transforms. All arithmetic is exact; matrices are
+immutable tuples of tuples of Python ints.
 
 Conventions:
-  * ``_hnf(M)`` returns ``U`` with U M = D, pivots positive and entries
-    above each pivot reduced into ``[0, pivot)``. Pivot choice is
-    leftmost column, then smallest absolute value, then lowest row index.
-    D depends only on the row lattice of M, so the saturated left kernel
-    basis of ``_left_kernel``, returned in this form, is canonical.
+  * ``_hnf(M)`` returns the row Hermite form D of M, pivots positive and
+    entries above each pivot reduced into ``[0, pivot)``; the transform is
+    not kept. Pivot choice is leftmost column, then smallest absolute
+    value, then lowest row index. D depends only on the row lattice of M,
+    so it is canonical, and its nonzero rows count the rank.
+  * ``_left_kernel(M)`` reads D and the saturated left kernel of M off
+    one Hermite form of [M | I] (Cohen, "A Course in Computational
+    Algebraic Number Theory", GTM 138, section 2.4): the kernel basis
+    is the right block past the rank, itself in Hermite form.
   * ``snf(M)`` returns ``U, V`` with U M V = D diagonal, ``d_i >= 0`` and
     ``d_i | d_{i+1}``. Each step takes the entry of least absolute value,
     first in row-major order, as its pivot, and clears its column and row
@@ -19,8 +23,7 @@ Conventions:
     one sweep; a unit pivot divides everything, and the divisibility
     scan of the rest of the block is skipped. D, U and V are pinned by
     ``tests/data/snf_corpus.json``: the columns of V past the rank are
-    the basis of delta. ``snf`` wraps ``_smith``, the same elimination
-    on plain lists, which can leave the column operations unrecorded.
+    the basis of delta. It is the one entry point to the Smith form.
 
 ``as_int`` is the package's only rule for integer input: the value types
 and the entries that take integers directly pass through it, and nothing
@@ -133,15 +136,12 @@ class IntMatrix:
 
 @dataclass(frozen=True)
 class NormalForm:
-    """A normal form D of M together with the unimodular transforms.
-
-    Hermite: U M = D and ``V is None``.
-    Smith:   U M V = D.
-    """
+    """The Smith normal form D of M with its unimodular transforms:
+    U M V = D."""
 
     D: IntMatrix
     U: IntMatrix
-    V: IntMatrix | None = None
+    V: IntMatrix
 
 
 def _swap(rows, i, j):
@@ -157,11 +157,11 @@ def _row_sub(rows, i, q, j):
     rows[i] = [a - q * b for a, b in zip(rows[i], rows[j])]
 
 
-def _hnf(m: IntMatrix) -> NormalForm:
-    """Row Hermite normal form with transform: U M = D."""
+def _hnf(m: IntMatrix) -> IntMatrix:
+    """The row Hermite normal form D of M, so D = U M for a unimodular U
+    that is not kept."""
     nr, nc = m.nrows, m.ncols
     d = [list(r) for r in m.entries]
-    u = _identity(nr)
     prow = 0
     for col in range(nc):
         if prow == nr:
@@ -173,26 +173,21 @@ def _hnf(m: IntMatrix) -> NormalForm:
             piv = min(nz, key=lambda r: (abs(d[r][col]), r))
             if piv != prow:
                 _swap(d, piv, prow)
-                _swap(u, piv, prow)
             below = [r for r in range(prow + 1, nr) if d[r][col] != 0]
             if not below:
                 break
             for r in below:
-                q = d[r][col] // d[prow][col]
-                _row_sub(d, r, q, prow)
-                _row_sub(u, r, q, prow)
+                _row_sub(d, r, d[r][col] // d[prow][col], prow)
         if d[prow][col] == 0:
             continue
         if d[prow][col] < 0:
             _negate(d, prow)
-            _negate(u, prow)
         for r in range(prow):
             q = d[r][col] // d[prow][col]
             if q:
                 _row_sub(d, r, q, prow)
-                _row_sub(u, r, q, prow)
         prow += 1
-    return NormalForm(IntMatrix(_rows(d), nc), IntMatrix(_rows(u), nr))
+    return IntMatrix(_rows(d), nc)
 
 
 def _smith_pivot(d, t):
@@ -217,23 +212,20 @@ def _identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def _smith(rows, nc: int, right: bool = True):
-    """``snf`` on plain lists: (d, u, v), lists of rows with u M v = d for
-    the matrix M with the given rows and ``nc`` columns. v is None when
-    ``right`` is false; the column operations then go unrecorded, which
-    changes neither d nor u."""
-    d = [list(r) for r in rows]
-    nr = len(d)
+def snf(m: IntMatrix) -> NormalForm:
+    """Smith normal form with transforms: U M V = D."""
+    nr, nc = m.nrows, m.ncols
+    d = [list(r) for r in m.entries]
     u = _identity(nr)
-    v = _identity(nc) if right else None
+    v = _identity(nc)
 
     def col_swap(i, j):
-        for row in chain(d, v or ()):
+        for row in chain(d, v):
             row[i], row[j] = row[j], row[i]
 
     def col_sub(i, q, j):
         """column i -= q * column j"""
-        for row in chain(d, v or ()):
+        for row in chain(d, v):
             row[i] -= q * row[j]
 
     for t in range(min(nr, nc)):
@@ -282,13 +274,7 @@ def _smith(rows, nc: int, right: bool = True):
         if d[t][t] < 0:
             _negate(d, t)
             _negate(u, t)
-    return d, u, v
-
-
-def snf(m: IntMatrix) -> NormalForm:
-    """Smith normal form with transforms: U M V = D."""
-    d, u, v = _smith(m.entries, m.ncols)
-    return NormalForm(IntMatrix(_rows(d), m.ncols), IntMatrix(_rows(u), m.nrows), IntMatrix(_rows(v), m.ncols))
+    return NormalForm(IntMatrix(_rows(d), nc), IntMatrix(_rows(u), nr), IntMatrix(_rows(v), nc))
 
 
 def _rows(rows: list[list[int]]) -> tuple[tuple[int, ...], ...]:
@@ -296,14 +282,16 @@ def _rows(rows: list[list[int]]) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, rows))
 
 
-def _left_kernel(m: IntMatrix) -> tuple[tuple[int, ...], IntMatrix]:
-    """The invariant factors of M and a basis of the saturated lattice
-    {w : w M = 0}, rows in Hermite form, from one Smith form U M V = D.
-    Since U is unimodular and the rows of D past the rank are zero, the
-    rows of U past the rank are a basis of that lattice."""
-    nf = snf(m)
-    factors = invariant_factors_from(nf)
-    return factors, _hnf(IntMatrix(nf.U.entries[len(factors):], m.nrows)).D
+def _left_kernel(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
+    """The Hermite form D of M and a basis of the saturated lattice
+    {w : w M = 0}, rows in Hermite form, from one Hermite form of [M | I].
+    Its rows are (w M, w) for the rows w of a unimodular matrix, and its
+    left block is D; the rows past the rank are (0, w), and their w are
+    the kernel basis, already reduced."""
+    nr, nc = m.nrows, m.ncols
+    rows = _hnf(IntMatrix([row + unit for row, unit in zip(m.entries, _rows(_identity(nr)))], nc + nr)).entries
+    rank = sum(1 for row in rows if any(row[:nc]))
+    return IntMatrix([row[:nc] for row in rows], nc), IntMatrix([row[nc:] for row in rows[rank:]], nr)
 
 
 def invariant_factors_from(nf: NormalForm) -> tuple[int, ...]:

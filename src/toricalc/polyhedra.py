@@ -37,7 +37,7 @@ from itertools import product as iproduct
 from operator import mul
 
 from .errors import EmptyPolyhedron, LinealityPresent, NotPointed, Unbounded
-from .lattice import _as_dim, _as_ints, _iter, _pair, as_int, primitive
+from .lattice import IntMatrix, _as_dim, _as_ints, _hnf, _iter, _pair, as_int, primitive
 
 Vector = tuple[int, ...]
 Inequality = tuple[Vector, int]
@@ -437,21 +437,12 @@ def face(p: Polyhedron, s) -> Face | None:
 
 
 def _rank(vectors) -> int:
-    """Rank of integer vectors, by fraction-free (Bareiss) elimination. A
+    """Rank of integer vectors: the nonzero rows of their Hermite form. A
     face's dimension is the rank of its homogenized generators (lineality
     included) less one."""
-    rows = [list(g) for g in vectors if any(g)]
-    rank, prev = 0, 1
-    for c in range(len(rows[0]) if rows else 0):
-        piv = next((r for r in rows if r[c]), None)
-        if piv is None:
-            continue
-        rows.remove(piv)
-        rows = [[(piv[c] * x - r[c] * y) // prev for x, y in zip(r, piv)] for r in rows]
-        rows = [r for r in rows if any(r)]
-        prev = piv[c]
-        rank += 1
-    return rank
+    if not vectors:
+        return 0
+    return sum(1 for row in _hnf(IntMatrix(vectors)).entries if any(row))
 
 
 def f_vector(p: Polyhedron) -> tuple[tuple[int, ...], bool]:

@@ -17,7 +17,8 @@ pass, so ``vrep``, ``hilbert_function``, which scans r * P over r times
 its vertices, and ``is_bounded``, through the vertex-mask index, reuse it.
 It lists the lattice points of the half-open fundamental parallelepiped
 of each simplicial piece as a finite group, read off the adjugate of a
-square ray matrix of size at most 4 and off the Smith form of any other.
+square ray matrix of size 2 to 4 and off D and U of the Smith form
+(``lattice.snf``) of any other.
 When every piece has index 1, that group is trivial for each of them,
 and the basis is the extreme rays themselves. Otherwise the candidates
 are taken in order of a positive grading, and each is kept unless its
@@ -36,7 +37,7 @@ from itertools import chain
 from operator import itemgetter, mul
 
 from .errors import Unbounded
-from .lattice import _smith, as_int
+from .lattice import IntMatrix, as_int, snf
 from .polyhedra import Cone, Polyhedron, _dilated_points, _triangulation, homogenize, is_bounded
 
 Vector = tuple[int, ...]
@@ -76,11 +77,11 @@ def _parallelepiped_points(rays: list[Vector]) -> list[Vector]:
     t = x adj(R) / det R for integral x and a group holds the negatives
     of its elements; no elimination is needed. Otherwise, with U R V = D
     the Smith form, t = s U with s_i in (1/d_i) Z, n = d_k and the
-    generators are the (n / d_i) U_i with d_i > 1; one elimination gives
-    D and U, V is not needed, and the rays may span a proper subspace of
-    the ambient space. G is walked one generator at a time, adding its multiples to
-    the group so far until one falls back into it. A ray matrix of index
-    1 gives only the origin.
+    generators are the (n / d_i) U_i with d_i > 1; only D and U are read,
+    and the rays may span a proper subspace of the ambient space. G is
+    walked one generator at a time, adding its multiples to the group so
+    far until one falls back into it. A ray matrix of index 1 gives only
+    the origin.
     """
     adj = _adjugate(rays)
     if adj is not None:
@@ -88,7 +89,8 @@ def _parallelepiped_points(rays: list[Vector]) -> list[Vector]:
         n = abs(det)
         steps = [tuple([x % n for x in row]) for row in adj]
     else:
-        d, u, _ = _smith(rays, len(rays[0]), right=False)
+        nf = snf(IntMatrix(rays))
+        d, u = nf.D.entries, nf.U.entries
         n = d[len(rays) - 1][len(rays) - 1]
         steps = [tuple([n // d[i][i] * x % n for x in row]) for i, row in enumerate(u) if d[i][i] > 1]
     group = [(0,) * len(rays)]

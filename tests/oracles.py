@@ -2,7 +2,12 @@
 
 ``det`` checks that the transforms of the normal forms are unimodular.
 ``rational_det`` is a determinant by Gaussian elimination over
-``fractions.Fraction``, the reference for the Bareiss one of ``polyhedra``.
+``fractions.Fraction``, the reference for the Bareiss one of ``det``.
+``hermite_blocks`` splits the Hermite form of [M | I] into its left block
+and the transform U in its right block, so U M is the left block.
+``left_kernel_by_smith`` is the saturated left kernel by the route
+``_left_kernel`` took before it read the kernel off that Hermite form:
+the rows of the Smith form's U past the rank, put in Hermite form.
 ``rational_rank`` and ``solve_rational`` are Gaussian elimination over
 ``fractions.Fraction``: a rank and a linear solve that do not go through
 the Smith form.  ``proj_equal_by_kernel`` decides projective equality of
@@ -49,7 +54,7 @@ from itertools import product as iproduct
 
 from toricalc.actions import delta
 from toricalc.errors import AllZero, EmptyPolyhedron, LinealityPresent, Unbounded
-from toricalc.lattice import IntMatrix, _left_kernel
+from toricalc.lattice import IntMatrix, _hnf, _left_kernel, invariant_factors_from, snf
 from toricalc.polyhedra import (
     Face,
     _dd_pair,
@@ -81,6 +86,23 @@ def transpose(m):
 def identity(n):
     """The n x n identity IntMatrix."""
     return IntMatrix(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), n)
+
+
+def hermite_blocks(m):
+    """The left and right blocks of ``_hnf`` of [M | I]. Its rows are
+    (u M, u) for the rows u of a unimodular U, so U, the right block,
+    times M is the left block."""
+    rows = _hnf(IntMatrix([a + b for a, b in zip(m.entries, identity(m.nrows).entries)], m.ncols + m.nrows)).entries
+    return IntMatrix([r[: m.ncols] for r in rows], m.ncols), IntMatrix([r[m.ncols :] for r in rows], m.nrows)
+
+
+def left_kernel_by_smith(m):
+    """A basis of the saturated lattice {w : w M = 0} in Hermite form, from
+    one Smith form U M V = D: U is unimodular and the rows of D past the
+    rank are zero, so the rows of U past the rank are a basis of it."""
+    nf = snf(m)
+    rank = len(invariant_factors_from(nf))
+    return _hnf(IntMatrix(nf.U.entries[rank:], m.nrows))
 
 
 def normals(p):

@@ -106,7 +106,7 @@ class TestQuotientProjection:
             prod = matmul(act.weights, a)
             assert all(x == 0 for row in prod.entries for x in row)
             # Rows of the normal matrix span the quotient lattice.
-            reduced = _hnf(a).D
+            reduced = _hnf(a)
             nonzero = [r for r in reduced.entries if any(r)]
             assert nonzero == [
                 tuple(1 if j == i else 0 for j in range(a.ncols)) for i in range(a.ncols)
@@ -212,13 +212,13 @@ class TestGroupFromDelta:
         assert [b for _, b in p2.inequalities] == [b for _, b in p.inequalities]
         # Same normals up to a unimodular change of ambient coordinates:
         # the rows of the transposed normal matrices span equal lattices.
-        assert _hnf(transpose(normals(p))).D == _hnf(transpose(normals(p2))).D
+        assert _hnf(transpose(normals(p))) == _hnf(transpose(normals(p2)))
         for r in range(4):
             assert hilbert_function(p, r) == hilbert_function(p2, r)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_weights_are_the_saturated_left_kernel(self, seed):
-        # The weights are read from the Smith form that also decides
+        # The weights are read from the Hermite form that also decides
         # NonSpanning. Checked here against what defines them: rows in
         # Hermite form, killing the normal matrix A from the left, m - d
         # of them, spanning a saturated lattice; those pin the answer
@@ -235,7 +235,7 @@ class TestGroupFromDelta:
         assert all(x == 0 for row in matmul(w, a).entries for x in row)
         assert w.nrows == len(rows) - d
         assert invariant_factors_from(snf(w)) == (1,) * w.nrows
-        assert _hnf(w).D == w
+        assert _hnf(w) == w
 
     def test_kernel_corpus_covers_both_outcomes(self):
         spanning = 0

@@ -1,6 +1,7 @@
 """Normal forms and kernels: frozen examples plus exact factorization checks."""
 
 import json
+import math
 import random
 from collections import namedtuple
 from enum import IntEnum
@@ -8,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from toricalc.actions import group_from_delta
+from toricalc.errors import NonSpanning
 from toricalc.lattice import (
     IntMatrix,
     _as_ints,
@@ -18,9 +21,19 @@ from toricalc.lattice import (
     primitive,
     snf,
 )
+from toricalc.polyhedra import polyhedron
 from fractions import Fraction
 
-from oracles import det, identity, matmul, rational_rank, solve_rational, transpose
+from oracles import (
+    det,
+    hermite_blocks,
+    identity,
+    left_kernel_by_smith,
+    matmul,
+    rational_rank,
+    solve_rational,
+    transpose,
+)
 
 
 def M(*rows, ncols=-1):
@@ -93,19 +106,28 @@ def is_unimodular(u):
     return u.nrows == u.ncols and abs(det(u)) == 1
 
 
+def hermite_transform(m):
+    """The transform U of ``_hnf(m)``: the right block of the Hermite form
+    of [M | I], checked to have ``_hnf(m)`` as its left block."""
+    left, u = hermite_blocks(m)
+    assert left == _hnf(m)
+    return u
+
+
 class TestHermite:
     def test_worked_example(self):
         # Oracle: by hand, [[2,4],[1,3]] row-reduces to [[1,1],[0,2]] with
         # positive pivots and the entry above the second pivot in [0, 2).
-        nf = _hnf(M([2, 4], [1, 3]))
-        assert nf.D.entries == ((1, 1), (0, 2))
-        assert matmul(nf.U, M([2, 4], [1, 3])) == nf.D
-        assert is_unimodular(nf.U)
+        d = _hnf(M([2, 4], [1, 3]))
+        assert d.entries == ((1, 1), (0, 2))
+        u = hermite_transform(M([2, 4], [1, 3]))
+        assert matmul(u, M([2, 4], [1, 3])) == d
+        assert is_unimodular(u)
 
     def test_permutation(self):
-        nf = _hnf(M([0, 1], [1, 0]))
-        assert nf.D.entries == ((1, 0), (0, 1))
-        assert matmul(nf.U, M([0, 1], [1, 0])) == nf.D
+        d = _hnf(M([0, 1], [1, 0]))
+        assert d.entries == ((1, 0), (0, 1))
+        assert matmul(hermite_transform(M([0, 1], [1, 0])), M([0, 1], [1, 0])) == d
 
     @pytest.mark.parametrize(
         "rows",
@@ -122,12 +144,13 @@ class TestHermite:
     )
     def test_factorization_and_shape(self, rows):
         m = M(*rows)
-        nf = _hnf(m)
-        assert matmul(nf.U, m) == nf.D
-        assert is_unimodular(nf.U)
+        d = _hnf(m)
+        u = hermite_transform(m)
+        assert matmul(u, m) == d
+        assert is_unimodular(u)
         # Echelon shape with positive pivots, entries above reduced.
         last_col = -1
-        for r in nf.D.entries:
+        for r in d.entries:
             nz = [j for j, x in enumerate(r) if x]
             if not nz:
                 continue
@@ -136,19 +159,18 @@ class TestHermite:
             assert r[p] > 0
             last_col = p
         # Reduction above pivots.
-        pivot_rows = [(i, next(j for j, x in enumerate(r) if x)) for i, r in enumerate(nf.D.entries) if any(r)]
+        pivot_rows = [(i, next(j for j, x in enumerate(r) if x)) for i, r in enumerate(d.entries) if any(r)]
         for i, p in pivot_rows:
             for above in range(i):
-                assert 0 <= nf.D.entries[above][p] < nf.D.entries[i][p]
+                assert 0 <= d.entries[above][p] < d.entries[i][p]
 
     def test_zero_rows_sink(self):
-        nf = _hnf(M([2, 2], [1, 1]))
-        assert nf.D.entries == ((1, 1), (0, 0))
+        assert _hnf(M([2, 2], [1, 1])).entries == ((1, 1), (0, 0))
 
     def test_canonical_for_row_lattice(self):
         # Same row lattice, different presentation: identical Hermite D.
-        a = _hnf(M([1, 1, 0], [0, 2, 4])).D
-        b = _hnf(M([1, 3, 4], [0, 2, 4], [1, 1, 0])).D
+        a = _hnf(M([1, 1, 0], [0, 2, 4]))
+        b = _hnf(M([1, 3, 4], [0, 2, 4], [1, 1, 0]))
         assert a.entries == tuple(r for r in b.entries if any(r))
 
     def test_deterministic(self):
@@ -269,6 +291,88 @@ class TestKernel:
     def test_zero_row_matrix(self):
         k = kernel(IntMatrix((), 3))
         assert k.entries == identity(3).entries
+
+
+def kernel_corpus(count=2000, seed=31):
+    """Seeded matrices for the kernel route: the empty shapes 0 x n and
+    n x 0; then 1-7 rows and 1-5 columns, entries in [-3, 3] times 1, 2
+    or 3, where a row may be zero or a combination of the rows before
+    it; and matrices with at least as many rows as columns whose rows
+    span a sublattice of index 2 or 3: I stacked on random rows, one
+    column times the index, columns mixed by unimodular steps."""
+    rng = random.Random(seed)
+    out = [IntMatrix((), n) for n in range(1, 6)] + [IntMatrix(((),) * n, 0) for n in range(1, 8)]
+    while len(out) < count:
+        nr, nc = rng.randint(1, 7), rng.randint(1, 5)
+        kind = rng.randrange(4)
+        if kind == 3 and nr >= nc:
+            k, scaled = rng.choice((2, 3)), rng.randrange(nc)
+            rows = [[int(i == j) for j in range(nc)] for i in range(nc)]
+            rows += [[rng.randint(-3, 3) for _ in range(nc)] for _ in range(nr - nc)]
+            rows = [[x * k if j == scaled else x for j, x in enumerate(r)] for r in rows]
+            for _ in range(2 * nc if nc > 1 else 0):
+                i, j = rng.sample(range(nc), 2)
+                q = rng.choice((-1, 1))
+                for r in rows:
+                    r[i] += q * r[j]
+            rng.shuffle(rows)
+        else:
+            scale = rng.choice((1, 2, 3))
+            rows = [[scale * rng.randint(-3, 3) for _ in range(nc)] for _ in range(nr)]
+            for i in range(1, nr):
+                if kind == 1 and rng.random() < 0.3:
+                    rows[i] = [0] * nc
+                elif kind == 2 and rng.random() < 0.4:
+                    coeffs = [rng.randint(-2, 2) for _ in range(i)]
+                    rows[i] = [sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(nc)]
+        out.append(IntMatrix(rows, nc))
+    return out
+
+
+KERNEL_CORPUS = kernel_corpus()
+
+
+def spans(m):
+    """Whether the rows of m span Z^ncols, from its invariant factors."""
+    return factors(m) == (1,) * m.ncols
+
+
+class TestKernelAgainstSmithRoute:
+    """``_left_kernel`` reads the kernel off one Hermite form of [M | I];
+    ``left_kernel_by_smith`` takes it from a Smith form. A row Hermite
+    form is unique for its lattice, so the two agree byte for byte."""
+
+    def test_kernel_matches_smith_route(self):
+        for m in KERNEL_CORPUS:
+            d, k = _left_kernel(m)
+            assert k == left_kernel_by_smith(m), m
+            assert d == _hnf(m), m
+
+    def test_non_spanning_exactly_when_a_factor_is_not_one(self):
+        outcomes = set()
+        for m in KERNEL_CORPUS:
+            p = polyhedron(m.ncols, [(row, 0) for row in m.entries])
+            spanning = spans(m)
+            outcomes.add(spanning)
+            if spanning:
+                assert group_from_delta(p).weights == _left_kernel(m)[1], m
+            else:
+                with pytest.raises(NonSpanning):
+                    group_from_delta(p)
+        assert outcomes == {True, False}
+
+    def test_corpus_coverage(self):
+        def index(m):
+            f = factors(m)
+            return math.prod(f) if len(f) == m.ncols else 0
+
+        assert len(KERNEL_CORPUS) >= 2000
+        assert any(m.nrows == 0 and m.ncols for m in KERNEL_CORPUS)
+        assert any(m.ncols == 0 and m.nrows for m in KERNEL_CORPUS)
+        assert any(m.nrows > 1 and not any(r) for m in KERNEL_CORPUS for r in m.entries)
+        nonzero = [[r for r in m.entries if any(r)] for m in KERNEL_CORPUS]
+        assert any(rows and rational_rank(rows) < len(rows) for rows in nonzero)
+        assert {2, 3} <= {index(m) for m in KERNEL_CORPUS if m.ncols}
 
 
 class TestIntegerRule:

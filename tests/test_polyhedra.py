@@ -469,9 +469,9 @@ class TestRank:
         assert kinds == {"zero row", "proper subspace"}
 
     def test_square_matrices_match_rational_det(self):
-        # Each Bareiss step divides exactly by the previous pivot: a square
-        # matrix, unimodular, singular or neither, has full rank exactly
-        # when its determinant over Fraction is nonzero.
+        # A square matrix, unimodular, singular or neither, has full rank,
+        # as many nonzero Hermite rows as rows, exactly when its
+        # determinant over Fraction is nonzero.
         kinds = set()
         for seed in range(300):
             rows = seeded_square(seed)
@@ -480,6 +480,21 @@ class TestRank:
             kinds.add((len(rows), "singular" if det == 0 else "unimodular" if det == 1 else "other"))
         assert {k for _, k in kinds} == {"singular", "unimodular", "other"}
         assert {n for n, k in kinds if k == "singular"} == {1, 2, 3, 4, 5}
+
+    @pytest.mark.parametrize("seed", FACE_SEEDS)
+    def test_generator_sets_of_seeded_polyhedra(self, seed):
+        # What face ranks: the homogenized generators of the pass, lineality
+        # included.
+        rays, lin = seeded_polyhedron(seed)._cone._pass
+        vectors = [r.vec for r in rays] + list(lin)
+        assert _rank(vectors) == rational_rank(vectors)
+
+    @pytest.mark.parametrize("d", range(4, 9))
+    def test_generator_sets_of_cubes(self, d):
+        rays, lin = unit_cube(d)._cone._pass
+        vectors = [r.vec for r in rays] + list(lin)
+        assert len(vectors) == 2**d
+        assert _rank(vectors) == rational_rank(vectors) == d + 1
 
 
 def kernel_vectors(seed):

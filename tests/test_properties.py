@@ -55,6 +55,7 @@ from toricalc.semigroups import graded_generators, hilbert_basis, hilbert_functi
 
 from oracles import (
     det,
+    hermite_blocks,
     evaluate_by_fractions,
     extreme_rays,
     f_vector_by_frozensets,
@@ -145,15 +146,18 @@ class TestNormalFormProperties:
     @given(matrices())
     @lax
     def test_hermite_factorization(self, m):
-        nf = _hnf(m)
-        assert matmul(nf.U, m) == nf.D
-        assert det(nf.U) in (1, -1)
+        # U is the right block of the Hermite form of [M | I], whose left
+        # block is _hnf(m).
+        d, u = hermite_blocks(m)
+        assert d == _hnf(m)
+        assert matmul(u, m) == d
+        assert det(u) in (1, -1)
 
     @given(matrices(max_dim=3, span=6), st.data())
     @lax
     def test_hermite_canonical_for_row_lattice(self, m, data):
         u, _ = data.draw(unimodular_pairs(m.nrows))
-        assert _hnf(matmul(u, m)).D == _hnf(m).D
+        assert _hnf(matmul(u, m)) == _hnf(m)
 
     @given(matrices())
     @lax
