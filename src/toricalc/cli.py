@@ -146,7 +146,7 @@ def _load_json(path: str, stdin: str | None):
             raise InputError(f"cannot read {path}: {e}") from None
     try:
         return json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise InputError(f"invalid JSON in {path}: {e}") from None
 
 

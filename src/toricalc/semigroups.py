@@ -25,9 +25,9 @@ are taken in order of a positive grading, and each is kept unless its
 values under the inequality rows are at least those of an element
 already kept. Each cone keeps its basis for later calls.
 Relations among the generators are counted from the fibers of the
-monomials over their images, without a second lattice point count; each
-image is packed into one integer, shifted by a multiple of the degree so
-that every field is nonnegative.
+monomials over their invariant monomials, without a second lattice
+point count: a point's values under the cone's rows are its exponents,
+and they are packed into one integer just as the reduction packs them.
 """
 
 from __future__ import annotations
@@ -155,24 +155,30 @@ def hilbert_basis(c: Cone) -> list[Vector]:
     return list(vars(c)["_hilbert_basis"])
 
 
+def _packing(rows, vectors, scale: int) -> tuple[int, list[int]]:
+    """A field width w and the columns of ``rows`` packed w bits a row, so
+    that x times the columns packs rows . x, row i from bit i * w. A sum
+    of at most ``scale`` vectors has values below 2^(w - 1) in absolute
+    value, so nonnegative values never carry from one field to the next."""
+    largest = max(map(abs, chain.from_iterable(vectors)), default=0)
+    w = (scale * largest * max((sum(map(abs, row)) for row in rows), default=0)).bit_length() + 1
+    return w, [sum(a << (i * w) for i, a in enumerate(column)) for column in zip(*rows)]
+
+
 def _reduced(candidates: set[Vector], rows) -> tuple[Vector, ...]:
     """The candidates that are not the sum of a kept candidate and a point
     of the cone {rows . x >= 0}, sorted lexicographically.
 
     A candidate g is kept unless g - h lies in the cone (g's values under
-    the rows are at least h's) for an h kept before it. The values lie in
-    [0, 2^(w - 1)), w bits being enough for the largest absolute row sum
-    times the largest coordinate, and one product with the rows' columns,
-    packed alike, packs them into one integer, w bits a row. The
-    candidates are taken in increasing order of that integer, which
+    the rows are at least h's) for an h kept before it. The values are
+    packed into one integer by ``_packing`` and lie in [0, 2^(w - 1)).
+    The candidates are taken in increasing order of that integer, which
     grows with each value, so a candidate comes after every h that could
-    reduce it. A guard bit on top of each row's field compares all rows
+    reduce it. The guard bit on top of each row's field compares all rows
     in one subtraction: g's packed values with the guards set, minus h's,
     keep every guard exactly when g's values are at least h's.
     """
-    largest = max(map(abs, chain.from_iterable(candidates)), default=0)
-    w = (largest * max((sum(map(abs, row)) for row in rows), default=0)).bit_length() + 1
-    packed = [sum(a << (i * w) for i, a in enumerate(column)) for column in zip(*rows)]
+    w, packed = _packing(rows, candidates, 1)
     guards = sum(1 << (i * w + w - 1) for i in range(len(rows)))
     basis: list[Vector] = []
     kept: list[int] = []
@@ -206,74 +212,58 @@ def hilbert_function(p: Polyhedron, r: int) -> int:
 
 def _monomials(gens: list[tuple[int, int]], total: int) -> list[tuple[Vector, int]]:
     """Each e >= 0 with sum e_i * degree_i == total, lexicographically,
-    paired with its image sum e_i * image_i, for (image, degree) pairs
-    with integer images (``_packed`` packs a point into one) and
-    positive degrees. Each exponent passes its image on for e_i = 0 and
-    adds image_i to it for each further unit; a monomial is listed as
-    soon as nothing remains, and the last exponent is fixed by what
-    remains."""
+    paired with its image sum e_i * key_i, for (key, degree) pairs with
+    integer keys (``relation_space`` packs a point into one) and positive
+    degrees. Each call picks the next generator with a nonzero exponent,
+    from the last one down, since a later first nonzero exponent comes
+    first in the order; the last generator takes what remains by one
+    division. The depth is the number of nonzero exponents, at most
+    ``total``."""
     if total == 0:
         return [((0,) * len(gens), 0)]
     out: list[tuple[Vector, int]] = []
     e = [0] * len(gens)
     last = len(gens) - 1
 
-    def rec(idx: int, remaining: int, image: int):
-        point, degree = gens[idx]
-        if idx == last:
-            k, rest = divmod(remaining, degree)
-            if not rest:
-                e[idx] = k
-                out.append((tuple(e), image + k * point))
-                e[idx] = 0
-            return
-        for k in range(remaining // degree + 1):
-            e[idx] = k
-            if remaining == k * degree:
-                out.append((tuple(e), image))
-            else:
-                rec(idx + 1, remaining - k * degree, image)
-            image += point
-        e[idx] = 0
+    def rec(start: int, remaining: int, image: int):
+        key, degree = gens[last]
+        k, rest = divmod(remaining, degree)
+        if not rest:
+            e[last] = k
+            out.append((tuple(e), image + k * key))
+            e[last] = 0
+        for j in range(last - 1, start - 1, -1):
+            key, degree = gens[j]
+            value = image
+            for k in range(1, remaining // degree + 1):
+                e[j] = k
+                value += key
+                if remaining == k * degree:
+                    out.append((tuple(e), value))
+                else:
+                    rec(j + 1, remaining - k * degree, value)
+            e[j] = 0
 
     if gens:
         rec(0, total, 0)
     return out
 
 
-def _packed(gens: list[GradedPoint], bound: int) -> tuple[list[tuple[int, int]], int, Vector]:
-    """Each generator as (packed image, degree) for ``_monomials`` up to
-    degree ``bound``, with the field width w and the offset L.
-
-    A point x of degree d is shifted to x - d * L, L_j being the least
-    floor(x_j / d) over the generators, so every entry is nonnegative,
-    and packed as sum (x - d * L)_j << (j * w). A degree-r monomial then
-    packs its image less r * L: the offset grows with the degree, so
-    monomials of one degree share it and their fibers are those of the
-    images. No entry of a shifted image of degree at most ``bound``
-    exceeds ``bound`` times the largest shifted entry, which w bits
-    hold, so sums never carry from one field into the next and packing
-    is one-to-one on each degree."""
-    dim = len(gens[0].point) if gens else 0
-    offset = tuple(min(g.point[j] // g.degree for g in gens) for j in range(dim))
-    shifted = [[x - g.degree * o for x, o in zip(g.point, offset)] for g in gens]
-    w = (bound * max(chain.from_iterable(shifted), default=0)).bit_length()
-    return [(sum(x << (j * w) for j, x in enumerate(xs)), g.degree) for xs, g in zip(shifted, gens)], w, offset
-
-
 def relation_space(p: Polyhedron, bound: int) -> RingPresentation:
     """Relations among graded generators in each degree up to ``bound``.
 
     The degree-r monomials in the generators are grouped into fibers by
-    their image, each packed into one integer (``_packed``), so the fibers
-    are keyed by ints. The Hilbert basis generates the semigroup, so the fibers are
-    exactly the lattice points of r * p, and the kernel dimension in
-    degree r is the number of monomials minus the number of fibers. The
-    binomials pair each fiber's members against its lexicographically
-    first one, so there is one per monomial that is not first in its
-    fiber. The monomials come in lexicographic order, so the fibers are
-    met in the order of their first members and the pairs come out
-    sorted. ``Unbounded`` is raised when p is unbounded, or when it is
+    their invariant monomial, whose exponents, the values under the cone's
+    rows, ``_packing`` packs into one integer. They are nonnegative, so no
+    field carries, and the rows of a pointed cone have full column rank,
+    so the key is one-to-one. The Hilbert basis generates the semigroup,
+    so the fibers are exactly the lattice points of r * p, and the kernel
+    dimension in degree r is the number of monomials minus the number of
+    fibers. The binomials pair each fiber's members against its
+    lexicographically first one, so there is one per monomial that is not
+    first in its fiber. The monomials come in lexicographic order, so the
+    fibers are met in the order of their first members and the pairs come
+    out sorted. ``Unbounded`` is raised when p is unbounded, or when it is
     empty but some generator has degree 0. ``NotPointed`` is raised when p
     is empty but the cone {a . x >= 0} of its inequality system contains a
     line, since the cone over p then has no Hilbert basis.
@@ -286,11 +276,13 @@ def relation_space(p: Polyhedron, bound: int) -> RingPresentation:
     gens = graded_generators(p)
     if any(g.degree == 0 for g in gens):
         raise Unbounded("relations need a bounded polyhedron")
-    packed = _packed(gens, bound)[0]
+    vectors = [g.point + (g.degree,) for g in gens]
+    columns = _packing(homogenize(p).inequalities, vectors, bound)[1]
+    keys = [(sum(map(mul, columns, v)), v[-1]) for v in vectors]
     relations: dict[int, DegreeRelations] = {}
     for r in range(1, bound + 1):
         fibers: dict[int, list[Vector]] = {}
-        for e, image in _monomials(packed, r):
+        for e, image in _monomials(keys, r):
             fibers.setdefault(image, []).append(e)
         binomials = tuple((ref, e) for ref, *others in fibers.values() for e in others)
         relations[r] = DegreeRelations(len(binomials), binomials)

@@ -185,6 +185,16 @@ class TestGoldenOutputs:
             "binomials": [[[0, 1, 1, 0], [1, 0, 0, 1]]],
         }
 
+    def test_relations_on_more_generators_than_the_recursion_limit(self):
+        # The triangle (0,0), (44,0), (0,44) has 1035 generators, all of
+        # degree 1. Bound 1 only: degree 2 alone has 536,130 monomials.
+        tri = {"dim": 2, "inequalities": [{"a": [1, 0], "b": 0}, {"a": [0, 1], "b": 0}, {"a": [-1, -1], "b": -44}]}
+        code, out, err = execute(["relations", "--polytope", "-", "--bound", "1"], stdin=json.dumps(tri))
+        assert (code, err) == (0, "")
+        data = json.loads(out)
+        assert len(data["generators"]) == 1035
+        assert data["relations"] == [{"binomials": [], "degree": 1, "kernel_dim": 0}]
+
     @pytest.mark.parametrize(
         "argv_tail",
         [
@@ -291,6 +301,18 @@ class TestErrorDiscipline:
         assert (code, out) == (2, "")
         assert err.startswith(f"InputError: cannot read {path}: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("depth, closed", [(1000, True), (100000, False)])
+    def test_deeply_nested_json_is_input_error(self, tmp_path, depth, closed):
+        # json.loads raises RecursionError past the interpreter's limit.
+        text = "[" * depth + "]" * depth * closed
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        for name, stdin in (("-", text), (str(path), None)):
+            code, out, err = execute(["delta", "--action", name], stdin=stdin)
+            assert (code, out) == (2, "")
+            assert err.startswith(f"InputError: invalid JSON in {name}: ")
+            assert "Traceback" not in err
 
     def test_usage_errors_exit_2(self, tmp_path):
         assert execute(["frobnicate"])[0] == 2

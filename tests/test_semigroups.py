@@ -9,6 +9,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product as iproduct
 from math import factorial, gcd, prod
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -33,7 +34,7 @@ from toricalc.semigroups import (
     GradedPoint,
     _adjugate,
     _monomials,
-    _packed,
+    _packing,
     _parallelepiped_points,
     graded_generators,
     hilbert_basis,
@@ -819,6 +820,65 @@ class TestSmallConeCorpus:
         assert outcomes == {True, False}
 
 
+def relation_corpus(seed=32):
+    """64 bounded polytopes of dimension 1 to 3 with negative coordinates:
+    {q_i x_i >= -b_i for each i, s . x <= c} for small q_i >= 1, b_i >= 0,
+    s_i >= 1 and c >= 0, kept when nonempty with at most 7 generators, so
+    that ``relation_space(p, 3)`` stays small. A q_i > 1 gives rational
+    vertices, and so generators of degree 2 and more."""
+    rng = random.Random(seed)
+    out = []
+    for dim, count in ((1, 16), (2, 24), (3, 24)):
+        top = 3 if dim < 3 else 1
+        kept = 0
+        while kept < count:
+            ineqs = [(tuple(rng.randint(1, top + 1) * (i == j) for j in range(dim)), -rng.randint(0, top))
+                     for i in range(dim)]
+            ineqs.append((tuple(-rng.randint(1, 2) for _ in range(dim)), -rng.randint(0, top)))
+            rng.shuffle(ineqs)
+            p = polyhedron(dim, ineqs)
+            if not is_empty(p) and len(graded_generators(p)) <= 7:
+                out.append(p)
+                kept += 1
+    return out
+
+
+RELATION_CORPUS = relation_corpus()
+RELATION_GOLDEN = Path(__file__).resolve().parent / "data" / "relation_corpus.json"
+
+
+def relation_corpus_text():
+    """For every corpus polytope p, one line of canonical JSON: p, then
+    ``relation_space(p, 3)`` as the CLI writes it, computed on a fresh
+    copy of p."""
+    lines = []
+    for p in RELATION_CORPUS:
+        fresh = polyhedron(p.dim, p.inequalities)
+        entry = {"polytope": polyhedron_to_json(p), "relations": presentation_to_json(relation_space(fresh, 3))}
+        lines.append(dump_canonical(entry))
+    return "[\n" + ",\n".join(lines) + "\n]\n"
+
+
+class TestRelationCorpus:
+    def test_matches_golden_file(self):
+        assert relation_corpus_text() == RELATION_GOLDEN.read_text()
+
+    def test_corpus_coverage(self):
+        assert {p.dim for p in RELATION_CORPUS} == {1, 2, 3}
+        assert 60 <= len(RELATION_CORPUS) <= 80
+        assert RELATION_GOLDEN.stat().st_size <= 200_000
+        # A generator of degree 2 or more with a negative coordinate, and
+        # some relations to key.
+        assert any(g.degree >= 2 and min(g.point) < 0 for p in RELATION_CORPUS for g in graded_generators(p))
+        assert any(relation_space(p, 3).relations_by_degree[3].kernel_dim for p in RELATION_CORPUS)
+
+    def test_more_generators_than_the_recursion_limit(self):
+        # Bound 1 only: degree 2 alone has 536,130 monomials of 1035 entries.
+        pres = relation_space(dilate(standard_simplex(2), 44), 1)
+        assert len(pres.generators) == 1035
+        assert pres.relations_by_degree[1] == semigroups.DegreeRelations(0, ())
+
+
 def brute_monomials(gens, total):
     """Every exponent vector over ``gens`` with degree ``total``, by a
     scan of the whole box [0, total]^n, with its image."""
@@ -830,10 +890,14 @@ def brute_monomials(gens, total):
     return out
 
 
-def unpacked(image, w, offset, total):
-    """The point that ``_packed`` packs into ``image`` in degree ``total``:
-    field j, w bits wide, plus total times the offset."""
-    return tuple((image >> (j * w) & ((1 << w) - 1)) + total * o for j, o in enumerate(offset))
+def offset_rows(gens):
+    """Rows of a cone that holds every (point, degree) of ``gens``: for
+    each coordinate j, x_j - L_j * degree >= 0 with L_j the least
+    floor(x_j / degree), then degree >= 0; and the offsets L."""
+    dim = len(gens[0].point)
+    offset = [min(g.point[j] // g.degree for g in gens) for j in range(dim)]
+    rows = [tuple(int(i == j) for i in range(dim)) + (-offset[j],) for j in range(dim)]
+    return rows + [(0,) * dim + (1,)], offset
 
 
 class TestMonomials:
@@ -844,8 +908,24 @@ class TestMonomials:
         gens = [GradedPoint(tuple(rng.randint(-3, 3) for _ in range(dim)), rng.choice((1, 1, 2, 3)))
                 for _ in range(rng.randint(1, 5))]
         gens[rng.randrange(len(gens))] = GradedPoint(gens[0].point, 2 + seed % 2)
-        packed, w, offset = _packed(gens, 4)
+        rows, offset = offset_rows(gens)
+        vectors = [g.point + (g.degree,) for g in gens]
+        w, columns = _packing(rows, vectors, 4)
+        keys = [(sum(map(mul, columns, v)), g.degree) for v, g in zip(vectors, gens)]
         for total in range(5):
-            got = [(e, unpacked(image, w, offset, total)) for e, image in _monomials(packed, total)]
+            got = []
+            for e, image in _monomials(keys, total):
+                fields = [image >> (i * w) & ((1 << w) - 1) for i in range(len(rows))]
+                assert fields[-1] == total
+                got.append((e, tuple(x + total * o for x, o in zip(fields, offset))))
             assert got == brute_monomials(gens, total)
             assert [e for e, _ in got] == sorted({e for e, _ in got})
+
+    def test_more_generators_than_the_recursion_limit(self):
+        n = 1100
+        got = _monomials([(i, 1) for i in range(n)], 1)
+        assert got == [(tuple(int(i == j) for i in range(n)), j) for j in reversed(range(n))]
+
+    def test_two_generators_to_a_high_total(self):
+        got = _monomials([(1, 1), (1000, 1)], 1500)
+        assert got == [((k, 1500 - k), k + 1000 * (1500 - k)) for k in range(1501)]
