@@ -1,8 +1,9 @@
 """Exact integer linear algebra.
 
-Two eliminations: a row Hermite normal form, and a Smith normal form with
-its unimodular transforms. All arithmetic is exact; matrices are
-immutable tuples of tuples of Python ints.
+Two eliminations, a row Hermite normal form and a Smith normal form with
+its unimodular transforms, and one closed-form inverse of a small square
+matrix. All arithmetic is exact; matrices are immutable tuples of tuples
+of Python ints.
 
 Conventions:
   * ``_hnf(M)`` returns the row Hermite form D of M, pivots positive and
@@ -24,6 +25,10 @@ Conventions:
     scan of the rest of the block is skipped. D, U and V are pinned by
     ``tests/data/snf_corpus.json``: the columns of V past the rank are
     the basis of delta. It is the one entry point to the Smith form.
+  * ``_inverse(R)`` returns det R and the adjugate of a nonsingular
+    square R of size 2 to 4, by cofactors with no elimination; None
+    otherwise. The double description pass starts from it, and a square
+    simplicial cone reads its parallelepiped points off it.
 
 ``as_int`` is the package's only rule for integer input: the value types
 and the entries that take integers directly pass through it, and nothing
@@ -303,6 +308,54 @@ def invariant_factors_from(nf: NormalForm) -> tuple[int, ...]:
             break
         out.append(x)
     return tuple(out)
+
+
+def _inverse(rows) -> tuple[int, list[tuple[int, ...]]] | None:
+    """``(det, A)`` for a square integer matrix R of size 2, 3 or 4 with
+    ``det = det(R) != 0``, where A is the adjugate of R as a list of rows,
+    so R A = det I; None when R is singular or has any other shape. The
+    rows of R are taken to have one length, so only the first is measured.
+    The determinant comes before the other cofactors, from the 2 x 2
+    minors of the top two rows (for size 3, their cross product, the last
+    column of A; for size 4, the minors s0..s5 of the top pair against
+    those c0..c5 of the bottom pair), so R is rejected as soon as those
+    minors all vanish, as they do when its top two rows are parallel."""
+    k = len(rows)
+    if not 2 <= k <= 4 or len(rows[0]) != k:
+        return None
+    if k == 2:
+        (a, b), (c, d) = rows
+        det = a * d - b * c
+        return (det, [(d, -b), (-c, a)]) if det else None
+    if k == 3:
+        (a, b, c), (d, e, f), (g, h, i) = rows
+        x, y, z = b * f - c * e, c * d - a * f, a * e - b * d
+        if not (x or y or z):
+            return None
+        det = g * x + h * y + i * z
+        if not det:
+            return None
+        return det, [
+            (e * i - f * h, c * h - b * i, x),
+            (f * g - d * i, a * i - c * g, y),
+            (d * h - e * g, b * g - a * h, z),
+        ]
+    (a, b, c, d), (e, f, g, h), (i, j, k, l), (m, n, o, p) = rows
+    s0, s1, s2 = a * f - b * e, a * g - c * e, a * h - d * e
+    s3, s4, s5 = b * g - c * f, b * h - d * f, c * h - d * g
+    if not (s0 or s1 or s2 or s3 or s4 or s5):
+        return None
+    c0, c1, c2 = i * n - j * m, i * o - k * m, i * p - l * m
+    c3, c4, c5 = j * o - k * n, j * p - l * n, k * p - l * o
+    det = s0 * c5 - s1 * c4 + s2 * c3 + s3 * c2 - s4 * c1 + s5 * c0
+    if not det:
+        return None
+    return det, [
+        (f * c5 - g * c4 + h * c3, -b * c5 + c * c4 - d * c3, n * s5 - o * s4 + p * s3, -j * s5 + k * s4 - l * s3),
+        (-e * c5 + g * c2 - h * c1, a * c5 - c * c2 + d * c1, -m * s5 + o * s2 - p * s1, i * s5 - k * s2 + l * s1),
+        (e * c4 - f * c2 + h * c0, -a * c4 + b * c2 - d * c0, m * s4 - n * s2 + p * s0, -i * s4 + j * s2 - l * s0),
+        (-e * c3 + f * c1 - g * c0, a * c3 - b * c1 + c * c0, -m * s3 + n * s1 - o * s0, i * s3 - j * s1 + k * s0),
+    ]
 
 
 def primitive(v) -> tuple[int, ...]:

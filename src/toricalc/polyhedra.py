@@ -4,6 +4,8 @@ A polyhedron is given by integer inequality data ``a . p >= b``. This
 module builds its homogenization cone, converts between that H-form and
 the vertex/ray/lineality V-form with one incremental double description
 pass over the cone, and lists lattice points of bounded polyhedra. The
+pass starts from the adjugate of its first ``ambient`` rows when they are
+square of size 2 to 4 and nonsingular (``_dd_pair``). The
 face counts and the pulling triangulation of a pointed ``Cone`` walk the
 face lattice down from that pass's tight masks by one facet rule,
 ``_facets``; it is graded, so no face below the top is ranked.
@@ -37,7 +39,7 @@ from itertools import product as iproduct
 from operator import mul
 
 from .errors import EmptyPolyhedron, LinealityPresent, NotPointed, Unbounded
-from .lattice import IntMatrix, _as_dim, _as_ints, _hnf, _iter, _pair, as_int, primitive
+from .lattice import IntMatrix, _as_dim, _as_ints, _hnf, _inverse, _iter, _pair, as_int, primitive
 
 Vector = tuple[int, ...]
 Inequality = tuple[Vector, int]
@@ -171,10 +173,26 @@ def _dd_pair(constraints, ambient: int):
     Processes constraints in the given order, maintaining extreme rays
     (modulo lineality) and a lineality basis. Returns (rays, lineality)
     where rays are _Ray records with primitive integer vectors.
+
+    A row that cuts the lineality space turns one basis vector into a ray
+    and projects the rest into its hyperplane. When the head, the first
+    ``ambient`` rows, is square of size 2 to 4 and nonsingular
+    (``lattice._inverse``), the pass starts after it from the same rays
+    in closed form: ray k is the primitive multiple of sign(det) times
+    column k of the head's adjugate, the vector on which every head row
+    but row k vanishes and row k is positive, tight on all head rows but
+    row k; the lineality is then empty.
     """
-    lin = [tuple(1 if j == i else 0 for j in range(ambient)) for i in range(ambient)]
-    rays: list[_Ray] = []
-    for k, c in enumerate(constraints):
+    head = _inverse(constraints[:ambient])
+    if head is None:
+        start, rays = 0, []
+        lin = [(0,) * i + (1,) + (0,) * (ambient - 1 - i) for i in range(ambient)]
+    else:
+        det, adj = head
+        sign, full = (1 if det > 0 else -1), (1 << ambient) - 1
+        start, lin = ambient, []
+        rays = [_Ray(primitive(sign * x for x in column), full ^ (1 << k)) for k, column in enumerate(zip(*adj))]
+    for k, c in enumerate(constraints[start:], start):
         lvals = [_dot(c, l) for l in lin]
         j0 = next((j for j, val in enumerate(lvals) if val != 0), None)
         if j0 is not None:
@@ -396,7 +414,8 @@ def _held_face_nonempty(p: Polyhedron, want: int) -> bool:
     cached pass when ``want`` is 0): whether some ray has positive height.
     Each row of the cone in the mask ``want`` goes in first, as the pair
     c, -c, and the other rows follow in order (Fukuda and Prodon, "Double
-    description method revisited", 1996). Only
+    description method revisited", 1996), so the head of that system is
+    singular and its pass never takes the adjugate start. Only
     ``minimal_unstable_supports`` calls it, so that it stays a route to the
     unstable supports that does not read the index, which the tests and
     the benchmark check ``is_semistable`` against."""

@@ -17,13 +17,16 @@ pass, so ``vrep``, ``hilbert_function``, which scans r * P over r times
 its vertices, and ``is_bounded``, through the vertex-mask index, reuse it.
 It lists the lattice points of the half-open fundamental parallelepiped
 of each simplicial piece as a finite group, read off the adjugate of a
-square ray matrix of size 2 to 4 and off D and U of the Smith form
+square ray matrix of size 2 to 4 (``lattice._inverse``, which the double
+description pass starts from too), with only the origin at once when its
+determinant is 1 or -1, and off D and U of the Smith form
 (``lattice.snf``) of any other.
 When every piece has index 1, that group is trivial for each of them,
 and the basis is the extreme rays themselves. Otherwise the candidates
 are taken in order of a positive grading, and each is kept unless its
 values under the inequality rows are at least those of an element
-already kept. Each cone keeps its basis for later calls.
+already kept. Each cone keeps its basis for later calls, and beside it
+the basis as graded generators sorted by degree.
 Relations among the generators are counted from the fibers of the
 monomials over their invariant monomials, without a second lattice
 point count: a point's values under the cone's rows are its exponents,
@@ -37,7 +40,7 @@ from itertools import chain
 from operator import itemgetter, mul
 
 from .errors import Unbounded
-from .lattice import IntMatrix, as_int, snf
+from .lattice import IntMatrix, _inverse, as_int, snf
 from .polyhedra import Cone, Polyhedron, _dilated_points, _triangulation, homogenize, is_bounded
 
 Vector = tuple[int, ...]
@@ -72,10 +75,11 @@ def _parallelepiped_points(rays: list[Vector]) -> list[Vector]:
     With R the matrix whose rows are the rays, x = t R is integral
     exactly when n t, taken modulo n, lies in a group G generated by
     integer vectors modulo n, and each element of G gives one point,
-    (n t) R / n. For a square R of size 2 to 4, n = |det R| and the
-    generators are the rows of its adjugate (``_adjugate``), since
-    t = x adj(R) / det R for integral x and a group holds the negatives
-    of its elements; no elimination is needed. Otherwise, with U R V = D
+    (n t) R / n. For a square R of size 2 to 4, ``lattice._inverse``
+    gives det R and the adjugate: n = |det R| and the generators are the
+    rows of the adjugate, since t = x adj(R) / det R for integral x and a
+    group holds the negatives of its elements; no elimination is needed,
+    and when n = 1 the origin is returned at once. Otherwise, with U R V = D
     the Smith form, t = s U with s_i in (1/d_i) Z, n = d_k and the
     generators are the (n / d_i) U_i with d_i > 1; only D and U are read,
     and the rays may span a proper subspace of the ambient space. G is
@@ -83,10 +87,12 @@ def _parallelepiped_points(rays: list[Vector]) -> list[Vector]:
     far until one falls back into it. A ray matrix of index 1 gives only
     the origin.
     """
-    adj = _adjugate(rays)
-    if adj is not None:
-        det = sum(map(mul, rays[0], [row[0] for row in adj]))
+    head = _inverse(rays)
+    if head is not None:
+        det, adj = head
         n = abs(det)
+        if n == 1:
+            return [(0,) * len(rays)]
         steps = [tuple([x % n for x in row]) for row in adj]
     else:
         nf = snf(IntMatrix(rays))
@@ -101,36 +107,6 @@ def _parallelepiped_points(rays: list[Vector]) -> list[Vector]:
             multiple = tuple([(a + b) % n for a, b in zip(multiple, step)])
     columns = list(zip(*rays))
     return [tuple([sum(map(mul, tn, column)) // n for column in columns]) for tn in group]
-
-
-def _adjugate(rows: list[Vector]) -> list[Vector] | None:
-    """The adjugate A of a square matrix R of size 2, 3 or 4, so that
-    R A = det(R) I, by cofactors (for size 4, from the 2 x 2 minors of
-    the top and of the bottom pair of rows); None for any other shape."""
-    k = len(rows)
-    if k != len(rows[0]) or not 2 <= k <= 4:
-        return None
-    if k == 2:
-        (a, b), (c, d) = rows
-        return [(d, -b), (-c, a)]
-    if k == 3:
-        (a, b, c), (d, e, f), (g, h, i) = rows
-        return [
-            (e * i - f * h, c * h - b * i, b * f - c * e),
-            (f * g - d * i, a * i - c * g, c * d - a * f),
-            (d * h - e * g, b * g - a * h, a * e - b * d),
-        ]
-    (a, b, c, d), (e, f, g, h), (i, j, k, l), (m, n, o, p) = rows
-    s0, s1, s2 = a * f - b * e, a * g - c * e, a * h - d * e
-    s3, s4, s5 = b * g - c * f, b * h - d * f, c * h - d * g
-    c0, c1, c2 = i * n - j * m, i * o - k * m, i * p - l * m
-    c3, c4, c5 = j * o - k * n, j * p - l * n, k * p - l * o
-    return [
-        (f * c5 - g * c4 + h * c3, -b * c5 + c * c4 - d * c3, n * s5 - o * s4 + p * s3, -j * s5 + k * s4 - l * s3),
-        (-e * c5 + g * c2 - h * c1, a * c5 - c * c2 + d * c1, -m * s5 + o * s2 - p * s1, i * s5 - k * s2 + l * s1),
-        (e * c4 - f * c2 + h * c0, -a * c4 + b * c2 - d * c0, m * s4 - n * s2 + p * s0, -i * s4 + j * s2 - l * s0),
-        (-e * c3 + f * c1 - g * c0, a * c3 - b * c1 + c * c0, -m * s3 + n * s1 - o * s0, i * s3 - j * s1 + k * s0),
-    ]
 
 
 def hilbert_basis(c: Cone) -> list[Vector]:
@@ -193,8 +169,13 @@ def _reduced(candidates: set[Vector], rows) -> tuple[Vector, ...]:
 def graded_generators(p: Polyhedron) -> list[GradedPoint]:
     """Hilbert basis of the cone over ``p``, tagged with degrees and sorted
     by (degree, point): the basis is sorted lexicographically, so a stable
-    sort by the degree, its last coordinate, is enough."""
-    return [GradedPoint(v[:-1], v[-1]) for v in sorted(hilbert_basis(homogenize(p)), key=itemgetter(-1))]
+    sort by the degree, its last coordinate, is enough. The cone keeps
+    them beside its basis, and each call gets a new list."""
+    c = homogenize(p)
+    if "_graded_generators" not in vars(c):
+        basis = sorted(hilbert_basis(c), key=itemgetter(-1))
+        vars(c)["_graded_generators"] = tuple(GradedPoint(v[:-1], v[-1]) for v in basis)
+    return list(vars(c)["_graded_generators"])
 
 
 def hilbert_function(p: Polyhedron, r: int) -> int:
@@ -214,38 +195,46 @@ def _monomials(gens: list[tuple[int, int]], total: int) -> list[tuple[Vector, in
     """Each e >= 0 with sum e_i * degree_i == total, lexicographically,
     paired with its image sum e_i * key_i, for (key, degree) pairs with
     integer keys (``relation_space`` packs a point into one) and positive
-    degrees. Each call picks the next generator with a nonzero exponent,
-    from the last one down, since a later first nonzero exponent comes
-    first in the order; the last generator takes what remains by one
-    division. The depth is the number of nonzero exponents, at most
-    ``total``."""
+    degrees. Each call of ``rec`` picks the next generator with a nonzero
+    exponent, from the last but one down, since a later first nonzero
+    exponent comes first in the order; the last generator takes what
+    remains by one division, in place. The depth is below the number of
+    nonzero exponents, at most ``total``."""
     if total == 0:
         return [((0,) * len(gens), 0)]
     out: list[tuple[Vector, int]] = []
+    if not gens:
+        return out
     e = [0] * len(gens)
     last = len(gens) - 1
+    last_key, last_degree = gens[last]
 
     def rec(start: int, remaining: int, image: int):
-        key, degree = gens[last]
-        k, rest = divmod(remaining, degree)
-        if not rest:
-            e[last] = k
-            out.append((tuple(e), image + k * key))
-            e[last] = 0
         for j in range(last - 1, start - 1, -1):
             key, degree = gens[j]
             value = image
             for k in range(1, remaining // degree + 1):
                 e[j] = k
                 value += key
-                if remaining == k * degree:
+                left = remaining - k * degree
+                if not left:
                     out.append((tuple(e), value))
-                else:
-                    rec(j + 1, remaining - k * degree, value)
+                    continue
+                q, rest = divmod(left, last_degree)
+                if not rest:
+                    e[last] = q
+                    out.append((tuple(e), value + q * last_key))
+                    e[last] = 0
+                if j + 1 < last:
+                    rec(j + 1, left, value)
             e[j] = 0
 
-    if gens:
-        rec(0, total, 0)
+    q, rest = divmod(total, last_degree)
+    if not rest:
+        e[last] = q
+        out.append((tuple(e), q * last_key))
+        e[last] = 0
+    rec(0, total, 0)
     return out
 
 

@@ -16,6 +16,10 @@ not by ``proj_equal``'s Bezout combination.  ``same_quotient_point``
 decides whether two points give one point of the quotient by the
 paper's geometric definition, from orbit closures read off the faces of
 the polyhedron, without evaluating any invariant.
+``dd_pair_by_projection`` is the double description pass as
+``_dd_pair`` ran it before it started from the adjugate of its head: it
+projects the lineality basis row by row from the unit vectors, so no
+oracle below shares a start step with the library.
 ``face_from_full_pass`` answers a face query by a double description
 pass of the whole polyhedron of its own, filtered by tight mask
 afterwards; ``face_nonempty_from_full_pass`` asks it of a mask and stands
@@ -54,10 +58,9 @@ from itertools import product as iproduct
 
 from toricalc.actions import delta
 from toricalc.errors import AllZero, EmptyPolyhedron, LinealityPresent, Unbounded
-from toricalc.lattice import IntMatrix, _hnf, _left_kernel, invariant_factors_from, snf
+from toricalc.lattice import IntMatrix, _hnf, _left_kernel, invariant_factors_from, primitive, snf
 from toricalc.polyhedra import (
     Face,
-    _dd_pair,
     _rank,
     _sign_normalize,
     _support_mask,
@@ -288,7 +291,7 @@ def face_from_full_pass(p, s):
     ``minimal_unstable_supports`` instead runs a pass per support over
     that face's own system, and this is its reference route."""
     want = _support_mask(p, s)
-    rays, lin = _dd_pair(homogenized_rows(p), p.dim + 1)
+    rays, lin = dd_pair_by_projection(homogenized_rows(p), p.dim + 1)
     kept = [r for r in rays if r.tight & want == want]
     heights = [r.vec[-1] for r in kept if r.vec[-1] > 0]
     if not heights:
@@ -376,10 +379,73 @@ def _fm_reduce(rows):
     return [(list(c), b) for c, b in best.items()]
 
 
+class _ProjectedRay:
+    """A ray of ``dd_pair_by_projection``: vector and tight mask, as the
+    library's ``_Ray`` exposes them."""
+
+    __slots__ = ("vec", "tight")
+
+    def __init__(self, vec, tight):
+        self.vec = vec
+        self.tight = tight
+
+
+def dd_pair_by_projection(constraints, ambient):
+    """``toricalc.polyhedra._dd_pair`` by the route it took before it
+    started from the adjugate of its head: every row, the first ones too,
+    is processed one at a time, from the full lineality basis of unit
+    vectors. A row that cuts the lineality space turns one basis vector
+    into a ray and projects the rest into its hyperplane; any other row
+    is a plain double description step with the combinatorial adjacency
+    test. Returns (rays, lineality) in the library's order."""
+    lin = [tuple(1 if j == i else 0 for j in range(ambient)) for i in range(ambient)]
+    rays = []
+    for k, c in enumerate(constraints):
+        lvals = [sum(x * y for x, y in zip(c, l)) for l in lin]
+        j0 = next((j for j, val in enumerate(lvals) if val != 0), None)
+        if j0 is not None:
+            l0, v0 = lin[j0], lvals[j0]
+            if v0 < 0:
+                l0, v0 = tuple(-x for x in l0), -v0
+            new_lin = []
+            for j, l in enumerate(lin):
+                if j == j0:
+                    continue
+                val = lvals[j]
+                new_lin.append(primitive(tuple(v0 * x - val * y for x, y in zip(l, l0))) if val else l)
+            for r in rays:
+                val = sum(x * y for x, y in zip(c, r.vec))
+                if val:
+                    r.vec = primitive(tuple(v0 * x - val * y for x, y in zip(r.vec, l0)))
+                r.tight |= 1 << k
+            rays.append(_ProjectedRay(l0, (1 << k) - 1))
+            lin = new_lin
+            continue
+        vals = [sum(x * y for x, y in zip(c, r.vec)) for r in rays]
+        new_rays = [r for r, v in zip(rays, vals) if v > 0]
+        for r, v in zip(rays, vals):
+            if v == 0:
+                r.tight |= 1 << k
+                new_rays.append(r)
+        for ip, vp in enumerate(vals):
+            if vp <= 0:
+                continue
+            for im, vm in enumerate(vals):
+                if vm >= 0:
+                    continue
+                z = rays[ip].tight & rays[im].tight
+                if any(i != ip and i != im and rays[i].tight & z == z for i in range(len(rays))):
+                    continue
+                vec = primitive(tuple(vp * x - vm * y for x, y in zip(rays[im].vec, rays[ip].vec)))
+                new_rays.append(_ProjectedRay(vec, z | 1 << k))
+        rays = new_rays
+    return rays, lin
+
+
 def extreme_rays(c):
     """(extreme rays, lineality basis) of the cone, primitive and sorted;
     lineality vectors have their first nonzero coordinate positive."""
-    rays, lin = _dd_pair(c.inequalities, c.ambient)
+    rays, lin = dd_pair_by_projection(c.inequalities, c.ambient)
     return tuple(sorted({r.vec for r in rays})), tuple(sorted({_sign_normalize(l) for l in lin}))
 
 
@@ -406,7 +472,7 @@ def f_vector_by_frozensets(p):
     double description pass, then a walk over faces kept as frozensets of
     generator indices, each intersected with every inequality's tight
     set."""
-    rays, lin = _dd_pair(homogenized_rows(p), p.dim + 1)
+    rays, lin = dd_pair_by_projection(homogenized_rows(p), p.dim + 1)
     is_vertex = [r.vec[-1] > 0 for r in rays]
     if not any(is_vertex):
         raise EmptyPolyhedron("f-vector of the empty polyhedron")

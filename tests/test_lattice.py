@@ -15,6 +15,7 @@ from toricalc.lattice import (
     IntMatrix,
     _as_ints,
     _hnf,
+    _inverse,
     _left_kernel,
     as_int,
     invariant_factors_from,
@@ -22,6 +23,7 @@ from toricalc.lattice import (
     snf,
 )
 from toricalc.polyhedra import polyhedron
+from toricalc.semigroups import _parallelepiped_points
 from fractions import Fraction
 
 from oracles import (
@@ -30,6 +32,7 @@ from oracles import (
     identity,
     left_kernel_by_smith,
     matmul,
+    rational_det,
     rational_rank,
     solve_rational,
     transpose,
@@ -459,3 +462,62 @@ class TestHelpers:
     def test_rational_rank_and_kernel(self):
         assert rational_rank([(1, 2), (2, 4)]) == 1
         assert rational_rank([]) == 0
+
+
+class TestInverse:
+    def test_adjugate_of_seeded_squares(self):
+        # Some of the seeded matrices of each size are singular, so both
+        # answers are drawn; the last assertion checks that.
+        rng = random.Random(5)
+        seen = set()
+        for k in (2, 3, 4):
+            for _ in range(200):
+                rows = [tuple(rng.randint(-4, 4) for _ in range(k)) for _ in range(k)]
+                got = _inverse(rows)
+                d = rational_det(rows)
+                seen.add((k, got is None))
+                if d == 0:
+                    assert got is None
+                    continue
+                det, adj = got
+                assert det == d
+                assert [[sum(a * b for a, b in zip(row, col)) for col in zip(*adj)] for row in rows] == [
+                    [det * (i == j) for j in range(k)] for i in range(k)
+                ]
+        assert seen == {(k, b) for k in (2, 3, 4) for b in (False, True)}
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            # Top two rows parallel, as the pairs c, -c of a held face.
+            [(1, 2), (-1, -2)],
+            [(1, 2, 3), (-1, -2, -3), (0, 0, 1)],
+            [(1, 0, 2, 0), (-1, 0, -2, 0), (0, 1, 0, 0), (0, 0, 0, 1)],
+            # Top two rows independent, with a zero column or a dependent
+            # bottom row.
+            [(1, 0, 0), (0, 1, 0), (1, 1, 0)],
+            [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 2, 3, 0)],
+            [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 1), (0, 0, 2, 2)],
+            [(0, 0), (0, 0)],
+        ],
+    )
+    def test_singular_is_none(self, rows):
+        assert rational_det(rows) == 0
+        assert _inverse(rows) is None
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[], [(2,)], [(1, 2, 3), (4, 5, 6)], [(1, 2), (3, 4), (5, 6)], [(1, 0, 0, 0, 0)] * 5,
+         [tuple(int(i == j) for j in range(5)) for i in range(5)]],
+    )
+    def test_other_shapes_are_none(self, rows):
+        assert _inverse(rows) is None
+
+    @pytest.mark.parametrize(
+        "rays",
+        [[(2, 1), (1, 1)], [(1, 1, 0), (0, 1, 1), (1, 1, 1)], [(1, 2, 0, 0), (0, 1, 0, 0), (0, 0, 3, 1), (0, 0, 2, 1)]],
+    )
+    def test_unimodular_parallelepiped_is_the_origin(self, rays):
+        assert abs(_inverse(rays)[0]) == 1
+        assert _parallelepiped_points(rays) == [(0,) * len(rays)]
+

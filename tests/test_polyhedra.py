@@ -29,7 +29,7 @@ from toricalc.actions import (
 )
 from toricalc.cli import execute
 from toricalc.errors import EmptyPolyhedron, LinealityPresent, NotPointed, Unbounded
-from toricalc.lattice import primitive
+from toricalc.lattice import _inverse, primitive
 from toricalc.polyhedra import (
     Cone,
     Face,
@@ -57,6 +57,7 @@ from toricalc.polyhedra import (
 from toricalc.semigroups import graded_generators, hilbert_basis, hilbert_function, relation_space
 
 from oracles import (
+    dd_pair_by_projection,
     face_from_full_pass,
     face_nonempty_from_full_pass,
     homogenized_rows,
@@ -285,6 +286,71 @@ class TestVrep:
     def test_matches_height_first(self, seed):
         p = seeded_polyhedron(seed)
         assert vrep(p) == reference_vrep(p)
+
+
+def seeded_system(seed):
+    """(rows, ambient): a random cone system in ambient dimension 0-5 with
+    0-9 rows, entries in [-4, 4]. About one row in ten repeats an earlier
+    one, one in ten negates the row before it, and one in fourteen is zero,
+    so many heads are singular."""
+    rng = random.Random(f"system:{seed}")
+    ambient = seed % 6
+    rows = []
+    for _ in range(rng.randint(0, 9)):
+        u = rng.random()
+        if rows and u < 0.1:
+            rows.append(rng.choice(rows))
+        elif rows and u < 0.2:
+            rows.append(tuple(-x for x in rows[-1]))
+        elif u < 0.27:
+            rows.append((0,) * ambient)
+        else:
+            rows.append(tuple(rng.randint(-4, 4) for _ in range(ambient)))
+    return rows, ambient
+
+
+# Each held row goes in as c, -c; a zero row and a repeated row anywhere.
+START_CASES = [
+    ([(1, 2), (-1, -2), (1, 0)], 2),
+    ([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)], 3),
+    ([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)], 3),
+    ([(1, 0, 0), (0, 1, 0), (0, 1, 0), (0, 0, 1)], 3),
+    ([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 2, 3, 0), (0, 0, 0, 1), (-1, -1, -1, -1)], 4),
+    ([(2, 1, 0, 0), (0, 3, 1, 0), (0, 0, 1, 5), (1, 0, 0, 1), (-1, -1, -1, -1)], 4),
+    ([(3,), (-3,), (0,)], 1),
+    ([(), ()], 0),
+    ([(1, 0, 0, 0, 0)] * 2 + [tuple(int(i == j) for j in range(5)) for i in range(5)], 5),
+]
+START_SYSTEMS = START_CASES + [seeded_system(seed) for seed in range(3000)]
+
+
+class TestStartStep:
+    """``_dd_pair`` starts from the adjugate of a square nonsingular head;
+    the projection route of ``oracles.py`` builds the same rays one row at
+    a time."""
+
+    def test_matches_projection_route(self):
+        for rows, ambient in START_SYSTEMS:
+            rays, lin = _dd_pair(rows, ambient)
+            ref, ref_lin = dd_pair_by_projection(rows, ambient)
+            assert [(r.vec, r.tight) for r in rays] == [(r.vec, r.tight) for r in ref], (rows, ambient)
+            assert list(lin) == list(ref_lin), (rows, ambient)
+
+    def test_corpus_coverage(self):
+        kinds = set()
+        for rows, ambient in START_SYSTEMS:
+            kinds.add(("ambient", ambient))
+            if 2 <= ambient <= 4 and len(rows) >= ambient:
+                kinds.add(("head", _inverse(rows[:ambient]) is not None))
+            if any(not any(row) for row in rows):
+                kinds.add("zero row")
+            if len(set(rows)) < len(rows):
+                kinds.add("repeated row")
+            if any(b == tuple(-x for x in a) and any(a) for a, b in zip(rows, rows[1:])):
+                kinds.add("c then -c")
+        assert kinds == {("ambient", a) for a in range(6)} | {
+            ("head", True), ("head", False), "zero row", "repeated row", "c then -c"
+        }
 
 
 class TestFace:

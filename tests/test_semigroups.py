@@ -32,7 +32,6 @@ from toricalc.polyhedra import _triangulation, is_empty, vrep
 from toricalc.semigroups import (
     Cone,
     GradedPoint,
-    _adjugate,
     _monomials,
     _packing,
     _parallelepiped_points,
@@ -144,19 +143,6 @@ class TestParallelepipedPoints:
         padded = _parallelepiped_points([r + (0,) for r in rays])
         assert sorted(points) == sorted(x[:-1] for x in padded)
         assert len(points) == len(set(points)) == index(rays)
-
-    def test_adjugate(self):
-        rng = random.Random(5)
-        for k in (2, 3, 4):
-            for _ in range(50):
-                rows = [tuple(rng.randint(-4, 4) for _ in range(k)) for _ in range(k)]
-                adj = _adjugate(rows)
-                det = rational_det(rows)
-                assert [[sum(a * b for a, b in zip(row, col)) for col in zip(*adj)] for row in rows] == [
-                    [det * (i == j) for j in range(k)] for i in range(k)
-                ]
-        for rows in ([(2,)], [(1, 2, 3), (4, 5, 6)], [(1, 0, 0, 0, 0)] * 5):
-            assert _adjugate(rows) is None
 
 
 def reference_extreme_rays(c):
@@ -514,6 +500,18 @@ class TestGradedGenerators:
     def test_point_in_zero_dims(self):
         gens = graded_generators(Polyhedron(0, (((), 0),)))
         assert gens == [GradedPoint((), 1)]
+
+    def test_kept_with_the_cone_and_returned_as_a_new_list(self):
+        p = polyhedron(2, [((1, 0), 0), ((0, 1), 0), ((-1, -1), -3)])
+        first = graded_generators(p)
+        assert "_graded_generators" in vars(homogenize(p))
+        expected = list(first)
+        first.clear()
+        second = graded_generators(p)
+        assert second == expected and second is not first
+        second.append(GradedPoint((9, 9), 9))
+        second.reverse()
+        assert graded_generators(p) == expected
 
 
 def seeded_unbounded_polyhedra(count):
