@@ -31,12 +31,16 @@ Relations among the generators are counted from the fibers of the
 monomials over their invariant monomials, without a second lattice
 point count: a point's values under the cone's rows are its exponents,
 and they are packed into one integer just as the reduction packs them.
+The monomials of each degree are built from those of the degrees below
+it, each monomial once, in lexicographic order.
 """
 
 from __future__ import annotations
 
+from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from operator import itemgetter, mul
 
 from .errors import Unbounded
@@ -191,51 +195,33 @@ def hilbert_function(p: Polyhedron, r: int) -> int:
     return len(_dilated_points(p, r))
 
 
-def _monomials(gens: list[tuple[int, int]], total: int) -> list[tuple[Vector, int]]:
-    """Each e >= 0 with sum e_i * degree_i == total, lexicographically,
-    paired with its image sum e_i * key_i, for (key, degree) pairs with
-    integer keys (``relation_space`` packs a point into one) and positive
-    degrees. Each call of ``rec`` picks the next generator with a nonzero
-    exponent, from the last but one down, since a later first nonzero
-    exponent comes first in the order; the last generator takes what
-    remains by one division, in place. The depth is below the number of
-    nonzero exponents, at most ``total``."""
-    if total == 0:
-        return [((0,) * len(gens), 0)]
-    out: list[tuple[Vector, int]] = []
-    if not gens:
-        return out
-    e = [0] * len(gens)
-    last = len(gens) - 1
-    last_key, last_degree = gens[last]
-
-    def rec(start: int, remaining: int, image: int):
-        for j in range(last - 1, start - 1, -1):
+def _monomials(gens: list[tuple[int, int]], bound: int) -> Iterator[list[tuple[Vector, int]]]:
+    """Layer r, for r = 1..bound: each e >= 0 with sum e_i * degree_i == r,
+    in lexicographic order, paired with its image sum e_i * key_i, for
+    (key, degree) pairs with integer keys (``relation_space`` packs a point
+    into one) and degrees of at least 1. A monomial whose first nonzero
+    exponent is j is built once, from the monomial of degree r - degree_j
+    with e_j one lower, whose exponents before j are all zero. Those are a
+    prefix of their layer, since a later first nonzero exponent comes first
+    in the order, so each layer keeps, per j, the length of that prefix,
+    and taking j from the last down keeps the new layer in order. Only the
+    last max-degree layers, all that a new one reads, are kept."""
+    n = len(gens)
+    zeros = (0,) * n
+    layers = deque([([(zeros, 0)], [1] * n)], maxlen=max((d for _, d in gens), default=1))
+    for r in range(1, bound + 1):
+        layer: list[tuple[Vector, int]] = []
+        lengths = [0] * n
+        for j in range(n - 1, -1, -1):
             key, degree = gens[j]
-            value = image
-            for k in range(1, remaining // degree + 1):
-                e[j] = k
-                value += key
-                left = remaining - k * degree
-                if not left:
-                    out.append((tuple(e), value))
-                    continue
-                q, rest = divmod(left, last_degree)
-                if not rest:
-                    e[last] = q
-                    out.append((tuple(e), value + q * last_key))
-                    e[last] = 0
-                if j + 1 < last:
-                    rec(j + 1, left, value)
-            e[j] = 0
-
-    q, rest = divmod(total, last_degree)
-    if not rest:
-        e[last] = q
-        out.append((tuple(e), q * last_key))
-        e[last] = 0
-    rec(0, total, 0)
-    return out
+            if degree <= r:
+                below, below_lengths = layers[-degree]
+                head = zeros[:j]
+                for e, image in islice(below, below_lengths[j]):
+                    layer.append((head + (e[j] + 1,) + e[j + 1:], image + key))
+            lengths[j] = len(layer)
+        layers.append((layer, lengths))
+        yield layer
 
 
 def relation_space(p: Polyhedron, bound: int) -> RingPresentation:
@@ -250,11 +236,12 @@ def relation_space(p: Polyhedron, bound: int) -> RingPresentation:
     dimension in degree r is the number of monomials minus the number of
     fibers. The binomials pair each fiber's members against its
     lexicographically first one, so there is one per monomial that is not
-    first in its fiber. The monomials come in lexicographic order, so the
-    fibers are met in the order of their first members and the pairs come
-    out sorted. ``Unbounded`` is raised when p is unbounded, or when it is
-    empty but some generator has degree 0. ``NotPointed`` is raised when p
-    is empty but the cone {a . x >= 0} of its inequality system contains a
+    first in its fiber. ``_monomials`` builds each degree's monomials in
+    lexicographic order, so the fibers are met in the order of their first
+    members and the pairs come out sorted. ``Unbounded`` is raised when p
+    is unbounded, or when it is empty but the cone {a . x >= 0} of its
+    inequality system is not {0}, so that some generator has degree 0.
+    ``NotPointed`` is raised when p is empty but that cone contains a
     line, since the cone over p then has no Hilbert basis.
     """
     bound = as_int(bound)
@@ -264,14 +251,14 @@ def relation_space(p: Polyhedron, bound: int) -> RingPresentation:
         raise Unbounded("relations need a bounded polyhedron")
     gens = graded_generators(p)
     if any(g.degree == 0 for g in gens):
-        raise Unbounded("relations need a bounded polyhedron")
+        raise Unbounded("relations need the cone {a . x >= 0} of the inequality system to be {0}")
     vectors = [g.point + (g.degree,) for g in gens]
     columns = _packing(homogenize(p).inequalities, vectors, bound)[1]
     keys = [(sum(map(mul, columns, v)), v[-1]) for v in vectors]
     relations: dict[int, DegreeRelations] = {}
-    for r in range(1, bound + 1):
+    for r, layer in enumerate(_monomials(keys, bound), 1):
         fibers: dict[int, list[Vector]] = {}
-        for e, image in _monomials(keys, r):
+        for e, image in layer:
             fibers.setdefault(image, []).append(e)
         binomials = tuple((ref, e) for ref, *others in fibers.values() for e in others)
         relations[r] = DegreeRelations(len(binomials), binomials)

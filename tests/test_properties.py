@@ -311,6 +311,22 @@ def seeded_polytope(seed):
 POLYTOPE_SEEDS = range(30)
 
 
+def monomial_counts(gens, top):
+    """The number of monomials of each degree 0..top in ``gens``: the
+    coefficients of prod 1 / (1 - t^degree)."""
+    counts = [1] + [0] * top
+    for g in gens:
+        for r in range(g.degree, top + 1):
+            counts[r] += counts[r - g.degree]
+    return counts
+
+
+def relation_check_bound(p):
+    """5 when p's generators have at most 20,000 monomials of degree 5,
+    else 3, so that the relations stay quick to list."""
+    return 5 if monomial_counts(graded_generators(p), 5)[5] <= 20_000 else 3
+
+
 class TestRingProperties:
     @pytest.mark.parametrize("seed", POLYTOPE_SEEDS)
     def test_generators_reach_every_point_up_to_degree_3(self, seed):
@@ -338,16 +354,24 @@ class TestRingProperties:
         # relation_space counts the kernel from the fibers of the
         # monomials. Here the degree-r monomials are counted as the
         # coefficients of prod 1 / (1 - t^degree), and the lattice points
-        # of r * p by hilbert_function's box scan.
+        # of r * p by hilbert_function's box scan. Bound 5 goes three
+        # degrees past a degree-2 generator, so by then the monomial build
+        # has dropped the layers it no longer reads.
         p = seeded_polytope(seed)
-        pres = relation_space(p, 3)
-        monomials = [1] + [0] * 3
-        for g in pres.generators:
-            for r in range(g.degree, 4):
-                monomials[r] += monomials[r - g.degree]
-        for r in range(1, 4):
+        bound = relation_check_bound(p)
+        pres = relation_space(p, bound)
+        monomials = monomial_counts(pres.generators, bound)
+        for r in range(1, bound + 1):
             rel = pres.relations_by_degree[r]
             assert monomials[r] - hilbert_function(p, r) == rel.kernel_dim == len(rel.binomials), r
+
+    def test_relations_reach_degree_5_on_most_seeds(self):
+        bounds = [relation_check_bound(seeded_polytope(seed)) for seed in POLYTOPE_SEEDS]
+        assert bounds.count(5) >= 10
+        assert any(
+            relation_check_bound(p) == 5 and any(g.degree > 1 for g in graded_generators(p))
+            for p in map(seeded_polytope, POLYTOPE_SEEDS)
+        )
 
     def test_polytope_corpus_covers_empty_and_fractional(self):
         kinds = set()

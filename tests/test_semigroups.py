@@ -28,7 +28,7 @@ from toricalc.polyhedra import (
     unit_cube,
 )
 from toricalc import polyhedra, semigroups
-from toricalc.polyhedra import _triangulation, is_empty, vrep
+from toricalc.polyhedra import _triangulation, is_bounded, is_empty, vrep
 from toricalc.semigroups import (
     Cone,
     GradedPoint,
@@ -686,6 +686,16 @@ class TestRelationSpace:
         with pytest.raises(Unbounded):
             relation_space(p, 2)
 
+    def test_degree_zero_generators_name_the_cone_of_the_inequalities(self):
+        # is_bounded holds, since Delta is empty; what fails is that the
+        # cone {a . x >= 0} is not {0}, which the message must say.
+        p = polyhedron(2, [((1, 0), 1), ((-1, 0), 0), ((0, 1), 0)])
+        assert is_bounded(p)
+        with pytest.raises(Unbounded, match=r"cone \{a \. x >= 0\} of the inequality system to be \{0\}"):
+            relation_space(p, 2)
+        with pytest.raises(Unbounded, match="bounded polyhedron"):
+            relation_space(positive_orthant(2), 2)
+
     def test_empty_with_line_in_cone_not_pointed(self):
         # Delta is empty, and the cone {a . x >= 0} holds the line x_1 = 0.
         p = polyhedron(2, [((1, 0), 1), ((-1, 0), 0)])
@@ -899,6 +909,25 @@ def offset_rows(gens):
 
 
 class TestMonomials:
+    @staticmethod
+    def check_layers(gens, bound):
+        """Every layer of ``_monomials`` up to ``bound`` against the brute
+        force, with each field of the packed image decoded."""
+        rows, offset = offset_rows(gens)
+        vectors = [g.point + (g.degree,) for g in gens]
+        w, columns = _packing(rows, vectors, bound)
+        keys = [(sum(map(mul, columns, v)), g.degree) for v, g in zip(vectors, gens)]
+        layers = list(_monomials(keys, bound))
+        assert len(layers) == bound
+        for total, layer in enumerate(layers, 1):
+            got = []
+            for e, image in layer:
+                fields = [image >> (i * w) & ((1 << w) - 1) for i in range(len(rows))]
+                assert fields[-1] == total
+                got.append((e, tuple(x + total * o for x, o in zip(fields, offset))))
+            assert got == brute_monomials(gens, total)
+            assert [e for e, _ in got] == sorted({e for e, _ in got})
+
     @pytest.mark.parametrize("seed", range(40))
     def test_matches_brute_force(self, seed):
         rng = random.Random(seed)
@@ -906,24 +935,23 @@ class TestMonomials:
         gens = [GradedPoint(tuple(rng.randint(-3, 3) for _ in range(dim)), rng.choice((1, 1, 2, 3)))
                 for _ in range(rng.randint(1, 5))]
         gens[rng.randrange(len(gens))] = GradedPoint(gens[0].point, 2 + seed % 2)
-        rows, offset = offset_rows(gens)
-        vectors = [g.point + (g.degree,) for g in gens]
-        w, columns = _packing(rows, vectors, 4)
-        keys = [(sum(map(mul, columns, v)), g.degree) for v, g in zip(vectors, gens)]
-        for total in range(5):
-            got = []
-            for e, image in _monomials(keys, total):
-                fields = [image >> (i * w) & ((1 << w) - 1) for i in range(len(rows))]
-                assert fields[-1] == total
-                got.append((e, tuple(x + total * o for x, o in zip(fields, offset))))
-            assert got == brute_monomials(gens, total)
-            assert [e for e, _ in got] == sorted({e for e, _ in got})
+        self.check_layers(gens, 4)
+
+    @pytest.mark.parametrize("degrees", [(1, 3), (2, 3), (3, 1, 3), (3, 2, 2)])
+    def test_layers_dropped_while_a_later_one_reads_three_back(self, degrees):
+        # Only the last 3 layers are kept, and degree r still reads r - 3.
+        rng = random.Random(str(degrees))
+        gens = [GradedPoint((rng.randint(-3, 3), rng.randint(-3, 3)), d) for d in degrees]
+        self.check_layers(gens, 9)
+
+    def test_no_generators(self):
+        assert list(_monomials([], 5)) == [[]] * 5
 
     def test_more_generators_than_the_recursion_limit(self):
         n = 1100
-        got = _monomials([(i, 1) for i in range(n)], 1)
+        got = next(_monomials([(i, 1) for i in range(n)], 1))
         assert got == [(tuple(int(i == j) for i in range(n)), j) for j in reversed(range(n))]
 
     def test_two_generators_to_a_high_total(self):
-        got = _monomials([(1, 1), (1000, 1)], 1500)
+        *_, got = _monomials([(1, 1), (1000, 1)], 1500)
         assert got == [((k, 1500 - k), k + 1000 * (1500 - k)) for k in range(1501)]
