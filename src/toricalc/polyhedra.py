@@ -508,10 +508,13 @@ def lattice_points(p: Polyhedron) -> list[Vector]:
 def _dilated_points(p: Polyhedron, r: int) -> list[Vector]:
     """The integer points of r * p, r >= 0, sorted, from the pass of ``p``:
     the box spanned by the vertices r * x / h of r * p, for the generators
-    (x, h) of positive height, filtered by a . pt >= r * b. At r = 0 this is
-    the cone {a . x >= 0}, generated by the pass's lineality and rays of
-    height 0 even when ``p`` is empty; ``Unbounded`` is raised when that
-    cone is not {0}, and for r >= 1 when ``p`` is not bounded."""
+    (x, h) of positive height, rounded inward, filtered by the rows
+    a . pt >= r * b that it can violate: a row whose least value over the
+    box, sum_j min(a_j * lo_j, a_j * hi_j), is at least r * b holds on all
+    of it, as every row in one variable does. At r = 0 this is the cone
+    {a . x >= 0}, generated by the pass's lineality and rays of height 0
+    even when ``p`` is empty; ``Unbounded`` is raised when that cone is
+    not {0}, and for r >= 1 when ``p`` is not bounded."""
     rays, lin = p._cone._pass
     heights = [ray.vec[-1] for ray in rays]
     if (lin or not all(heights)) and (r == 0 or any(heights)):
@@ -525,7 +528,9 @@ def _dilated_points(p: Polyhedron, r: int) -> list[Vector]:
         range(min(-(-r * v[j] // v[-1]) for v in vertices), max(r * v[j] // v[-1] for v in vertices) + 1)
         for j in range(p.dim)
     ]
-    rows = [(a, r * b) for a, b in p.inequalities]
+    if not all(ranges):
+        return []
+    rows = [(a, r * b) for a, b in p.inequalities if sum(min(x * g[0], x * g[-1]) for x, g in zip(a, ranges)) < r * b]
     return [pt for pt in iproduct(*ranges) if all(_dot(a, pt) >= b for a, b in rows)]
 
 

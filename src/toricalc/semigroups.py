@@ -25,8 +25,9 @@ When every piece has index 1, that group is trivial for each of them,
 and the basis is the extreme rays themselves. Otherwise the candidates
 are taken in order of a positive grading, and each is kept unless its
 values under the inequality rows are at least those of an element
-already kept. Each cone keeps its basis for later calls, and beside it
-the basis as graded generators sorted by degree.
+already kept, among those within the least candidate's grade of it
+(no other can reduce it). Each cone keeps its basis for later calls, and
+beside it the basis as graded generators sorted by degree.
 Relations among the generators are counted from the fibers of the
 monomials over their invariant monomials, without a second lattice
 point count: a point's values under the cone's rows are its exponents,
@@ -119,10 +120,11 @@ def hilbert_basis(c: Cone) -> list[Vector]:
 
     The candidates are the extreme rays and the parallelepiped points of
     a triangulation, reduced by ``_reduced`` (Bruns and Ichim, J. Algebra
-    324 (2010)). When every simplex has index 1, no simplex adds a point
-    but the origin, and the basis is the sorted extreme rays with no
-    reduction: a primitive extreme ray generator is never a sum of two
-    nonzero lattice points of the cone. The basis is kept with the cone;
+    324 (2010)), which stops each candidate's scan at a grading bound.
+    When every simplex has index 1, no simplex adds a point but the
+    origin, and the basis is the sorted extreme rays with no reduction: a
+    primitive extreme ray generator is never a sum of two nonzero lattice
+    points of the cone. The basis is kept with the cone;
     ``NotPointed`` is raised on every call.
     """
     if "_hilbert_basis" not in vars(c):
@@ -157,14 +159,26 @@ def _reduced(candidates: set[Vector], rows) -> tuple[Vector, ...]:
     reduce it. The guard bit on top of each row's field compares all rows
     in one subtraction: g's packed values with the guards set, minus h's,
     keep every guard exactly when g's values are at least h's.
+
+    The scan for g stops at the first kept value past vg - least, for
+    ``least`` the smallest packed candidate: if h reduces g, then g - h is
+    a nonzero point of the cone, a sum of basis elements, which are all
+    candidates, and the packing is linear, so vg - vh >= least.
     """
     w, packed = _packing(rows, candidates, 1)
     guards = sum(1 << (i * w + w - 1) for i in range(len(rows)))
     basis: list[Vector] = []
     kept: list[int] = []
-    for vg, g in sorted([(sum(map(mul, packed, x)), x) for x in candidates]):
-        top = vg | guards
-        if not any((top - vh) & guards == guards for vh in kept):
+    ordered = sorted([(sum(map(mul, packed, x)), x) for x in candidates])
+    least = ordered[0][0]
+    for vg, g in ordered:
+        top, limit = vg | guards, vg - least
+        for vh in kept:
+            if vh > limit or (top - vh) & guards == guards:
+                break
+        else:
+            vh = limit + 1
+        if vh > limit:
             basis.append(g)
             kept.append(vg)
     return tuple(sorted(basis))
@@ -238,9 +252,11 @@ def relation_space(p: Polyhedron, bound: int) -> RingPresentation:
     lexicographically first one, so there is one per monomial that is not
     first in its fiber. ``_monomials`` builds each degree's monomials in
     lexicographic order, so the fibers are met in the order of their first
-    members and the pairs come out sorted. ``Unbounded`` is raised when p
-    is unbounded, or when it is empty but the cone {a . x >= 0} of its
-    inequality system is not {0}, so that some generator has degree 0.
+    members and the pairs come out sorted. Degree 1, whose monomials are
+    single distinct generators, has no relations and builds no monomials.
+    ``Unbounded`` is raised when p is unbounded, or when it is empty but
+    the cone {a . x >= 0} of its inequality system is not {0}, so that
+    some generator has degree 0.
     ``NotPointed`` is raised when p is empty but that cone contains a
     line, since the cone over p then has no Hilbert basis.
     """
@@ -252,11 +268,13 @@ def relation_space(p: Polyhedron, bound: int) -> RingPresentation:
     gens = graded_generators(p)
     if any(g.degree == 0 for g in gens):
         raise Unbounded("relations need the cone {a . x >= 0} of the inequality system to be {0}")
+    relations = {1: DegreeRelations(0, ())}
+    if bound == 1:
+        return RingPresentation(tuple(gens), relations)
     vectors = [g.point + (g.degree,) for g in gens]
     columns = _packing(homogenize(p).inequalities, vectors, bound)[1]
     keys = [(sum(map(mul, columns, v)), v[-1]) for v in vectors]
-    relations: dict[int, DegreeRelations] = {}
-    for r, layer in enumerate(_monomials(keys, bound), 1):
+    for r, layer in enumerate(islice(_monomials(keys, bound), 1, None), 2):
         fibers: dict[int, list[Vector]] = {}
         for e, image in layer:
             fibers.setdefault(image, []).append(e)

@@ -8,6 +8,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from operator import mul
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -51,7 +52,14 @@ from toricalc.polyhedra import (
     unit_cube,
     vrep,
 )
-from toricalc.semigroups import graded_generators, hilbert_basis, hilbert_function, relation_space
+from toricalc.semigroups import (
+    _packing,
+    _parallelepiped_points,
+    graded_generators,
+    hilbert_basis,
+    hilbert_function,
+    relation_space,
+)
 
 from oracles import (
     det,
@@ -75,7 +83,7 @@ from oracles import (
 )
 from test_polyhedra import HELD_CORPUS, held_corpus_polyhedron, reference_face
 from test_acceptance import HILBERT_CONES
-from test_semigroups import EXTREME_RAY_CONES, TRIANGULATION_CONES
+from test_semigroups import EXTREME_RAY_CONES, TRIANGULATION_CONES, seeded_unbounded_polyhedra
 
 lax = settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 geometry = settings(
@@ -399,6 +407,12 @@ HILBERT_FIXTURES = {
     "lineality": polyhedron(2, [((1, 0), 0), ((-1, 0), -2)]),
     "dim 0": Polyhedron(0, ()),
     "dim 0, empty": polyhedron(0, [((), 1)]),
+    # The box scan tests only the rows its box can violate: x = r / 2 has
+    # no integer at odd r, so the box is empty there; a tilted rectangle has
+    # no row in one variable; and 2x >= 1 holds on the box rounded inward.
+    "half-integral segment": polyhedron(2, [((2, 0), 1), ((-2, 0), -1), ((0, 1), 0), ((0, -1), -1)]),
+    "tilted rectangle": polyhedron(2, [((1, 1), 0), ((-1, -1), -2), ((1, -1), -1), ((-1, 1), -2)]),
+    "fractional vertex": polyhedron(2, [((2, 0), 1), ((0, 1), 0), ((-1, -1), -3)]),
 }
 
 
@@ -438,7 +452,14 @@ class TestHilbertFunctionOracle:
             "lineality": [error, error],
             "dim 0": [1, 1],
             "dim 0, empty": [1, 0],
+            "half-integral segment": [1, 0],
+            "tilted rectangle": [1, 6],
+            "fractional vertex": [1, 6],
         }
+
+    def test_empty_box_at_odd_degrees(self):
+        p = HILBERT_FIXTURES["half-integral segment"]
+        assert [hilbert_function(p, r) for r in range(5)] == [1, 0, 3, 0, 5]
 
 
 def seeded_action(seed):
@@ -881,12 +902,19 @@ class TestFacetRule:
 
 
 # Pointed cones for the reduction rule: the acceptance cones, the pointed
-# cones of the extreme-ray corpus (the zero cone among them) and the cones
-# over the seeded polytopes.
+# cones of the extreme-ray corpus (the zero cone among them), the cones
+# over the seeded polytopes, and cones over four unbounded polyhedra of
+# ``TestBaseRing`` whose least candidate is a ray of degree 0.
+DEGREE_ZERO_LEAST = (7, 10, 17, 21)
 REDUCTION_CASES = (
     [pytest.param(c, id=f"hilbert{i}") for i, c in enumerate(HILBERT_CONES)]
     + [pytest.param(c, id=f"extreme{i}") for i, c in enumerate(EXTREME_RAY_CONES) if not extreme_rays(c)[1]]
     + [pytest.param(homogenize(seeded_polytope(seed)), id=f"seed{seed}") for seed in POLYTOPE_SEEDS]
+    + [
+        pytest.param(homogenize(p), id=f"unbounded{i}")
+        for i, p in enumerate(seeded_unbounded_polyhedra(max(DEGREE_ZERO_LEAST) + 1))
+        if i in DEGREE_ZERO_LEAST
+    ]
 )
 
 
@@ -912,6 +940,19 @@ class TestReductionOracle:
             if not rays:
                 kinds.add("zero cone")
         assert kinds == {"proper subspace", "unimodular", "index > 1", "zero cone"}
+
+    def test_corpus_has_least_candidates_of_degree_zero(self):
+        # The reduction stops each scan at the least packed candidate below
+        # the candidate; in these cones that bound comes from degree 0.
+        for case in REDUCTION_CASES:
+            if case.id.startswith("unbounded"):
+                c = case.values[0]
+                rays, simplices = _triangulation(c)
+                points = set().union(*(_parallelepiped_points([rays[i] for i in s]) for s in simplices))
+                points.discard((0,) * c.ambient)
+                packed = _packing(c.inequalities, points.union(rays), 1)[1]
+                least = min(points.union(rays), key=lambda x: sum(map(mul, packed, x)))
+                assert points and least[-1] == 0, case.id
 
 
 def full_lattice_polytope(p):

@@ -471,6 +471,16 @@ class TestGradedGenerators:
         ]
         assert graded_generators(p) == [GradedPoint(v, d) for v, d in expected]
 
+    def test_lattice_triangle_89_97(self):
+        # A lattice polygon is normal, so the cone over it is generated in
+        # degree 1 by its lattice points; Pick's theorem counts them as
+        # area + boundary / 2 + 1 = 8633 / 2 + 187 / 2 + 1.
+        p = polygon([(0, 0), (89, 0), (0, 97)])
+        gens = graded_generators(p)
+        assert len(gens) == 4411 == (89 * 97 + 89 + 97 + gcd(89, 97)) // 2 + 1
+        assert {g.degree for g in gens} == {1}
+        assert [g.point for g in gens] == lattice_points(p)
+
     def test_half_line(self):
         gens = graded_generators(positive_orthant(1))
         assert gens == [GradedPoint((1,), 0), GradedPoint((0,), 1)]
@@ -587,6 +597,19 @@ class TestHilbertFunction:
         with pytest.raises(ValueError):
             hilbert_function(SQUARE, -1)
 
+    def test_scan_tests_only_rows_the_box_can_violate(self, monkeypatch):
+        # The box of 10 * standard_simplex(3) is [0, 10]^3, which satisfies
+        # the three rows x_j >= 0, so only x_1 + x_2 + x_3 <= 10 is tested,
+        # once per box point.
+        p = standard_simplex(3)
+        hilbert_function(p, 1)
+        calls = []
+        dot = polyhedra._dot
+        monkeypatch.setattr(polyhedra, "_dot", lambda a, x: calls.append(a) or dot(a, x))
+        assert hilbert_function(p, 10) == 286
+        assert len(calls) == 11**3
+        assert set(calls) == {(-1, -1, -1)}
+
 
 class TestIntegerRule:
     def test_non_integers_rejected(self):
@@ -670,6 +693,21 @@ class TestRelationSpace:
         # The one relation: the degree-2 generator squared is the product
         # of the four vertices, two monomials of different generator degrees.
         assert kernels == [0, 0, 0, 1]
+
+    def test_degree_one_builds_no_monomials(self, monkeypatch):
+        # Each degree-1 monomial is one generator, and the generators are
+        # distinct, so degree 1 has no relations and needs no keys.
+        p = dilate(standard_simplex(2), 44)
+        graded_generators(p)
+
+        def refuse(*args):
+            raise AssertionError("built at bound 1")
+
+        monkeypatch.setattr(semigroups, "_monomials", refuse)
+        monkeypatch.setattr(semigroups, "_packing", refuse)
+        pres = relation_space(p, 1)
+        assert len(pres.generators) == 1035
+        assert pres.relations_by_degree == {1: semigroups.DegreeRelations(0, ())}
 
     def test_unbounded_raises(self):
         with pytest.raises(Unbounded):
