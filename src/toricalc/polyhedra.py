@@ -72,10 +72,12 @@ class Polyhedron:
         double description pass. With n inequalities, a ray's tight mask
         has bit i - 1 for inequality i and bit n for the height row, and
         its vector has the height last; the lineality vectors have height
-        0 and are tight everywhere."""
+        0 and are tight everywhere. The polyhedron's rows are checked
+        already, so the cone is built from them without a second check
+        (``Cone._of``)."""
         rows = [a + (-b,) for a, b in self.inequalities]
         rows.append((0,) * self.dim + (1,))
-        return Cone(self.dim + 1, tuple(rows))
+        return Cone._of(self.dim + 1, tuple(rows))
 
     @cached_property
     def _f_vector(self) -> tuple[tuple[int, ...], bool]:
@@ -262,6 +264,15 @@ class Cone:
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "inequalities", rows)
 
+    @classmethod
+    def _of(cls, ambient: int, rows: tuple[Vector, ...]) -> Cone:
+        """The cone of rows that are already a tuple of int tuples of
+        length ``ambient``, without the constructor's checks; it equals,
+        and hashes like, ``Cone(ambient, rows)``."""
+        c = object.__new__(cls)
+        vars(c).update(ambient=ambient, inequalities=rows)
+        return c
+
     def contains(self, x) -> bool:
         """Whether the point x, of length ``ambient``, satisfies every row."""
         x = tuple(_iter(x, "a point"))
@@ -332,24 +343,27 @@ def _triangulation(c: Cone) -> tuple[tuple[Vector, ...], list[tuple[int, ...]]]:
     if len(vecs) == rank:
         return vecs, [tuple(range(rank))]
     tight_sets = _tight_sets([tight[v] for v in vecs], len(c.inequalities))
-    memo: dict[int, list[tuple[int, ...]]] = {}
+    return vecs, _pull((1 << len(vecs)) - 1, rank, tight_sets, {})
 
-    def pull(face: int, rank: int) -> list[tuple[int, ...]]:
-        if face not in memo:
-            members = [g for g in range(len(vecs)) if face >> g & 1]
-            if len(members) == rank:
-                memo[face] = [tuple(members)]
-            else:
-                first = members[0]
-                memo[face] = [
-                    (first,) + s
-                    for f in _facets(face, tight_sets)
-                    if not f >> first & 1
-                    for s in pull(f, rank - 1)
-                ]
-        return memo[face]
 
-    return vecs, pull((1 << len(vecs)) - 1, rank)
+def _pull(face: int, rank: int, tight_sets, memo: dict[int, list[tuple[int, ...]]]) -> list[tuple[int, ...]]:
+    """The pulling triangulation of a face of the given rank, a bitmask
+    over the sorted rays (``_triangulation``); ``memo`` keeps each face's
+    answer. A module-level function, not a closure over itself, so that a
+    triangulation leaves no reference cycle behind."""
+    if face not in memo:
+        members = [g for g in range(face.bit_length()) if face >> g & 1]
+        if len(members) == rank:
+            memo[face] = [tuple(members)]
+        else:
+            first = members[0]
+            memo[face] = [
+                (first,) + s
+                for f in _facets(face, tight_sets)
+                if not f >> first & 1
+                for s in _pull(f, rank - 1, tight_sets, memo)
+            ]
+    return memo[face]
 
 
 def vrep(p: Polyhedron) -> VRepresentation:

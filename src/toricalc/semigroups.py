@@ -22,7 +22,14 @@ description pass starts from too), with only the origin at once when its
 determinant is 1 or -1, and off D and U of the Smith form
 (``lattice.snf``) of any other.
 When every piece has index 1, that group is trivial for each of them,
-and the basis is the extreme rays themselves. Otherwise the candidates
+and the basis is the extreme rays themselves. When every extreme ray has
+last coordinate 1, the cone is the cone over a lattice polytope of
+dimension d, and its basis lies in degrees at most max(1, d - 1)
+(Bruns, Gubeladze and Trung, "Normal polytopes, triangulations, and
+Koszul algebras", J. reine angew. Math. 485 (1997), Thm 1.3.3): only
+the group elements up to that degree are turned into points, and a
+lattice polygon, segment or point takes its degree-1 points as the
+basis with no reduction. Otherwise the candidates
 are taken in order of a positive grading, and each is kept unless its
 values under the inequality rows are at least those of an element
 already kept, among those within the least candidate's grade of it
@@ -74,8 +81,9 @@ class RingPresentation:
     relations_by_degree: dict[int, DegreeRelations]
 
 
-def _parallelepiped_points(rays: list[Vector]) -> list[Vector]:
-    """Lattice points of {sum t_i r_i : 0 <= t_i < 1} for independent rays.
+def _parallelepiped_points(rays: list[Vector], top: int | None = None) -> list[Vector]:
+    """Lattice points of {sum t_i r_i : 0 <= t_i < 1} for independent rays,
+    only those of last coordinate at most ``top`` when it is given.
 
     With R the matrix whose rows are the rays, x = t R is integral
     exactly when n t, taken modulo n, lies in a group G generated by
@@ -88,9 +96,12 @@ def _parallelepiped_points(rays: list[Vector]) -> list[Vector]:
     the Smith form, t = s U with s_i in (1/d_i) Z, n = d_k and the
     generators are the (n / d_i) U_i with d_i > 1; only D and U are read,
     and the rays may span a proper subspace of the ambient space. G is
-    walked one generator at a time, adding its multiples to the group so
-    far until one falls back into it. A ray matrix of index 1 gives only
-    the origin.
+    walked one generator at a time: the group so far is extended in place
+    by its translates by each multiple of the generator until a multiple
+    falls back into it, so each element is built once. A ray matrix of
+    index 1 gives only the origin. The last coordinate of the point of tn
+    is tn . h / n, for h the rays' last coordinates, so ``top`` is tested
+    on tn before the point is built.
     """
     head = _inverse(rays)
     if head is not None:
@@ -106,11 +117,14 @@ def _parallelepiped_points(rays: list[Vector]) -> list[Vector]:
         steps = [tuple([n // d[i][i] * x % n for x in row]) for i, row in enumerate(u) if d[i][i] > 1]
     group = [(0,) * len(rays)]
     for step in steps:
-        base, members, multiple = group, set(group), step
+        size, members, multiple = len(group), set(group), step
         while multiple not in members:
-            group = group + [tuple([(a + b) % n for a, b in zip(tn, multiple)]) for tn in base]
+            group += [tuple([(a + b) % n for a, b in zip(tn, multiple)]) for tn in islice(group, size)]
             multiple = tuple([(a + b) % n for a, b in zip(multiple, step)])
     columns = list(zip(*rays))
+    if top is not None:
+        heights, most = columns[-1], top * n
+        group = [tn for tn in group if sum(map(mul, tn, heights)) <= most]
     return [tuple([sum(map(mul, tn, column)) // n for column in columns]) for tn in group]
 
 
@@ -124,16 +138,33 @@ def hilbert_basis(c: Cone) -> list[Vector]:
     When every simplex has index 1, no simplex adds a point but the
     origin, and the basis is the sorted extreme rays with no reduction: a
     primitive extreme ray generator is never a sum of two nonzero lattice
-    points of the cone. The basis is kept with the cone;
+    points of the cone.
+
+    When every extreme ray has last coordinate 1, the cone is the cone
+    over the lattice polytope P of the rays, of dimension d one less than
+    a simplex's size, and its basis lies in degrees at most max(1, d - 1)
+    (Bruns, Gubeladze and Trung, "Normal polytopes, triangulations, and
+    Koszul algebras", J. reine angew. Math. 485 (1997), Thm 1.3.3), so
+    only the parallelepiped points up to that degree are candidates. When
+    the bound is 1 (d <= 2), those points and the rays are the degree-1
+    lattice points, none a sum of two nonzero points, and they are the
+    basis with no reduction. The basis is kept with the cone;
     ``NotPointed`` is raised on every call.
     """
     if "_hilbert_basis" not in vars(c):
         rays, simplices = _triangulation(c)
+        top = max(1, len(simplices[0]) - 2) if rays and all(r[-1] == 1 for r in rays) else None
         points = set()
         for simplex in simplices:
-            points.update(_parallelepiped_points([rays[i] for i in simplex]))
+            points.update(_parallelepiped_points([rays[i] for i in simplex], top))
         points.discard((0,) * c.ambient)
-        vars(c)["_hilbert_basis"] = _reduced(points.union(rays), c.inequalities) if points else rays
+        if not points:
+            basis = rays
+        elif top == 1:
+            basis = tuple(sorted(points.union(rays)))
+        else:
+            basis = _reduced(points.union(rays), c.inequalities)
+        vars(c)["_hilbert_basis"] = basis
     return list(vars(c)["_hilbert_basis"])
 
 

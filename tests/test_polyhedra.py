@@ -1042,6 +1042,17 @@ class TestPassCache:
         assert homogenize(warm) is homogenize(warm)
         assert homogenize(warm) == homogenize(fresh)
 
+    @pytest.mark.parametrize("p", [prism(), unit_cube(2), interval(-1, 2), Polyhedron(0, ())], ids=str)
+    def test_cone_equals_the_checked_constructor(self, p):
+        # The cone is built from the polyhedron's rows, checked already,
+        # without a second check; it is the checked constructor's value.
+        rows = [a + (-b,) for a, b in p.inequalities] + [(0,) * p.dim + (1,)]
+        checked = Cone(p.dim + 1, rows)
+        c = homogenize(p)
+        assert c == checked and hash(c) == hash(checked) and repr(c) == repr(checked)
+        assert type(c.inequalities) is tuple and all(type(row) is tuple for row in c.inequalities)
+        assert pickle.loads(pickle.dumps(c)) == c and copy.deepcopy(c) == c
+
     @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
     @pytest.mark.parametrize(
         "roundtrip",

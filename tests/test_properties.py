@@ -31,6 +31,7 @@ from toricalc.lattice import (
     invariant_factors_from,
     snf,
 )
+from toricalc import semigroups
 from toricalc.polyhedra import (
     Cone,
     Polyhedron,
@@ -953,6 +954,103 @@ class TestReductionOracle:
                 packed = _packing(c.inequalities, points.union(rays), 1)[1]
                 least = min(points.union(rays), key=lambda x: sum(map(mul, packed, x)))
                 assert points and least[-1] == 0, case.id
+
+
+def seeded_lattice_polytope(seed):
+    """(d, P) for a lattice polytope P of dimension d = seed % 5: the hull
+    of d + 1 to d + 3 points of [0, 2]^d that span it affinely, mapped by
+    x -> x M + t, for an integer M of rank d with entries in [-1, 1], into
+    Z^d, or into Z^(d + 1) for odd seed // 5. M need not be unimodular, so
+    P may hold lattice points of Z^m that are no images of points of Z^d.
+    P's inequalities are the facet normals and the equations, both ways,
+    of the cone over it, read from the oracle's extreme rays of the dual
+    cone."""
+    rng = random.Random(seed)
+    d = seed % 5
+    m = d + (seed // 5) % 2
+    while True:
+        pts = [tuple(rng.randint(0, 2) for _ in range(d)) for _ in range(rng.randint(d + 1, d + 3))]
+        if rational_rank([x + (1,) for x in pts]) == d + 1:
+            break
+    while True:
+        mat = [[rng.randint(-1, 1) for _ in range(m)] for _ in range(d)]
+        if rational_rank(mat) == d:
+            break
+    shift = [rng.randint(-2, 2) for _ in range(m)]
+    vertices = [tuple(sum(x[i] * mat[i][j] for i in range(d)) + shift[j] for j in range(m)) for x in pts]
+    normals, equations = extreme_rays(Cone(m + 1, tuple(v + (1,) for v in vertices)))
+    rows = list(normals) + [x for e in equations for x in (e, tuple(-y for y in e))]
+    return d, polyhedron(m, [(r[:-1], -r[-1]) for r in rows])
+
+
+LATTICE_POLYTOPES = [seeded_lattice_polytope(seed) for seed in range(150)]
+
+
+def all_candidates(c):
+    """Every nonzero parallelepiped point of the cone's simplices, and its
+    extreme rays: the candidates of the full reduction."""
+    rays, simplices = _triangulation(c)
+    points = set(rays).union(*(_parallelepiped_points([rays[i] for i in s]) for s in simplices))
+    points.discard((0,) * c.ambient)
+    return points
+
+
+class TestLatticePolytopeDegreeBound:
+    # The Hilbert basis of the cone over a lattice polytope of dimension d
+    # lies in degrees up to max(1, d - 1) (Bruns, Gubeladze and Trung, J.
+    # reine angew. Math. 485 (1997), Thm 1.3.3); hilbert_basis keeps only
+    # the candidates up to that degree, and reduces none when it is 1.
+    @pytest.mark.parametrize("d, p", [pytest.param(d, p, id=f"lattice{i}") for i, (d, p) in enumerate(LATTICE_POLYTOPES)])
+    def test_matches_the_full_reduction(self, d, p, monkeypatch):
+        reduced = []
+        reduce = semigroups._reduced
+        monkeypatch.setattr(semigroups, "_reduced", lambda *a: reduced.append(a[0]) or reduce(*a))
+        c = homogenize(p)
+        rays, _ = _triangulation(c)
+        assert all(r[-1] == 1 for r in rays)
+        basis = hilbert_basis(c)
+        assert basis == hilbert_basis_by_differences(c)
+        top = max(1, d - 1)
+        assert max(x[-1] for x in basis) <= top
+        candidates = {x for x in all_candidates(c) if x[-1] <= top}
+        if top == 1 or candidates == set(rays):
+            assert reduced == [] and basis == sorted(candidates)
+        else:
+            assert reduced == [candidates]
+
+    def test_corpus_reaches_the_bound_in_every_dimension(self):
+        largest, ambients, indices = {}, set(), set()
+        for d, p in LATTICE_POLYTOPES:
+            c = homogenize(p)
+            largest[d] = max(largest.get(d, 0), max(x[-1] for x in hilbert_basis(c)))
+            ambients.add((d, p.dim))
+            rays, simplices = _triangulation(c)
+            if any(abs(rational_det([rays[i] for i in s])) > 1 for s in simplices if len(s) == c.ambient):
+                indices.add(d)
+        assert largest == {0: 1, 1: 1, 2: 1, 3: 2, 4: 3}
+        assert ambients == {(d, m) for d in range(5) for m in (d, d + 1)}
+        assert {2, 3, 4} <= indices
+
+    def test_rational_and_unbounded_cones_reduce_every_candidate(self, monkeypatch):
+        # With a ray of height other than 1 no degree bound applies: the
+        # full candidate set is reduced, whatever the dimension.
+        reduced = []
+        reduce = semigroups._reduced
+        monkeypatch.setattr(semigroups, "_reduced", lambda *a: reduced.append(a[0]) or reduce(*a))
+        kinds = set()
+        for p in [seeded_polytope(seed) for seed in POLYTOPE_SEEDS] + seeded_unbounded_polyhedra(40):
+            c = homogenize(p)
+            rays, _ = _triangulation(c)
+            candidates = all_candidates(c)
+            if all(r[-1] == 1 for r in rays) or candidates == set(rays):
+                continue
+            reduced.clear()
+            assert hilbert_basis(c) == hilbert_basis_by_differences(c)
+            assert reduced == [candidates]
+            kinds.add("unbounded" if any(r[-1] == 0 for r in rays) else "rational")
+            if p.dim <= 2 and any(r[-1] > 1 for r in rays):
+                kinds.add("rational polygon")
+        assert kinds == {"unbounded", "rational", "rational polygon"}
 
 
 def full_lattice_polytope(p):

@@ -4,6 +4,7 @@ The decomposition oracle used here is an exhaustive bounded search that
 never consults the triangulation machinery it is checking.
 """
 
+import gc
 import random
 from collections import Counter
 from fractions import Fraction
@@ -452,6 +453,22 @@ class TestHilbertBasis:
 
 
 class TestGradedGenerators:
+    @pytest.mark.parametrize("p", [unit_cube(2), unit_cube(3), dilate(standard_simplex(2), 3)], ids=str)
+    def test_no_reference_cycle_left(self, p):
+        # The pulling triangulation of a non-simplicial cone recurses
+        # through a plain function, so nothing is left for the cycle
+        # collector; the fresh copy has no cached pass.
+        p = polyhedron(p.dim, p.inequalities)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            graded_generators(p)
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
+
     def test_unit_cube_4(self):
         gens = graded_generators(unit_cube(4))
         assert gens == [GradedPoint(v, 1) for v in iproduct((0, 1), repeat=4)]
@@ -851,6 +868,11 @@ class TestSmallConeCorpus:
         assert any(g.degree > 1 for p in SMALL_CONE_CORPUS for g in graded_generators(p))
 
     def test_ray_only_basis_exactly_when_every_simplex_has_index_one(self, monkeypatch):
+        # The basis is the rays exactly when every simplex has index 1.
+        # Every corpus polyhedron is a lattice polytope, whose basis lies in
+        # degrees up to max(1, dim - 1), so a polygon's basis is its degree-1
+        # points and is never reduced; a solid is reduced exactly when some
+        # simplex has index above 1.
         reduced = []
         reduce = semigroups._reduced
         monkeypatch.setattr(semigroups, "_reduced", lambda *a: reduced.append(a) or reduce(*a))
@@ -858,12 +880,14 @@ class TestSmallConeCorpus:
         for p in SMALL_CONE_CORPUS:
             c = homogenize(polyhedron(p.dim, p.inequalities))
             rays, simplices = _triangulation(c)
+            assert all(r[-1] == 1 for r in rays)
             unimodular = all(index([rays[i] for i in s]) == 1 for s in simplices)
             before = len(reduced)
             basis = hilbert_basis(c)
-            assert (len(reduced) == before) == unimodular == (basis == list(rays))
-            outcomes.add(unimodular)
-        assert outcomes == {True, False}
+            assert unimodular == (basis == list(rays))
+            assert (len(reduced) > before) == (not unimodular and p.dim == 3)
+            outcomes.add((unimodular, p.dim))
+        assert outcomes == {(True, 2), (False, 2), (True, 3), (False, 3)}
 
 
 def relation_corpus(seed=32):
